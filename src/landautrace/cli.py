@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import models, topo, tuv
+from . import models, singtrace, topo, tuv
 from .fock import ModelParams, build_basis, derived_operator, flip_and_conjugation, interior_block
 from .kernels import landau_kernel, verify_integral_identity, QuadratureConvergenceError, TARGET_IDENTITY
 from .models import NoGapError
@@ -88,9 +88,13 @@ def _parse_bool(v):
 
 
 class RunConfig:
-    """Validated run configuration shared by all subcommands."""
+    """Validated run configuration shared by all subcommands.
 
-    def __init__(self, cfg):
+    ``command`` (spectrum, invariants or verify) adds the preconditions of
+    that subcommand's engine.
+    """
+
+    def __init__(self, cfg, command):
         self.model = _get(cfg, "model", "landau")
         if self.model not in _MODELS:
             where = cfg.get("model", ("", "<default>"))[1]
@@ -132,6 +136,23 @@ class RunConfig:
                 raise ConfigError(f"pair level {j} needs a sign, e.g. {j}+")
             if j > self.nmax:
                 raise ConfigError(f"level {j} exceeds nmax = {self.nmax}")
+        if command == "invariants":
+            self._check_invariants()
+
+    def _check_invariants(self):
+        """The graded fit needs 12 + GRADED_MARGIN shells, levels an interior."""
+        min_nmax = 12 + singtrace.GRADED_MARGIN - 1  # shells 0..nmax
+        if self.nmax < min_nmax:
+            raise ConfigError(f"invariants need nmax >= {min_nmax}, got {self.nmax}")
+        top = self.nmax - topo.LEVEL_MARGIN
+        for sign, j in self.levels:
+            if self.model == "landau" and not 0 <= j <= top:
+                raise ConfigError(f"landau level {j} outside 0..nmax-{topo.LEVEL_MARGIN} = {top}")
+            # pair level 0 is the unpaired ground state and is skipped
+            if self.model == "jaynes_cummings" and (j < 0 or (j > 0 and j + 1 > top)):
+                raise ConfigError(
+                    f"pair level {j}{sign} needs 1 <= j and j + 1 <= nmax-{topo.LEVEL_MARGIN} = {top}"
+                )
 
     @staticmethod
     def _parse_levels(raw):
@@ -169,7 +190,7 @@ def load_config(args):
     ):
         if val is not None:
             cfg[key] = (str(val), "flag")
-    return RunConfig(cfg)
+    return RunConfig(cfg, args.command)
 
 
 def _fmt(x):

@@ -22,6 +22,7 @@ in :mod:`landautrace.sectors`.
 """
 
 from dataclasses import dataclass
+import math
 import struct
 
 import numpy as np
@@ -117,6 +118,8 @@ class ModelParams:
     r: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.ell_B, self.eps_B, self.xi, self.c_b, *self.r)):
+            raise ValueError("parameters must be finite")
         if self.ell_B <= 0 or self.eps_B <= 0:
             raise ValueError("ell_B and eps_B must be positive")
         if self.xi < 0:

@@ -11,6 +11,20 @@ dense problems instead of one dim ~ 7e3 dense one.
 
 Shell bookkeeping: the state (n1, b) sits in shell l = n1 + b of the
 harmonic regulator, so sector results accumulate into shells at offset b.
+
+Curvature in factored form: every projection here has low rank r per
+sector (one column for a level, two per Landau level below the Fermi
+energy for the quaternionic model) and is given as P = V V^dagger by
+columns V (s*spin x r) with V^dagger V = 1. Under that precondition the
+curvature density is
+
+    R = i P [d1 P, d2 P] = V K V^dagger,
+    K = V^dagger (a- a+ - a+ a-) V + [V^dagger a+ V, V^dagger a- V],
+
+with the truncated first-mode ladders a+-, so the edge row of
+a- a+ - a+ a- (which is -(s-1), not 1) is carried exactly. a+ V and a- V
+are row shifts of V scaled by sqrt(n), and diag(R) costs O(s r^2) per
+sector instead of the O(s^3) of dense products.
 """
 
 import numpy as np
@@ -39,17 +53,31 @@ def lowering_block(size):
     return m
 
 
-def _curvature(P, ap, am):
-    """(i) P [d1 P, d2 P] with d_i the ladder-side derivations, ell_B = 1.
+def _curvature(V, spin):
+    """r x r core K of the curvature density R = i P [d1 P, d2 P] = V K V^dagger.
 
-    d1 = -(1/sqrt2)([a+,P] - [a-,P]), d2 = (i/sqrt2)([a+,P] + [a-,P]);
+    V holds orthonormal columns (spin fastest) with P = V V^dagger; ell_B = 1,
     the magnetic length cancels against the 1/ell^2 of the Chern formula.
+    The ladder-side derivations are d1 = -(1/sqrt2)([a+,P] - [a-,P]) and
+    d2 = (i/sqrt2)([a+,P] + [a-,P]), so [d1 P, d2 P] = -i [[a+,P],[a-,P]]
+    and R = P [[a+,P],[a-,P]]. Expanding with P^2 = P, the four terms
+    that do not end in P cancel in pairs:
+
+        R = P a+ P a- P - P a+ a- P - P a- P a+ P + P a- a+ P,
+
+    and P = V V^dagger with (V^dagger a+ V)^dagger = V^dagger a- V gives
+    K = V^dagger (a- a+ - a+ a-) V + [V^dagger a+ V, V^dagger a- V].
     """
-    cp = ap @ P - P @ ap
-    cm = am @ P - P @ am
-    d1 = -(cp - cm) / np.sqrt(2)
-    d2 = 1j * (cp + cm) / np.sqrt(2)
-    return 1j * (P @ (d1 @ d2 - d2 @ d1))
+    root = np.repeat(np.sqrt(np.arange(1.0, V.shape[0] // spin)), spin)[:, None]
+    up = np.zeros_like(V)  # a+ V
+    up[spin:] = root * V[:-spin]
+    down = np.zeros_like(V)  # a- V
+    down[:-spin] = root * V[spin:]
+    raise_core = V.conj().T @ up  # V^dagger a+ V; its adjoint is V^dagger a- V
+    return (
+        up.conj().T @ up - down.conj().T @ down
+        + raise_core @ raise_core.conj().T - raise_core.conj().T @ raise_core
+    )
 
 
 def _accumulate(shell_sums, sector_offset, diag, spin_dim):
@@ -60,6 +88,19 @@ def _accumulate(shell_sums, sector_offset, diag, spin_dim):
     np.add.at(shell_sums, n1 + sector_offset, diag)
 
 
+def _add_sector(rank, chern, b, V, spin, xi):
+    """Accumulate the weighted rank and curvature densities of P = V V^dagger.
+
+    Returns the curvature core K of the sector (see :func:`_curvature`).
+    """
+    s = V.shape[0] // spin
+    weights = 1.0 / (np.repeat(np.arange(s), spin) + b + 2.0 + 2.0 * xi)
+    K = _curvature(V, spin)
+    _accumulate(rank, b, np.einsum("kp,kp->k", V, V.conj()).real * weights, spin)
+    _accumulate(chern, b, np.einsum("kp,pq,kq->k", V, K, V.conj()).real * weights, spin)
+    return K
+
+
 def landau_shell_sums(nmax, j, xi):
     """Shell sums of (Q^-1 P_j, i/ell^2 Q^-1 R_j) for the scalar model."""
     rank = np.zeros(nmax + 1)
@@ -68,14 +109,9 @@ def landau_shell_sums(nmax, j, xi):
         s = nmax + 1 - b
         if j >= s:
             continue
-        am = lowering_block(s)
-        ap = am.conj().T
-        P = np.zeros((s, s), dtype=complex)
-        P[j, j] = 1.0
-        weights = 1.0 / (np.arange(s) + b + 2.0 + 2.0 * xi)
-        _accumulate(rank, b, np.diag(P).real * weights, 1)
-        R = _curvature(P, ap, am)
-        _accumulate(chern, b, np.diag(R).real * weights, 1)
+        V = np.zeros((s, 1), dtype=complex)
+        V[j, 0] = 1.0
+        _add_sector(rank, chern, b, V, 1, xi)
     return rank, chern
 
 
@@ -102,23 +138,18 @@ def jc_shell_sums(nmax, j, theta, xi):
         s = nmax + 1 - b
         if j >= s:
             continue
-        am1 = lowering_block(s)
-        am = np.kron(am1, np.eye(2))
-        ap = am.conj().T
-        v = _jc_sector_vector(s, j, theta)
-        P = np.outer(v, v.conj())
-        weights = 1.0 / (np.repeat(np.arange(s), 2) + b + 2.0 + 2.0 * xi)
-        _accumulate(rank, b, (np.diag(P).real * weights), 2)
-        R = _curvature(P, ap, am)
-        _accumulate(chern, b, np.diag(R).real * weights, 2)
+        V = _jc_sector_vector(s, j, theta)[:, None]
+        K = _add_sector(rank, chern, b, V, 2, xi)
         # spin-traced curvature against the closed form, interior rows only
         interior = s if b + s - 1 <= nmax - 3 else max(0, nmax - 2 - b)
         if interior > 0:
-            Rspin = np.einsum("isjs->ij", (R / 1j).reshape(s, 2, s, 2))
+            Rspin = np.einsum(
+                "iar,jar->ij", (V @ K).reshape(s, 2, -1), V.conj().reshape(s, 2, -1)
+            ) / 1j
             target = np.zeros((s, s), dtype=complex)
             target[j - 1, j - 1] = -1j * np.sin(theta) ** 2
             target[j, j] = -1j * np.cos(theta) ** 2
-            dev = np.abs((Rspin - target)[:interior, :interior]).max() if interior else 0.0
+            dev = np.abs((Rspin - target)[:interior, :interior]).max()
             closed_resid = max(closed_resid, float(dev))
     return rank, chern, closed_resid
 
@@ -203,17 +234,7 @@ def quaternionic_shell_sums(nmax, params, energy, sectors=None):
     rank = np.zeros(nmax + 1)
     chern = np.zeros(nmax + 1)
     for b, w, v, _flags in sectors:
-        s = (v.shape[0]) // 2
         keep = w <= energy
-        if not keep.any():
-            continue
-        V = v[:, keep]
-        P = V @ V.conj().T
-        am1 = lowering_block(s)
-        am = np.kron(am1, np.eye(2))
-        ap = am.conj().T
-        weights = 1.0 / (np.repeat(np.arange(s), 2) + b + 2.0 + 2.0 * xi)
-        _accumulate(rank, b, np.diag(P).real * weights, 2)
-        R = _curvature(P, ap, am)
-        _accumulate(chern, b, np.diag(R).real * weights, 2)
+        if keep.any():
+            _add_sector(rank, chern, b, v[:, keep], 2, xi)
     return rank, chern

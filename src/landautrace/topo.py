@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-8
+#: levels need j <= Nmax - LEVEL_MARGIN (pairs: j + 1): the curvature checks
+#: and closed forms hold on the interior, LEVEL_MARGIN shells from the edge
+LEVEL_MARGIN = 3
 
 
 @dataclass
@@ -102,8 +105,8 @@ def verify_curvature_identity(j, basis, params):
     for the middle term fails both checks; see the test suite.) Identity
     (b) is insensitive to the neighbors by orthogonality.
     """
-    if j > basis.nmax - 3:
-        raise ValueError("need j <= Nmax - 3")
+    if j > basis.nmax - LEVEL_MARGIN:
+        raise ValueError(f"need j <= Nmax - {LEVEL_MARGIN}")
     from .fock import interior_block
 
     ell2 = params.ell_B ** 2
@@ -140,8 +143,8 @@ def invariants_landau(j, basis, params):
     numerically assembled curvature density (sector decomposition, ladder
     representation).
     """
-    if j > basis.nmax - 3:
-        raise ValueError("need j <= Nmax - 3")
+    if j > basis.nmax - LEVEL_MARGIN:
+        raise ValueError(f"need j <= Nmax - {LEVEL_MARGIN}")
     xi = params.xi
     zeta_est = dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, xi, j))
     gamma_est = dixmier_via_gamma_fit(q_level_sequence(xi, j))
@@ -172,8 +175,8 @@ def invariants_jc(j, sign, basis, params):
     Also reports the interior residual of the spin-traced curvature
     against its closed form -i ell^2 (sin^2 P_{j-1} + cos^2 P_j).
     """
-    if j < 1 or j + 1 > basis.nmax - 3:
-        raise ValueError("need 1 <= j and j + 1 <= Nmax - 3")
+    if j < 1 or j + 1 > basis.nmax - LEVEL_MARGIN:
+        raise ValueError(f"need 1 <= j and j + 1 <= Nmax - {LEVEL_MARGIN}")
     theta = jc_angles(j, params.c_b)[0 if sign in ("+", 1) else 1]
     rank_sums, chern_sums, closed_resid = sectors.jc_shell_sums(
         basis.nmax, j, theta, params.xi
@@ -191,7 +194,11 @@ def invariants_jc(j, sign, basis, params):
 
 
 def _jc_symmetry_residual(basis, params, j, theta):
-    """Residual of Xi P Xi^{-1} = P checked sector by sector."""
+    """Residual of Xi P Xi^{-1} = P checked sector by sector.
+
+    Xi's unitary part U is diagonal, so U conj(P) U^dagger is conj(P)
+    scaled by the phases of its row and column.
+    """
     nmax = basis.nmax
     worst = 0.0
     for b in range(nmax + 1):
@@ -201,8 +208,7 @@ def _jc_symmetry_residual(basis, params, j, theta):
         v = sectors._jc_sector_vector(s, j, theta)
         P = np.outer(v, v.conj())
         phases = np.kron((1j) ** (np.arange(s) + b), np.array([1.0, 1j]))
-        U = np.diag(phases)
-        dev = np.abs(U @ P.conj() @ U.conj().T - P).max()
+        dev = np.abs(phases[:, None] * P.conj() * phases.conj()[None, :] - P).max()
         worst = max(worst, float(dev))
     return worst
 
@@ -242,18 +248,23 @@ def invariants_quaternionic(energy, basis, params, gap_threshold=None):
 
 
 def _quaternionic_symmetry_residual(secs, energy, nmax):
-    """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector."""
+    """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector.
+
+    With P_E = V V^dagger, U conj(P_E) U^dagger = (U conj(V)) (U conj(V))^dagger;
+    U = diag(i^(n1 + b)) x sigma2 acts on each 2 x 2 spin block of conj(V).
+    """
     worst = 0.0
-    s2 = sectors.SIGMA2
     for b, w, v, _fl in secs:
         keep = w <= energy
         if not keep.any():
             continue
         V = v[:, keep]
-        P = V @ V.conj().T
         s = V.shape[0] // 2
-        U = np.kron(np.diag((1j) ** (np.arange(s) + b)), s2)
-        dev = np.abs(U @ P.conj() @ U.conj().T - P).max()
+        phases = (1j) ** (np.arange(s) + b)
+        UV = np.einsum(
+            "n,ab,nbr->nar", phases, sectors.SIGMA2, V.conj().reshape(s, 2, -1)
+        ).reshape(2 * s, -1)
+        dev = np.abs(UV @ UV.conj().T - V @ V.conj().T).max()
         worst = max(worst, float(dev))
     return worst
 

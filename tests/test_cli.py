@@ -15,6 +15,7 @@ from landautrace.cli import (
     main,
     parse_config_text,
 )
+from landautrace.singtrace import GRADED_MARGIN
 
 
 def read_csv(path):
@@ -55,6 +56,41 @@ class TestConfigParsing:
     def test_level_sign_validation(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = jaynes_cummings\nlevels = 2\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
+        assert rc == EXIT_CONFIG
+
+    def test_invariants_need_graded_shells(self, tmp_path, capsys):
+        # shells 0..nmax feed the graded fit, which needs 12 + GRADED_MARGIN of them
+        fewest = 12 + GRADED_MARGIN - 1
+        rc = main(["--nmax", str(fewest - 1), "--out", str(tmp_path), "invariants"])
+        assert rc == EXIT_CONFIG
+        assert f"nmax >= {fewest}" in capsys.readouterr().err
+        rc = main(["--nmax", str(fewest), "--out", str(tmp_path), "invariants"])
+        assert rc in (EXIT_OK, EXIT_NOCONV)
+        # spectrum keeps working at small truncations
+        assert main(["--nmax", str(fewest - 1), "--out", str(tmp_path), "spectrum"]) == EXIT_OK
+
+    @pytest.mark.parametrize("model, nmax, level, ok", [
+        ("landau", 10, "9", False),
+        ("landau", 20, "18", False),
+        ("landau", 20, "-1", False),
+        ("landau", 20, "17", True),
+        ("jaynes_cummings", 20, "17+", False),
+        ("jaynes_cummings", 20, "-1+", False),
+        ("jaynes_cummings", 20, "16-", True),
+    ])
+    def test_level_bounds_match_engine(self, tmp_path, model, nmax, level, ok):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = {model}\nparams.c_b = 0.3\nnmax = {nmax}\nlevels = {level}\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
+        assert (rc in (EXIT_OK, EXIT_NOCONV)) if ok else rc == EXIT_CONFIG
+
+    def test_non_finite_params_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LANDAU_PARAMS__XI", "nan")
+        assert main(["--out", str(tmp_path), "invariants"]) == EXIT_CONFIG
+        monkeypatch.delenv("LANDAU_PARAMS__XI")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = jaynes_cummings\nparams.c_b = inf\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_CONFIG
 
