@@ -138,6 +138,10 @@ class RunConfig:
                 raise ConfigError(f"level {j} exceeds nmax = {self.nmax}")
         if command == "invariants":
             self._check_invariants()
+        # the commutator and symmetry checks compare interior blocks up to
+        # two shells in (topo.classify_symmetry's margin)
+        if command == "verify" and self.nmax < 2:
+            raise ConfigError(f"verify needs nmax >= 2, got {self.nmax}")
 
     def _check_invariants(self):
         """The graded fit needs 12 + GRADED_MARGIN shells, levels an interior."""
@@ -252,7 +256,7 @@ def cmd_spectrum(config):
                ["label", "closed_form", "diagonalized", "abs_diff"], rows)
     _write_csv(os.path.join(config.out_dir, "gaps.csv"),
                ["lower", "upper", "width"], gap_rows)
-    bad = [r for r in rows if r[3] > 1e-6]
+    bad = [r for r in rows if not np.isfinite(r[3]) or r[3] > 1e-6]
     return EXIT_ASSERT if bad else EXIT_OK
 
 

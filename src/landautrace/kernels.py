@@ -17,6 +17,17 @@ conjugate of the one generated by the ladder matrices of
 norms) agree between the two, while the position commutator kernels of
 ``deriv_kernel`` realize the ladder-side derivations with the 1 <-> 2
 axes exchanged (see ``tests/test_kernels.py``).
+
+The four-fold integral identity (``verify_integral_identity``) is a
+Gauss-Legendre sum over (y, z) in R^2 x R^2, evaluated as traces of q x q
+matrix products around the 4-cycle y1 - z1 - y2 - z2 of its node axes:
+the magnetic phase and f = x^z + z^y + y^x split into edge factors and
+vertex factors, and each weight exp(-|u|^2/2) L_j(|u|^2) splits into
+j + 1 products of one-axis factors by the Laguerre addition formula
+L_j(a + b) = sum_k L_k^(-1/2)(a) L_{j-k}^(-1/2)(b). The cost is
+O((j+1)^2 q^3) instead of O(q^4). The literal variant's weight
+L_j(|u|) does not separate for j >= 1; that case is evaluated only by the
+point-by-point oracle of the test suite.
 """
 
 from dataclasses import dataclass
@@ -25,6 +36,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fock import ModelParams
+from .specfun import laguerre_rows
 
 __all__ = [
     "Region",
@@ -113,18 +125,6 @@ class Region:
         return f"Region({self.shape}, size={self.size})"
 
 
-def _laguerre_rows(alpha, kmax, rho):
-    """L_k^(alpha)(rho) for k = 0..kmax, vectorized over rho ((kmax+1, len))."""
-    out = np.empty((kmax + 1, len(rho)))
-    out[0] = 1.0
-    if kmax == 0:
-        return out
-    out[1] = 1.0 + alpha - rho
-    for k in range(1, kmax):
-        out[k + 1] = ((2 * k + 1 + alpha - rho) * out[k] - (k + alpha) * out[k - 1]) / (k + 1.0)
-    return out
-
-
 def psi_eval(n, x, params=None):
     """Eigenfunction psi_n at point(s) x; x is (2,) or (..., 2)."""
     if params is None:
@@ -139,13 +139,13 @@ def psi_eval(n, x, params=None):
     psi0 = np.exp(-rho / 2.0) / (ell * np.sqrt(2 * np.pi))
     if n2 >= n1:
         pref = np.exp(0.5 * (gammaln(n1 + 1.0) - gammaln(n2 + 1.0)))
-        val = psi0 * pref * w ** (n2 - n1) * _laguerre_rows(n2 - n1, n1, rho)[n1]
+        val = psi0 * pref * w ** (n2 - n1) * laguerre_rows(n1, n2 - n1, rho)[n1]
     else:
         # equivalent closed form regular at the origin:
         # L_m^(-k)(z) = (-z)^k (m-k)!/m! L_{m-k}^(k)(z) folded into the prefactor
         k = n1 - n2
         pref = np.exp(0.5 * (gammaln(n2 + 1.0) - gammaln(n1 + 1.0)))
-        val = psi0 * pref * (-1.0) ** k * np.conj(w) ** k * _laguerre_rows(k, n2, rho)[n2]
+        val = psi0 * pref * (-1.0) ** k * np.conj(w) ** k * laguerre_rows(n2, k, rho)[n2]
     if scalar:
         return complex(val[0])
     return val.reshape(x.shape[:-1])
@@ -170,7 +170,7 @@ def basis_matrix(basis, points, params=None):
     for d in range(0, nmax + 1):
         kmax = (nmax - d) // 2  # state (k, k+d) needs 2k + d <= nmax
         # stripe n2 - n1 = +d (and its mirror n1 - n2 = d when d > 0)
-        L = _laguerre_rows(d, kmax, rho)
+        L = laguerre_rows(kmax, d, rho)
         wd = w ** d
         wbd = (-1.0) ** d * wbar ** d
         for k in range(kmax + 1):
@@ -195,8 +195,7 @@ def landau_kernel(j, x, y, params=None):
     y1, y2 = y[..., 0], y[..., 1]
     d2 = ((x1 - y1) ** 2 + (x2 - y2) ** 2) / (2 * ell ** 2)
     wedge = (x1 * y2 - x2 * y1) / (2 * ell ** 2)
-    rho = np.atleast_1d(np.asarray(d2, dtype=float))
-    lag = _laguerre_rows(0.0, j, rho.ravel())[j].reshape(rho.shape)
+    lag = laguerre_rows(j, 0.0, np.atleast_1d(d2))[j]
     val = np.exp(-d2 / 2.0) * np.exp(-1j * wedge) * lag / (2 * np.pi * ell ** 2)
     if np.ndim(d2) == 0:
         return complex(val[0] if val.ndim else val)
@@ -242,12 +241,14 @@ def integrate_kernel_diagonal(T, region, params=None, tol=1e-8, order=64):
     return results[1]
 
 
-def _identity_weight(j, u1, u2, squared_argument):
-    r2 = u1 ** 2 + u2 ** 2
-    arg = r2 if squared_argument else np.sqrt(r2)
-    rho = arg.ravel()
-    lag = _laguerre_rows(0.0, j, rho)[j].reshape(arg.shape)
-    return np.exp(-r2 / 2.0) * lag
+def _gauss_laguerre_factors(j, u):
+    """h_k(u) = exp(-u^2/2) L_k^(-1/2)(u^2) for k = 0..j, shape (j+1,) + u.shape.
+
+    By the Laguerre addition formula L_j(a + b) = sum_k L_k^(-1/2)(a)
+    L_{j-k}^(-1/2)(b) (DLMF 18.18.12), the weight exp(-|u|^2/2) L_j(|u|^2)
+    equals sum_k h_k(u_1) h_{j-k}(u_2).
+    """
+    return np.exp(-u ** 2 / 2.0) * laguerre_rows(j, -0.5, u ** 2)
 
 
 def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
@@ -260,45 +261,69 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
       the form the identity is usually quoted in;
     * ``"rederived"`` : f e^{-i f} with weight exp(-|u|^2/2) L_j(|u|^2),
       re-derived by substituting the closed-form projection kernel into
-      the trace of the curvature density.
+      the trace of the curvature density,
 
-    Only the rederived variant evaluates to pi^2/(2i); the literal one
-    gives the complex conjugate at j = 0 and unrelated values for j >= 1
-    (both discrepancies are asserted in the test suite). The integral is
-    evaluated over |y|, |z| <= cutoff (component-wise, boxes centered at
-    the origin) and re-evaluated on a refined cutoff/order pair; it raises
+    the weights taken at x-y, y-z and z-x. Only the rederived variant
+    evaluates to pi^2/(2i); the literal one gives the complex conjugate at
+    j = 0 (asserted in the test suite). The literal weight L_j(|u|) is not
+    a polynomial in |u|^2 for j >= 1, so it does not separate and raises
+    ValueError here; the point-by-point oracle in ``tests/test_kernels.py``
+    evaluates it and asserts that it misses pi^2/(2i) at j = 1.
+
+    The integral is the tensor Gauss-Legendre sum over |y_i|, |z_i| <=
+    cutoff (component-wise, boxes centered at the origin), contracted
+    around the 4-cycle y1 - z1 - y2 - z2 of q x q matrices on the nodes:
+
+    * f = z1 (y2 - x2) + z2 (x1 - y1) + (y1 x2 - y2 x1), so the phase and
+      f split into a z1-y2 edge factor, a z2-y1 edge factor and a function
+      of y alone;
+    * the weight at y - z splits by the Laguerre addition formula into
+      j + 1 products of y1-z1 and y2-z2 edge factors (see
+      ``_gauss_laguerre_factors``), and so does the weight at z - x into
+      z1 and z2 vertex factors; the weight at x - y stays a q x q matrix
+      in (y1, y2), the pair at which the cycle is closed by a trace.
+
+    That costs O((j+1)^2 q^3) instead of the O(q^4) of the point-by-point
+    sum. The sum is re-evaluated on a refined cutoff/order pair; it raises
     QuadratureConvergenceError if the two disagree beyond tol.
     """
     if variant not in ("literal", "rederived"):
         raise ValueError(f"unknown variant {variant!r}")
-    if j > 4:
-        raise ValueError("levels above 4 are disproportionately expensive; j <= 4")
+    if j < 0:
+        raise ValueError("level must be nonnegative")
+    if variant == "literal" and j >= 1:
+        raise ValueError("the literal weight L_j(|u|) does not separate for j >= 1")
     x1c, x2c = float(x[0]), float(x[1])
-    phase_sign = +1.0 if variant == "literal" else -1.0
-    squared = variant == "rederived"
+    phase = +1j if variant == "literal" else -1j
 
     def evaluate(cut, q):
         nodes, wts = np.polynomial.legendre.leggauss(q)
-        nodes = nodes * cut
-        wts = wts * cut
-        Y1, Y2 = np.meshgrid(nodes, nodes, indexing="ij")
-        y1, y2 = Y1.ravel(), Y2.ravel()
-        wy = np.outer(wts, wts).ravel()
-        # weight factors at x-y and z-x
-        g_xy = _identity_weight(j, x1c - y1, x2c - y2, squared)
-        g_zx = _identity_weight(j, y1 - x1c, y2 - x2c, squared)
+        t = nodes * cut
+        w = wts * cut
+        # y-vertex matrix (rows y1, columns y2): weight at x-y, phase of y^x
+        fy = np.subtract.outer(t * x2c, t * x1c)
+        r2 = np.add.outer((x1c - t) ** 2, (x2c - t) ** 2)
+        gy = np.outer(w, w) * np.exp(-r2 / 2.0) * laguerre_rows(j, 0.0, r2)[j] * np.exp(phase * fy)
+        # edges y1-z1 and y2-z2: h_l(y1 - z1) h_{j-l}(y2 - z2)
+        h_edge = _gauss_laguerre_factors(j, np.subtract.outer(t, t))
+        # z vertices: w h_m(z1 - x1) and w h_{j-m}(z2 - x2)
+        hz1 = w * _gauss_laguerre_factors(j, t - x1c)
+        hz2 = w * _gauss_laguerre_factors(j, t - x2c)
+        # edges z1-y2 and z2-y1 carry the rest of f and of the phase,
+        # each next to its f-weighted copy
+        f_z1y2 = np.outer(t, t - x2c)
+        f_z2y1 = np.outer(t, x1c - t)
+        z1y2 = np.hstack([np.exp(phase * f_z1y2), f_z1y2 * np.exp(phase * f_z1y2)])
+        z2y1 = np.hstack([np.exp(phase * f_z2y1), f_z2y1 * np.exp(phase * f_z2y1)])
         total = 0.0 + 0.0j
-        block = 512
-        for lo in range(0, len(y1), block):
-            hi = min(lo + block, len(y1))
-            yb1 = y1[lo:hi][:, None]
-            yb2 = y2[lo:hi][:, None]
-            z1 = y1[None, :]
-            z2 = y2[None, :]
-            f = (x1c * z2 - x2c * z1) + (z1 * yb2 - z2 * yb1) + (yb1 * x2c - yb2 * x1c)
-            g_yz = _identity_weight(j, yb1 - z1, yb2 - z2, squared)
-            inner = np.sum(wy[None, :] * f * np.exp(phase_sign * 1j * f) * g_yz * g_zx[None, :], axis=1)
-            total += np.sum(wy[lo:hi] * g_xy[lo:hi] * inner)
+        for l in range(j + 1):
+            for m in range(j + 1):
+                # both halves indexed (y1, y2); rows q.. of right and
+                # columns q.. of left are the f-weighted parts
+                left = (h_edge[l] * hz1[m]) @ z1y2                # y1 -> z1 -> y2
+                right = ((h_edge[j - l] * hz2[j - m]) @ z2y1).T   # y2 -> z2 -> y1
+                weighted = (fy * left[:, :q] + left[:, q:]) * right[:q] + left[:, :q] * right[q:]
+                total += np.sum(gy * weighted)
         return total
 
     coarse = evaluate(cutoff, order)

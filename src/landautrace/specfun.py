@@ -7,7 +7,31 @@ along the argument), safe to call concurrently.
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["laguerre", "hurwitz_zeta", "sqrt_factorial_ratio"]
+__all__ = ["laguerre", "laguerre_rows", "hurwitz_zeta", "sqrt_factorial_ratio"]
+
+
+def laguerre_rows(kmax, alpha, x):
+    """L_k^(alpha)(x) for k = 0..kmax, stacked along a new leading axis.
+
+    Evaluated by the three-term recurrence
+
+        (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
+
+    which reproduces the defining falling-product sum exactly in exact
+    arithmetic and is far better conditioned for large degree. Returns an
+    array of shape ``(kmax + 1,) + x.shape``.
+    """
+    if kmax < 0:
+        raise ValueError(f"degree must be nonnegative, got {kmax}")
+    x = np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + x.shape)
+    out[0] = 1.0
+    if kmax == 0:
+        return out
+    out[1] = 1.0 + alpha - x
+    for k in range(1, kmax):
+        out[k + 1] = ((2 * k + 1 + alpha - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1.0)
+    return out
 
 
 def laguerre(m, alpha, x):
@@ -15,12 +39,7 @@ def laguerre(m, alpha, x):
 
     Valid for any real ``alpha``, including negative integers down to
     ``-m`` (where the polynomial picks up a zero of order ``-alpha`` at
-    the origin). Evaluated by the three-term recurrence
-
-        (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
-
-    which reproduces the defining falling-product sum exactly in exact
-    arithmetic and is far better conditioned for large degree.
+    the origin). The last row of :func:`laguerre_rows`.
 
     Parameters
     ----------
@@ -35,19 +54,8 @@ def laguerre(m, alpha, x):
     -------
     float or ndarray
     """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if scalar:
-        x = x[None]
-    prev = np.ones_like(x)
-    if m == 0:
-        return prev[0] if scalar else prev
-    cur = 1.0 + alpha - x
-    for k in range(1, m):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
-    return cur[0] if scalar else cur
+    val = laguerre_rows(m, alpha, x)[m]
+    return val[()] if val.ndim == 0 else val
 
 
 # Bernoulli numbers B_2, B_4 for the Euler-Maclaurin tail.

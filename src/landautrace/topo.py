@@ -123,12 +123,17 @@ def verify_curvature_identity(j, basis, params):
     return {"commutator_identity": res_a, "curvature_identity": res_b}
 
 
+def _i_power(k):
+    """i**k for integer k (arrays too), exact: complex pow rounds at large k."""
+    return np.array([1, 1j, -1, -1j])[np.asarray(k) % 4]
+
+
 def _theta_projection_residual(basis, j):
     # Theta's unitary part is diagonal in this representation, so the
     # commutation with a level projection is exact; keep the computation
     # numerical anyway.
     shells = basis.shell
-    phases = (1j) ** shells
+    phases = _i_power(shells)
     diag = (basis.n1 == j).astype(complex)
     conj_diag = phases * np.conj(diag) * np.conj(phases)
     return float(np.abs(conj_diag - diag).max())
@@ -207,7 +212,7 @@ def _jc_symmetry_residual(basis, params, j, theta):
             continue
         v = sectors._jc_sector_vector(s, j, theta)
         P = np.outer(v, v.conj())
-        phases = np.kron((1j) ** (np.arange(s) + b), np.array([1.0, 1j]))
+        phases = np.kron(_i_power(np.arange(s) + b), np.array([1.0, 1j]))
         dev = np.abs(phases[:, None] * P.conj() * phases.conj()[None, :] - P).max()
         worst = max(worst, float(dev))
     return worst
@@ -260,7 +265,7 @@ def _quaternionic_symmetry_residual(secs, energy, nmax):
             continue
         V = v[:, keep]
         s = V.shape[0] // 2
-        phases = (1j) ** (np.arange(s) + b)
+        phases = _i_power(np.arange(s) + b)
         UV = np.einsum(
             "n,ab,nbr->nar", phases, sectors.SIGMA2, V.conj().reshape(s, 2, -1)
         ).reshape(2 * s, -1)

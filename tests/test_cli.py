@@ -137,6 +137,15 @@ class TestSpectrum:
         widths = [float(r[2]) for r in gaps[1:]]
         assert all(w == pytest.approx(1.0, abs=1e-8) for w in widths[:3])
 
+    @pytest.mark.parametrize("model", ["landau", "jaynes_cummings"])
+    @pytest.mark.parametrize("nmax", [0, 1])
+    def test_unresolved_levels_fail(self, tmp_path, model, nmax):
+        # no interior eigenvalue to match: NaN rows must not pass as exit 0
+        rc = main(["--model", model, "--nmax", str(nmax), "--out", str(tmp_path), "spectrum"])
+        assert rc == EXIT_ASSERT
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert any(r[3] == "nan" for r in rows[1:])
+
 
 class TestInvariants:
     def test_landau_level_zero(self, tmp_path):
@@ -210,6 +219,15 @@ class TestVerify:
         assert rc == EXIT_ASSERT
         rows = read_csv(tmp_path / "verify.csv")
         assert rows[1][3] == "FAIL"
+
+    @pytest.mark.parametrize("nmax", [0, 1])
+    def test_tiny_nmax_rejected(self, tmp_path, capsys, nmax):
+        for check in ("commutators", "symmetries"):
+            rc = main(["--check", check, "--nmax", str(nmax), "--out", str(tmp_path), "verify"])
+            assert rc == EXIT_CONFIG
+            assert "verify needs nmax >= 2" in capsys.readouterr().err
+        rc = main(["--check", "symmetries", "--nmax", "2", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
 
     def test_unknown_check_rejected(self, tmp_path):
         rc = main(["--check", "nonsense", "--out", str(tmp_path), "verify"])

@@ -14,6 +14,7 @@ from landautrace.kernels import (
     psi_eval,
     verify_integral_identity,
 )
+from landautrace.specfun import laguerre
 from landautrace.topo import partial_derivative
 
 
@@ -242,6 +243,46 @@ class TestRegions:
             Region.square(-1.0)
 
 
+def identity_weight(j, u1, u2, squared_argument):
+    r2 = u1 ** 2 + u2 ** 2
+    arg = r2 if squared_argument else np.sqrt(r2)
+    return np.exp(-r2 / 2.0) * laguerre(j, 0.0, arg)
+
+
+def identity_pointwise(j, cut, q, variant="rederived", x=(0.0, 0.0)):
+    """Point-by-point O(q^4) Gauss-Legendre sum of the four-fold identity.
+
+    The reference for the separable contraction of
+    ``verify_integral_identity`` on the same nodes and weights; it also
+    evaluates the literal variant at j >= 1, which does not separate.
+    """
+    x1c, x2c = float(x[0]), float(x[1])
+    phase_sign = +1.0 if variant == "literal" else -1.0
+    squared = variant == "rederived"
+    nodes, wts = np.polynomial.legendre.leggauss(q)
+    nodes = nodes * cut
+    wts = wts * cut
+    Y1, Y2 = np.meshgrid(nodes, nodes, indexing="ij")
+    y1, y2 = Y1.ravel(), Y2.ravel()
+    wy = np.outer(wts, wts).ravel()
+    # weight factors at x-y and z-x
+    g_xy = identity_weight(j, x1c - y1, x2c - y2, squared)
+    g_zx = identity_weight(j, y1 - x1c, y2 - x2c, squared)
+    total = 0.0 + 0.0j
+    block = 512
+    for lo in range(0, len(y1), block):
+        hi = min(lo + block, len(y1))
+        yb1 = y1[lo:hi][:, None]
+        yb2 = y2[lo:hi][:, None]
+        z1 = y1[None, :]
+        z2 = y2[None, :]
+        f = (x1c * z2 - x2c * z1) + (z1 * yb2 - z2 * yb1) + (yb1 * x2c - yb2 * x1c)
+        g_yz = identity_weight(j, yb1 - z1, yb2 - z2, squared)
+        inner = np.sum(wy[None, :] * f * np.exp(phase_sign * 1j * f) * g_yz * g_zx[None, :], axis=1)
+        total += np.sum(wy[lo:hi] * g_xy[lo:hi] * inner)
+    return total
+
+
 @pytest.fixture(scope="module")
 def identity_j0():
     return verify_integral_identity(0, cutoff=6.0, tol=1e-4, variant="rederived")
@@ -275,6 +316,37 @@ class TestIntegralIdentity:
         assert abs(identity_j0.real) <= 1e-4
         assert identity_j0.imag == pytest.approx(-np.pi ** 2 / 2.0, abs=1e-4)
 
-    def test_expensive_levels_rejected(self):
+    def test_level_five(self):
+        val = verify_integral_identity(5, cutoff=8.0, tol=1e-4, variant="rederived", order=80)
+        assert abs(val - TARGET_IDENTITY) <= 1e-4
+
+    def test_literal_excited_level_rejected(self):
         with pytest.raises(ValueError):
-            verify_integral_identity(5)
+            verify_integral_identity(1, variant="literal")
+
+    def test_coarse_refinement_disagreement_raises(self):
+        # a cutoff of 2 truncates the Gaussian weights at the 1e-1 level
+        with pytest.raises(QuadratureConvergenceError):
+            verify_integral_identity(0, cutoff=2.0, tol=1e-4, order=16)
+
+
+SEPARABLE_CASES = [
+    ("rederived", j, x) for j in (0, 1, 2, 4) for x in ((0.0, 0.0), (1.0, 1.0), (0.3, -0.7))
+] + [("literal", 0, (0.0, 0.0)), ("literal", 0, (0.3, -0.7))]
+
+
+@pytest.mark.parametrize("variant,j,x", SEPARABLE_CASES)
+def test_separable_sum_matches_pointwise_oracle(variant, j, x):
+    order, cutoff = 20, 5.0
+    rep = verify_integral_identity(j, cutoff=cutoff, tol=10.0, variant=variant, x=x,
+                                   order=order, full_report=True)
+    coarse = identity_pointwise(j, cutoff, order, variant, x)
+    fine = identity_pointwise(j, 1.25 * cutoff, order + order // 2, variant, x)
+    assert abs(rep["coarse"] - coarse) <= 1e-12 * abs(coarse)
+    assert abs(rep["value"] - fine) <= 1e-12 * abs(fine)
+
+
+def test_literal_excited_level_misses_target():
+    """The literal weight L_1(|u|) does not give pi^2/(2i) (oracle only)."""
+    val = identity_pointwise(1, 7.0, 32, variant="literal")
+    assert abs(val - TARGET_IDENTITY) > 1.0

@@ -183,6 +183,15 @@ def test_jc_symmetry_residual_matches_dense(monkeypatch):
     assert res == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("j", [1, 2, 5])
+def test_jc_symmetry_residual_is_exact(j):
+    # with the exact phase cycle 1, i, -1, -i the residual shows no rounding,
+    # even where i**(n1 + b) by complex pow is off by 1e-14 (Nmax 140)
+    basis = build_basis(140)
+    for theta in jc_angles(j, 0.5):
+        assert topo._jc_symmetry_residual(basis, ModelParams(c_b=0.5), j, theta) == 0.0
+
+
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 def test_quaternionic_symmetry_residual_matches_dense(quaternionic_sectors, energy):
     res = topo._quaternionic_symmetry_residual(quaternionic_sectors, energy, NMAX)
