@@ -239,8 +239,7 @@ def cmd_spectrum(config):
         H = models.jc_hamiltonian(basis, params)
         table, gaps = models.diagonalize_and_gaps(H, 0.02 * params.eps_B)
         diag = _match_levels(closed, table)
-        labels = _jc_labels(params, config.jmax)
-        for lab, cv, dv in zip(labels, closed, diag):
+        for lab, cv, dv in zip(closed_tab.labels, closed, diag):
             rows.append([lab, float(cv), float(dv), float(abs(cv - dv))])
     else:
         basis = build_basis(min(config.nmax, 30))
@@ -258,19 +257,6 @@ def cmd_spectrum(config):
                ["lower", "upper", "width"], gap_rows)
     bad = [r for r in rows if not np.isfinite(r[3]) or r[3] > 1e-6]
     return EXIT_ASSERT if bad else EXIT_OK
-
-
-def _jc_labels(params, jmax):
-    labels = ["E_0"]
-    for j in range(1, jmax + 1):
-        labels += [f"E_{j}-", f"E_{j}+"]
-    values = [params.eps_B * (0.5 + params.c_b ** 2)]
-    for j in range(1, jmax + 1):
-        root = np.sqrt(1.0 + 8.0 * j * params.c_b ** 2)
-        values += [params.eps_B * (j - root / 2 + params.c_b ** 2),
-                   params.eps_B * (j + root / 2 + params.c_b ** 2)]
-    order = np.argsort(values)
-    return [labels[i] for i in order]
 
 
 def _match_levels(closed, table):
@@ -422,11 +408,12 @@ def _check_commutators(config, tol):
 
 
 def _check_curvature(config, tol):
+    """Worst residual of the curvature identities (a) and (b), j = 0..5."""
     basis = build_basis(max(12, min(config.nmax, 40)))
     worst = 0.0
     for j in range(0, min(6, basis.nmax - 3)):
         res = topo.verify_curvature_identity(j, basis, config.params)
-        worst = max(worst, res["curvature_identity"])
+        worst = max(worst, res["commutator_identity"], res["curvature_identity"])
     return worst
 
 

@@ -15,10 +15,11 @@ Mode conventions (hbar = 1):
     H  = eps_B (a+a- + 1/2)             Q  = a+a- + b+b- + 2
     L3 = a+a- - b+b-
 
-Matrices are stored dense; at the default truncations (Nmax <= ~60,
-dim <= ~2e3) products cost O(dim^3) and stay cheap. Large-truncation
-topological estimates avoid dense algebra via the sector decomposition
-in :mod:`landautrace.sectors`.
+Matrices are stored dense, and products cost O(dim^3) (dim ~ 2e3 at
+Nmax 60). The ``invariants`` command and ``verify --check curvature``
+build none of them: they run sector by sector in
+:mod:`landautrace.sectors`. Dense matrices serve ``spectrum``, the other
+``verify`` checks and the test oracles.
 """
 
 from dataclasses import dataclass

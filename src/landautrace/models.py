@@ -69,6 +69,7 @@ class SpectrumTable:
     provenance: str                 # "closed_form" or "diagonalized"
     multiplicities: np.ndarray = None   # within truncation; None for closed forms
     interior: np.ndarray = None         # None for closed forms
+    labels: list = None                 # level names, closed forms only
 
     def interior_eigenvalues(self):
         if self.interior is None:
@@ -115,13 +116,21 @@ def jc_angles(j, c_b):
 
 
 def jc_spectrum(params, jmax):
-    """Closed-form spin-orbit levels up to pair index jmax, ascending."""
+    """Closed-form spin-orbit levels up to pair index jmax, ascending.
+
+    The labels name each level: E_0, then E_j- and E_j+ for each pair j.
+    """
     vals = [params.eps_B * (0.5 + params.c_b ** 2)]
+    labels = ["E_0"]
     for j in range(1, jmax + 1):
         root = np.sqrt(1.0 + 8.0 * j * params.c_b ** 2)
         vals.append(params.eps_B * (j - root / 2.0 + params.c_b ** 2))
         vals.append(params.eps_B * (j + root / 2.0 + params.c_b ** 2))
-    return SpectrumTable(np.sort(np.array(vals)), "closed_form")
+        labels += [f"E_{j}-", f"E_{j}+"]
+    order = np.argsort(vals)
+    return SpectrumTable(
+        np.array(vals)[order], "closed_form", labels=[labels[i] for i in order]
+    )
 
 
 def jc_hamiltonian(basis, params):

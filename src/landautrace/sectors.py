@@ -25,12 +25,19 @@ with the truncated first-mode ladders a+-, so the edge row of
 a- a+ - a+ a- (which is -(s-1), not 1) is carried exactly. a+ V and a- V
 are row shifts of V scaled by sqrt(n), and diag(R) costs O(s r^2) per
 sector instead of the O(s^3) of dense products.
+
+The Landau curvature identities are checked per sector too
+(:func:`landau_identity_residuals`): all their nonzero entries sit on the
+levels j-1..j+1, the same 3 x 3 window in every sector that reaches them,
+so the largest sector alone gives the largest residual.
 """
 
 import numpy as np
 
 __all__ = [
+    "LEVEL_MARGIN",
     "lowering_block",
+    "landau_identity_residuals",
     "landau_shell_sums",
     "jc_shell_sums",
     "jc_sector_eigensystem",
@@ -43,6 +50,9 @@ SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 EDGE_SHELLS = 2  # eigenvector mass on the outer this-many shells decides interior status
 INTERIOR_MASS = 1e-8
+#: levels need j <= Nmax - LEVEL_MARGIN (pairs: j + 1): the curvature checks
+#: and closed forms hold on the interior, LEVEL_MARGIN shells from the edge
+LEVEL_MARGIN = 3
 
 
 def lowering_block(size):
@@ -115,6 +125,59 @@ def landau_shell_sums(nmax, j, xi):
     return rank, chern
 
 
+def _landau_curvature_window(j, ell_B):
+    """[d1 P_j, d2 P_j] on the levels j-1..j+1 of a sector that holds them.
+
+    Returns (levels, commutator). P_j is diagonal in n1 and the b-ladders
+    keep n1, so the second-mode parts of X1 and X2 commute with P_j to
+    exactly zero and d_i P_j = -i [x_i, P_j] with the first-mode parts
+    x1 = ell (a+ - a-)/(i sqrt2), x2 = -ell (a+ + a-)/sqrt2. Every nonzero
+    entry of d_i P_j has one index equal to j and the other j +- 1, so
+    the window of levels max(j-1, 0)..j+1 holds all of them, and the
+    products over the window are those of the whole sector.
+    """
+    level = np.arange(max(j - 1, 0), j + 2)
+    am = np.diag(np.sqrt(level[1:].astype(complex)), 1)  # a- restricted to the window
+    ap = am.conj().T
+    P = np.diag((level == j).astype(complex))
+    x1 = ell_B * ((ap - am) / (1j * np.sqrt(2)))
+    x2 = ell_B * (-(ap + am) / np.sqrt(2))
+    d1 = -1j * (x1 @ P - P @ x1)
+    d2 = -1j * (x2 @ P - P @ x2)
+    return level, d1 @ d2 - d2 @ d1
+
+
+def landau_identity_residuals(nmax, j, ell_B):
+    """Interior residuals of the two Landau curvature identities, per n2 sector.
+
+    (a)  [d1 P_j, d2 P_j] + i ell^2 (P_j + j P_{j-1} - (j+1) P_{j+1})
+    (b)  P_j [d1 P_j, d2 P_j] + i ell^2 P_j
+
+    Both sides conserve n2, so each identity splits into the sectors
+    n2 = b, where the first mode is the oscillator of size s = nmax + 1 - b
+    and the interior n1 + n2 <= nmax - LEVEL_MARGIN is n1 < s - LEVEL_MARGIN.
+    Every nonzero entry of either side lies on the levels j-1..j+1
+    (:func:`_landau_curvature_window`). A sector whose interior reaches
+    level j-1 has s > j - 1 + LEVEL_MARGIN levels, so it holds the whole
+    window, with the same entries as every other such sector (they depend
+    on the level alone), and its interior is a prefix of the interior of
+    the largest sector, b = 0. That sector therefore carries the largest
+    residual of all: one window of at most 3 x 3, whatever nmax.
+    Returns (res_a, res_b), the largest entry magnitudes.
+    """
+    if j > nmax - LEVEL_MARGIN:
+        raise ValueError(f"need j <= Nmax - {LEVEL_MARGIN}")
+    level, comm = _landau_curvature_window(j, ell_B)
+    interior = level <= nmax - LEVEL_MARGIN  # rows and columns of the b = 0 sector
+    inner = np.ix_(interior, interior)
+    ell2 = ell_B ** 2
+    P = np.diag((level == j).astype(complex))
+    rhs = np.diag(1.0 * (level == j) + j * (level == j - 1) - (j + 1.0) * (level == j + 1))
+    res_a = np.abs(comm + (1j * ell2) * rhs)[inner].max()
+    res_b = np.abs(P @ comm + (1j * ell2) * P)[inner].max()
+    return float(res_a), float(res_b)
+
+
 def _jc_sector_vector(s, j, theta):
     """Eigenvector column (spin fastest) of the level-(j, theta) pair state."""
     v = np.zeros(2 * s, dtype=complex)
@@ -141,7 +204,7 @@ def jc_shell_sums(nmax, j, theta, xi):
         V = _jc_sector_vector(s, j, theta)[:, None]
         K = _add_sector(rank, chern, b, V, 2, xi)
         # spin-traced curvature against the closed form, interior rows only
-        interior = s if b + s - 1 <= nmax - 3 else max(0, nmax - 2 - b)
+        interior = s - LEVEL_MARGIN
         if interior > 0:
             Rspin = np.einsum(
                 "iar,jar->ij", (V @ K).reshape(s, 2, -1), V.conj().reshape(s, 2, -1)

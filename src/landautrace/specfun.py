@@ -5,9 +5,8 @@ along the argument), safe to call concurrently.
 """
 
 import numpy as np
-from scipy.special import gammaln
 
-__all__ = ["laguerre", "laguerre_rows", "hurwitz_zeta", "sqrt_factorial_ratio"]
+__all__ = ["laguerre", "laguerre_rows", "hurwitz_zeta"]
 
 
 def laguerre_rows(kmax, alpha, x):
@@ -83,10 +82,3 @@ def hurwitz_zeta(s, q):
     tail += (_B2 / 2.0) * s * a ** (-s - 1.0)
     tail += (_B4 / 24.0) * s * (s + 1.0) * (s + 2.0) * a ** (-s - 3.0)
     return head + tail
-
-
-def sqrt_factorial_ratio(n1, n2):
-    """sqrt(n1! / n2!) through log-gamma differences (no overflow)."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("factorial arguments must be nonnegative")
-    return float(np.exp(0.5 * (gammaln(n1 + 1.0) - gammaln(n2 + 1.0))))

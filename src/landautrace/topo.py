@@ -10,6 +10,14 @@ value is accepted only when |estimate - integer| <= 3x the estimator
 residual. Position commutators are taken in the ladder representation
 (exact shell arithmetic); the kernel realization of the same derivations
 is validated independently in :mod:`landautrace.kernels`.
+
+The invariants and the curvature-identity check conserve the second
+mode number n2 and run sector by sector in :mod:`landautrace.sectors`:
+the curvature shell sums in factored form, O(s r^2) per sector, and the
+Landau curvature identities on one window of at most 3 x 3, whatever
+Nmax. Only :func:`classify_symmetry` and the dense derivation
+:func:`partial_derivative` take dense matrices; the dense forms of the
+other computations are the test oracles.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sectors
-from .fock import derived_operator, landau_projection, tensor_with_spin
+from .fock import derived_operator, tensor_with_spin
 from .models import NoGapError, jc_angles, _gaps_from_levels
 from .singtrace import (
     DixmierEstimate,
@@ -30,7 +38,6 @@ from .singtrace import (
 
 __all__ = [
     "TopologicalReport",
-    "partial_derivative",
     "verify_curvature_identity",
     "invariants_landau",
     "invariants_jc",
@@ -39,9 +46,7 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-8
-#: levels need j <= Nmax - LEVEL_MARGIN (pairs: j + 1): the curvature checks
-#: and closed forms hold on the interior, LEVEL_MARGIN shells from the edge
-LEVEL_MARGIN = 3
+LEVEL_MARGIN = sectors.LEVEL_MARGIN
 
 
 @dataclass
@@ -83,7 +88,11 @@ def _certify(estimate):
 
 
 def partial_derivative(T, i, params=None):
-    """d_i(T) = -i [X_i, T]; X_i acts on the spatial factor."""
+    """d_i(T) = -i [X_i, T] on dense matrices; X_i acts on the spatial factor.
+
+    No computation of this module uses it: it is the dense derivation the
+    tests check the sector forms against.
+    """
     if i not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     X = derived_operator(T.basis, f"X{i}", params)
@@ -104,22 +113,15 @@ def verify_curvature_identity(j, basis, params):
     traceless per unit volume. (A lower coefficient j-1 sometimes quoted
     for the middle term fails both checks; see the test suite.) Identity
     (b) is insensitive to the neighbors by orthogonality.
-    """
-    if j > basis.nmax - LEVEL_MARGIN:
-        raise ValueError(f"need j <= Nmax - {LEVEL_MARGIN}")
-    from .fock import interior_block
 
-    ell2 = params.ell_B ** 2
-    P = landau_projection(basis, j)
-    d1 = partial_derivative(P, 1, params)
-    d2 = partial_derivative(P, 2, params)
-    comm = d1.commutator(d2)
-    rhs = 1.0 * P
-    if j >= 1:
-        rhs = rhs + float(j) * landau_projection(basis, j - 1)
-    rhs = rhs - float(j + 1) * landau_projection(basis, j + 1)
-    res_a = interior_block(basis, comm + (1j * ell2) * rhs, 3).max_abs()
-    res_b = interior_block(basis, P @ comm + (1j * ell2) * P, 3).max_abs()
+    Both sides conserve n2 and are checked per sector on the window of
+    levels j-1..j+1 that holds all their nonzero entries
+    (:func:`sectors.landau_identity_residuals`). That window is the same
+    in every sector that reaches it, so one 3 x 3 window decides both
+    residuals: the cost does not grow with Nmax and no dense matrix is
+    built. The dense form on the whole truncated basis is the test oracle.
+    """
+    res_a, res_b = sectors.landau_identity_residuals(basis.nmax, j, params.ell_B)
     return {"commutator_identity": res_a, "curvature_identity": res_b}
 
 
@@ -165,7 +167,7 @@ def invariants_landau(j, basis, params):
     chern_est = dixmier_from_shell_sums(chern_sums)
     rank_rounded, rank_ok = _certify(rank_est)
     chern_rounded, chern_ok = _certify(chern_est)
-    residuals = verify_curvature_identity(j, basis, params) if basis.nmax <= 60 else {}
+    residuals = verify_curvature_identity(j, basis, params)
     sym_res = _theta_projection_residual(basis, j)
     return TopologicalReport(
         rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,

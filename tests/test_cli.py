@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from landautrace import fock
 from landautrace.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
@@ -228,6 +229,21 @@ class TestVerify:
             assert "verify needs nmax >= 2" in capsys.readouterr().err
         rc = main(["--check", "symmetries", "--nmax", "2", "--out", str(tmp_path), "verify"])
         assert rc == EXIT_OK
+
+    def test_curvature_and_landau_invariants_build_no_dense_matrix(self, tmp_path, monkeypatch):
+        # both run per n2 sector and must not fall back to dense OperatorMatrix algebra
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense OperatorMatrix built")
+
+        monkeypatch.setattr(fock.OperatorMatrix, "__init__", refuse)
+        rc = main(["--check", "curvature", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        assert read_csv(tmp_path / "verify.csv")[1][3] == "pass"
+        monkeypatch.setenv("LANDAU_LEVELS", "0,3")
+        rc = main(["--model", "landau", "--nmax", "60", "--out", str(tmp_path), "invariants"])
+        assert rc == EXIT_OK
+        reports = json.loads((tmp_path / "invariants.json").read_text())
+        assert all("curvature_identity" in r["identity_residuals"] for r in reports)
 
     def test_unknown_check_rejected(self, tmp_path):
         rc = main(["--check", "nonsense", "--out", str(tmp_path), "verify"])

@@ -93,6 +93,18 @@ class TestJcSpectrum:
         root = np.sqrt(1.0 + 8.0 * 0.64)
         assert tab.eigenvalues.min() == pytest.approx(1.3 * (1.0 - root / 2.0 + 0.64), rel=1e-12)
 
+    def test_labels_follow_values(self):
+        p = ModelParams(c_b=0.5, eps_B=1.3)
+        tab = jc_spectrum(p, 3)
+        assert sorted(tab.labels) == sorted(["E_0"] + [f"E_{j}{s}" for j in (1, 2, 3) for s in "-+"])
+        for lab, val in zip(tab.labels, tab.eigenvalues):
+            if lab == "E_0":
+                assert val == pytest.approx(1.3 * (0.5 + 0.25), rel=1e-14)
+                continue
+            j, sign = int(lab[2]), 1.0 if lab[3] == "+" else -1.0
+            root = np.sqrt(1.0 + 8.0 * j * 0.25)
+            assert val == pytest.approx(1.3 * (j + sign * root / 2.0 + 0.25), rel=1e-14)
+
     def test_matches_diagonalization_interior(self, basis):
         p = ModelParams(c_b=0.6)
         H = jc_hamiltonian(basis, p)

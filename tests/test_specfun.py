@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from landautrace.specfun import hurwitz_zeta, laguerre, sqrt_factorial_ratio
+from landautrace.specfun import hurwitz_zeta, laguerre
 
 
 def laguerre_literal_exact(m, alpha, x):
@@ -134,22 +134,3 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 0.0)
         with pytest.raises(ValueError):
             hurwitz_zeta(0.5, 1.0)
-
-
-class TestSqrtFactorialRatio:
-    def test_trivial(self):
-        assert sqrt_factorial_ratio(0, 0) == 1.0
-        assert sqrt_factorial_ratio(3, 1) == pytest.approx(np.sqrt(6.0), rel=1e-14)
-
-    def test_overflow_path(self):
-        # 170!/168! = 170*169 = 28730; both factorials overflow a double
-        assert sqrt_factorial_ratio(170, 168) == pytest.approx(np.sqrt(170.0 * 169.0), rel=1e-13)
-
-    def test_inverse_pair(self):
-        a = sqrt_factorial_ratio(40, 7)
-        b = sqrt_factorial_ratio(7, 40)
-        assert a * b == pytest.approx(1.0, rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sqrt_factorial_ratio(-1, 0)

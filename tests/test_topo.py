@@ -24,6 +24,7 @@ from landautrace.models import (
 )
 from landautrace.singtrace import dixmier_graded
 from landautrace.topo import (
+    LEVEL_MARGIN,
     classify_symmetry,
     invariants_jc,
     invariants_landau,
@@ -31,6 +32,25 @@ from landautrace.topo import (
     partial_derivative,
     verify_curvature_identity,
 )
+
+
+# --- dense oracle: the curvature identities on the whole truncated basis ----
+
+
+def dense_curvature_identity(j, basis, params):
+    """Residuals of identities (a) and (b) from dense products, margin 3."""
+    ell2 = params.ell_B ** 2
+    P = landau_projection(basis, j)
+    d1 = partial_derivative(P, 1, params)
+    d2 = partial_derivative(P, 2, params)
+    comm = d1.commutator(d2)
+    rhs = 1.0 * P
+    if j >= 1:
+        rhs = rhs + float(j) * landau_projection(basis, j - 1)
+    rhs = rhs - float(j + 1) * landau_projection(basis, j + 1)
+    res_a = interior_block(basis, comm + (1j * ell2) * rhs, LEVEL_MARGIN).max_abs()
+    res_b = interior_block(basis, P @ comm + (1j * ell2) * P, LEVEL_MARGIN).max_abs()
+    return {"commutator_identity": res_a, "curvature_identity": res_b}
 
 
 @pytest.fixture(scope="module")
@@ -102,18 +122,40 @@ class TestCurvatureIdentity:
         basis = build_basis(16)
         params1, params2 = ModelParams(ell_B=1.0), ModelParams(ell_B=2.0)
         # residuals normalized by ell^2 agree (here: both are zero to fp noise)
-        res1 = verify_curvature_identity(1, basis, params1)
-        res2 = verify_curvature_identity(1, basis, params2)
-        assert res2["curvature_identity"] / 4.0 == pytest.approx(
-            res1["curvature_identity"], abs=1e-12
-        )
-        assert res2["commutator_identity"] / 4.0 == pytest.approx(
-            res1["commutator_identity"], abs=1e-12
-        )
+        for route in (verify_curvature_identity, dense_curvature_identity):
+            res1 = route(1, basis, params1)
+            res2 = route(1, basis, params2)
+            assert res2["curvature_identity"] / 4.0 == pytest.approx(
+                res1["curvature_identity"], abs=1e-12
+            )
+            assert res2["commutator_identity"] / 4.0 == pytest.approx(
+                res1["commutator_identity"], abs=1e-12
+            )
 
     def test_precondition(self, basis40):
         with pytest.raises(ValueError):
             verify_curvature_identity(basis40.nmax - 2, basis40, ModelParams())
+
+    def test_quoted_lower_coefficient_fails_per_sector(self):
+        # the sector window sees the same defect of exactly 1 on level j-1
+        j = 2
+        level, comm = sectors._landau_curvature_window(j, 1.0)
+        wrong = np.diag(1.0 * (level == j) + (j - 1.0) * (level == j - 1)
+                        - (j + 1.0) * (level == j + 1))
+        assert np.abs(comm + 1j * wrong).max() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("ell_B", [1.0, 1.3])
+@pytest.mark.parametrize("nmax", [12, 16, 24])
+def test_sector_path_matches_dense_oracle(nmax, ell_B):
+    basis = build_basis(nmax)
+    params = ModelParams(ell_B=ell_B)
+    for j in range(min(5, nmax - LEVEL_MARGIN) + 1):
+        fast = verify_curvature_identity(j, basis, params)
+        dense = dense_curvature_identity(j, basis, params)
+        assert fast.keys() == dense.keys()
+        for key in dense:
+            assert abs(fast[key] - dense[key]) <= 1e-14
 
 
 class TestLandauInvariants:
@@ -147,6 +189,14 @@ class TestLandauInvariants:
     def test_precondition(self, basis60):
         with pytest.raises(ValueError):
             invariants_landau(basis60.nmax - 1, basis60, ModelParams())
+
+    def test_same_residual_keys_at_every_truncation(self):
+        keys = [
+            set(invariants_landau(2, build_basis(nmax), ModelParams()).identity_residuals)
+            for nmax in (40, 60, 120)
+        ]
+        assert keys[0] == keys[1] == keys[2]
+        assert {"commutator_identity", "curvature_identity"} <= keys[2]
 
 
 class TestJcInvariants:
