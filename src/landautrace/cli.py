@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import models, singtrace, topo, tuv
+from . import models, sectors, singtrace, topo, tuv
 from .fock import ModelParams, build_basis, derived_operator, flip_and_conjugation, interior_block
 from .kernels import landau_kernel, verify_integral_identity, QuadratureConvergenceError, TARGET_IDENTITY
 from .models import NoGapError
@@ -79,12 +79,18 @@ def _get(cfg, key, default=None, cast=str):
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
-def _parse_bool(v):
-    if str(v).lower() in ("1", "true", "yes", "on"):
-        return True
-    if str(v).lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
+def _finite(v):
+    x = float(v)
+    if not np.isfinite(x):
+        raise ValueError(f"not finite: {v!r}")
+    return x
+
+
+def _positive(v):
+    x = _finite(v)
+    if x <= 0:
+        raise ValueError(f"not > 0: {v!r}")
+    return x
 
 
 class RunConfig:
@@ -118,9 +124,9 @@ class RunConfig:
             raise ConfigError(f"invalid params: {exc}") from exc
         raw_levels = _get(cfg, "levels", "")
         self.levels = self._parse_levels(raw_levels)
-        self.fermi_energy = _get(cfg, "fermi_energy", None, float)
-        self.gap_threshold = _get(cfg, "gap_threshold", None, float)
-        self.tol = _get(cfg, "tol", None, float)
+        self.fermi_energy = _get(cfg, "fermi_energy", None, _finite)
+        self.gap_threshold = _get(cfg, "gap_threshold", None, _positive)
+        self.tol = _get(cfg, "tol", None, _positive)
         self.jmax = _get(cfg, "jmax", 5, int)
         if self.jmax < 0:
             raise ConfigError("jmax must be nonnegative")
@@ -220,55 +226,41 @@ def _write_json(path, payload):
 
 
 def cmd_spectrum(config):
+    """Interior eigenvalues per n2 sector against the closed forms, and their gaps.
+
+    Each closed-form level takes the nearest interior eigenvalue, NaN (exit
+    4) when there is none; the quaternionic model lists its lowest ones.
+    """
     os.makedirs(config.out_dir, exist_ok=True)
-    params = config.params
-    rows = []
-    gap_rows = []
+    params, nmax = config.params, config.nmax
     if config.model == "landau":
-        closed = models.landau_levels(params, config.jmax).eigenvalues
-        basis = build_basis(min(config.nmax, 40))
-        H = derived_operator(basis, "H_B", params)
-        table, gaps = models.diagonalize_and_gaps(H, 0.05 * params.eps_B)
-        diag = _match_levels(closed, table)
-        for j, (cv, dv) in enumerate(zip(closed, diag)):
-            rows.append([f"E_{j}", float(cv), float(dv), float(abs(cv - dv))])
+        closed = models.landau_levels(params, config.jmax)
+        evs, flags = sectors.landau_sector_eigensystem(nmax, params)
+        thr = 0.05 * params.eps_B
     elif config.model == "jaynes_cummings":
-        closed_tab = models.jc_spectrum(params, config.jmax)
-        closed = closed_tab.eigenvalues
-        basis = build_basis(min(config.nmax, 40))
-        H = models.jc_hamiltonian(basis, params)
-        table, gaps = models.diagonalize_and_gaps(H, 0.02 * params.eps_B)
-        diag = _match_levels(closed, table)
-        for lab, cv, dv in zip(closed_tab.labels, closed, diag):
-            rows.append([lab, float(cv), float(dv), float(abs(cv - dv))])
+        closed = models.jc_spectrum(params, config.jmax)
+        evs, flags = sectors.jc_sector_eigensystem(nmax, params)
+        thr = 0.02 * params.eps_B
     else:
-        basis = build_basis(min(config.nmax, 30))
-        H = models.quaternionic_hamiltonian(basis, params)
-        thr = config.gap_threshold or 0.05 * params.eps_B
-        table, gaps = models.diagonalize_and_gaps(H, thr)
-        interior = table.interior_eigenvalues()
-        for k, ev in enumerate(interior[: 4 * (config.jmax + 1)]):
-            rows.append([f"e_{k}", "", float(ev), 0.0])
-    for g in gaps:
-        gap_rows.append([float(g.lower), float(g.upper), float(g.width)])
+        closed = None
+        _, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params)
+        thr = 0.05 * params.eps_B if config.gap_threshold is None else config.gap_threshold
+    interior = evs[flags]
+    if closed is None:
+        rows = [[f"e_{k}", "", float(ev), 0.0]
+                for k, ev in enumerate(interior[: 4 * (config.jmax + 1)])]
+    else:
+        rows = []
+        for label, cv in zip(closed.labels, closed.eigenvalues):
+            dv = interior[np.abs(interior - cv).argmin()] if len(interior) else np.nan
+            rows.append([label, float(cv), float(dv), float(abs(cv - dv))])
+    gap_rows = [[g.lower, g.upper, g.width] for g in models._gaps_from_levels(interior, thr)]
     _write_csv(os.path.join(config.out_dir, "spectrum.csv"),
                ["label", "closed_form", "diagonalized", "abs_diff"], rows)
     _write_csv(os.path.join(config.out_dir, "gaps.csv"),
                ["lower", "upper", "width"], gap_rows)
     bad = [r for r in rows if not np.isfinite(r[3]) or r[3] > 1e-6]
     return EXIT_ASSERT if bad else EXIT_OK
-
-
-def _match_levels(closed, table):
-    """Nearest interior diagonalized eigenvalue for each closed-form one."""
-    interior = table.interior_eigenvalues()
-    out = []
-    for cv in closed:
-        if len(interior) == 0:
-            out.append(np.nan)
-        else:
-            out.append(interior[np.abs(interior - cv).argmin()])
-    return out
 
 
 def cmd_invariants(config):

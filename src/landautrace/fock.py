@@ -16,15 +16,14 @@ Mode conventions (hbar = 1):
     L3 = a+a- - b+b-
 
 Matrices are stored dense, and products cost O(dim^3) (dim ~ 2e3 at
-Nmax 60). The ``invariants`` command and ``verify --check curvature``
-build none of them: they run sector by sector in
-:mod:`landautrace.sectors`. Dense matrices serve ``spectrum``, the other
-``verify`` checks and the test oracles.
+Nmax 60). The ``spectrum`` and ``invariants`` commands and ``verify
+--check curvature`` build none of them: they run sector by sector in
+:mod:`landautrace.sectors`. Dense matrices serve the other ``verify``
+checks and the test oracles.
 """
 
 from dataclasses import dataclass
 import math
-import struct
 
 import numpy as np
 
@@ -41,8 +40,6 @@ __all__ = [
     "flip_and_conjugation",
     "tensor_with_spin",
     "interior_block",
-    "save_operator",
-    "load_operator",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -371,26 +368,3 @@ def interior_block(basis, op, margin):
     sub = TruncatedBasis(basis.nmax - margin)
     keep = sub.dim * op.spin_dim
     return OperatorMatrix(sub, op.entries[:keep, :keep].copy(), op.spin_dim)
-
-
-_MAGIC = b"LTOP"
-
-
-def save_operator(op, path):
-    """Flat little-endian serialization: header (Nmax, spin_dim, dim) + entries."""
-    arr = np.ascontiguousarray(op.entries, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", op.basis.nmax, op.spin_dim, op.dim))
-        fh.write(arr.tobytes())
-
-
-def load_operator(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError("not an operator file")
-        nmax, spin_dim, dim = struct.unpack("<III", fh.read(12))
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(dim, dim)
-    basis = TruncatedBasis(nmax)
-    return OperatorMatrix(basis, data.astype(complex), spin_dim)

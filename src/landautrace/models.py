@@ -91,11 +91,11 @@ class GapRecord:
 
 
 def landau_levels(params, jmax):
-    """Closed-form scalar levels E_j = eps_B (j + 1/2), j = 0..jmax."""
+    """Closed-form scalar levels E_j = eps_B (j + 1/2), j = 0..jmax, labelled E_j."""
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
     ev = params.eps_B * (np.arange(jmax + 1) + 0.5)
-    return SpectrumTable(ev, "closed_form")
+    return SpectrumTable(ev, "closed_form", labels=[f"E_{j}" for j in range(jmax + 1)])
 
 
 def jc_angles(j, c_b):
@@ -199,22 +199,6 @@ def quaternionic_hamiltonian(basis, params):
     return OperatorMatrix(basis, h, spin_dim=2)
 
 
-def quaternionic_hamiltonian_alt(basis, params):
-    """Equivalent assembly H_B x 1 + c_b eps_B W_Q + c_b^2 eps_B |r|^2."""
-    hb = tensor_with_spin(derived_operator(basis, "H_B", params), np.eye(2))
-    k1 = derived_operator(basis, "K1", params)
-    k2 = derived_operator(basis, "K2", params)
-    r0, r1, r2 = params.r
-    S = r1 * SIGMA1 + r2 * SIGMA3
-    w = tensor_with_spin(r0 * (k1 - k2), np.eye(2)) + tensor_with_spin(k1 + k2, S)
-    out = hb + (params.c_b * params.eps_B) * w
-    norm2 = r0 ** 2 + r1 ** 2 + r2 ** 2
-    out = out + OperatorMatrix(
-        basis, params.c_b ** 2 * params.eps_B * norm2 * np.eye(out.dim), spin_dim=2
-    )
-    return out
-
-
 def quaternionic_trs(basis):
     """Odd anti-unitary symmetry Xi' = (F x sigma_2) C; squares to -1."""
     F, C, _ = flip_and_conjugation(basis)
@@ -247,11 +231,18 @@ def quaternionic_ground_modes(basis, params, m):
 
 
 def diagonalize_and_gaps(H, gap_threshold, params=None):
-    """Full hermitian eigendecomposition with interior-certified gap list.
+    """Dense hermitian eigendecomposition with interior-certified gap list.
 
-    An eigenvector is interior when less than 1e-8 of its probability mass
-    sits on the two outermost shells; gaps are scanned over interior
-    eigenvalues only and must exceed the threshold.
+    The dense oracle of :func:`sectors.jc_sector_eigensystem` and
+    :func:`sectors.quaternionic_sector_eigensystem`, which ``spectrum`` and
+    the invariants use. An eigenvector is interior when less than 1e-8 of
+    its probability mass sits on the two outermost shells; gaps are scanned
+    over interior eigenvalues only and must exceed the threshold. The
+    eigenvalues agree with the sector path, the interior flags need not:
+    they depend on the eigenbasis LAPACK picks inside eigenspaces that
+    several n2 sectors share, where an interior and an edge vector can mix
+    (spin-orbit model at Nmax 40, c_b = 0.7: 1519 of the 1521 interior
+    eigenvalues certified).
     """
     if not H.is_hermitian(1e-10):
         raise ValueError("Hamiltonian must be hermitian-certified")

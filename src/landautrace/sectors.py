@@ -12,6 +12,10 @@ dense problems instead of one dim ~ 7e3 dense one.
 Shell bookkeeping: the state (n1, b) sits in shell l = n1 + b of the
 harmonic regulator, so sector results accumulate into shells at offset b.
 
+Spectra: one loop (:func:`_sector_eigensystem`) diagonalizes the sector
+blocks of all three Hamiltonians and flags the interior eigenvalues; the
+``spectrum`` command and the quaternionic Fermi projections use it.
+
 Curvature in factored form: every projection here has low rank r per
 sector (one column for a level, two per Landau level below the Fermi
 energy for the quaternionic model) and is given as P = V V^dagger by
@@ -40,6 +44,7 @@ __all__ = [
     "landau_identity_residuals",
     "landau_shell_sums",
     "jc_shell_sums",
+    "landau_sector_eigensystem",
     "jc_sector_eigensystem",
     "quaternionic_sector_eigensystem",
     "quaternionic_shell_sums",
@@ -217,15 +222,45 @@ def jc_shell_sums(nmax, j, theta, xi):
     return rank, chern, closed_resid
 
 
+def _sector_eigensystem(nmax, block):
+    """Per-sector eigendecomposition of the blocks ``block(s)``, s = Nmax + 1 - b.
+
+    An eigenvector is interior when less than INTERIOR_MASS of its
+    probability sits on the outer EDGE_SHELLS shells. The sectors share no
+    state, so the flags do not depend on the basis LAPACK picks inside
+    eigenspaces that several sectors share. Returns a list of
+    (b, eigenvalues, eigenvectors, interior flags) and the globally sorted
+    (eigenvalues, interior flags).
+    """
+    secs = []
+    for b in range(nmax + 1):
+        s = nmax + 1 - b
+        w, v = np.linalg.eigh(block(s))
+        secs.append((b, w, v, _edge_mass(v, s, b, nmax) < INTERIOR_MASS))
+    ev = np.concatenate([w for _, w, _, _ in secs])
+    fl = np.concatenate([flags for _, _, _, flags in secs])
+    order = np.argsort(ev)
+    return secs, ev[order], fl[order]
+
+
+def landau_sector_eigensystem(nmax, params):
+    """Eigenvalues of the truncated Landau Hamiltonian eps_B (n1 + 1/2), by sector.
+
+    Returns (eigenvalues, interior flags) over all sectors combined.
+    """
+    _, evs, flags = _sector_eigensystem(
+        nmax, lambda s: np.diag(params.eps_B * (np.arange(s) + 0.5))
+    )
+    return evs, flags
+
+
 def jc_sector_eigensystem(nmax, params):
     """Eigenvalues of the truncated spin-orbit Hamiltonian, sector by sector.
 
     Returns (eigenvalues, interior flags) over all sectors combined.
     """
-    evs = []
-    flags = []
-    for b in range(nmax + 1):
-        s = nmax + 1 - b
+
+    def block(s):
         am1 = lowering_block(s)
         num = np.kron(np.diag(np.arange(s, dtype=complex)), np.eye(2))
         hb = params.eps_B * (num + 0.5 * (1.0 + 2.0 * params.c_b ** 2) * np.eye(2 * s, dtype=complex))
@@ -233,14 +268,10 @@ def jc_sector_eigensystem(nmax, params):
             -1j * np.kron(am1, np.array([[0, 1], [0, 0]]))
             + 1j * np.kron(am1.conj().T, np.array([[0, 0], [1, 0]]))
         )
-        w, v = np.linalg.eigh(hb)
-        mass = _edge_mass(v, s, b, nmax)
-        evs.append(w)
-        flags.append(mass < INTERIOR_MASS)
-    evs = np.concatenate(evs)
-    flags = np.concatenate(flags)
-    order = np.argsort(evs)
-    return evs[order], flags[order]
+        return hb
+
+    _, evs, flags = _sector_eigensystem(nmax, block)
+    return evs, flags
 
 
 def _edge_mass(vectors, s, b, nmax):
@@ -268,25 +299,12 @@ def quaternionic_sector_eigensystem(nmax, params):
     the globally sorted (eigenvalues, interior_flags).
     """
     m_minus = _quaternionic_blocks(params)
-    sectors = []
-    all_ev = []
-    all_fl = []
-    for b in range(nmax + 1):
-        s = nmax + 1 - b
-        am1 = lowering_block(s)
-        A_minus = np.kron(am1, np.eye(2)) + params.c_b * np.kron(np.eye(s), m_minus)
-        A_plus = A_minus.conj().T
-        hb = params.eps_B * (A_plus @ A_minus + 0.5 * np.eye(2 * s))
-        w, v = np.linalg.eigh(hb)
-        mass = _edge_mass(v, s, b, nmax)
-        flags = mass < INTERIOR_MASS
-        sectors.append((b, w, v, flags))
-        all_ev.append(w)
-        all_fl.append(flags)
-    ev = np.concatenate(all_ev)
-    fl = np.concatenate(all_fl)
-    order = np.argsort(ev)
-    return sectors, ev[order], fl[order]
+
+    def block(s):
+        A_minus = np.kron(lowering_block(s), np.eye(2)) + params.c_b * np.kron(np.eye(s), m_minus)
+        return params.eps_B * (A_minus.conj().T @ A_minus + 0.5 * np.eye(2 * s))
+
+    return _sector_eigensystem(nmax, block)
 
 
 def quaternionic_shell_sums(nmax, params, energy, sectors=None):

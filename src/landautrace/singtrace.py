@@ -28,7 +28,6 @@ from .specfun import hurwitz_zeta
 __all__ = [
     "SingularSequence",
     "DixmierEstimate",
-    "GradedDiagonal",
     "sigma_partial",
     "gamma_sequence",
     "cesaro_tau",
@@ -217,17 +216,6 @@ class DixmierEstimate:
         }
 
 
-@dataclass
-class GradedDiagonal:
-    """Shell-resolved diagonal sums of Q^{-1} M (spin already traced)."""
-
-    shell_sums: np.ndarray
-
-    @property
-    def n_shells(self):
-        return len(self.shell_sums)
-
-
 # ---------------------------------------------------------------------------
 # partial sums and Cesaro machinery
 
@@ -374,7 +362,7 @@ def dixmier_via_zeta_residue(zeta_fn, tolerance=1e-8, k_range=range(3, 13)):
 
 
 def graded_diagonal(M, xi):
-    """Shell sums of the diagonal of (Q + 2 xi)^{-1} M, spin traced."""
+    """Shell sums of the diagonal of (Q + 2 xi)^{-1} M, spin traced, as a real array."""
     basis = M.basis
     diag = np.diag(M.entries)
     if M.spin_dim > 1:
@@ -385,7 +373,7 @@ def graded_diagonal(M, xi):
     np.add.at(sums, basis.shell, vals)
     if np.abs(sums.imag).max() > 1e-9 * max(1.0, np.abs(sums.real).max()):
         raise ValueError("graded diagonal is not real; M is far from self-adjoint")
-    return GradedDiagonal(sums.real.copy())
+    return sums.real.copy()
 
 
 def dixmier_from_shell_sums(shell_sums, tolerance=5e-2, margin=GRADED_MARGIN):
@@ -429,8 +417,7 @@ def dixmier_graded(M, xi, tolerance=5e-2):
     shells; the outer ``GRADED_MARGIN`` shells are dropped because ladder
     products of order <= 2 corrupt them at the truncation edge.
     """
-    gd = graded_diagonal(M, xi)
-    return dixmier_from_shell_sums(gd.shell_sums, tolerance=tolerance)
+    return dixmier_from_shell_sums(graded_diagonal(M, xi), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

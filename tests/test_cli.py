@@ -95,6 +95,25 @@ class TestConfigParsing:
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value, command", [
+        ("tol", "nan", "verify"),
+        ("tol", "-1", "verify"),
+        ("tol", "0", "verify"),
+        ("gap_threshold", "0", "spectrum"),
+        ("gap_threshold", "-1", "spectrum"),
+        ("gap_threshold", "nan", "spectrum"),
+        ("gap_threshold", "inf", "spectrum"),
+        ("fermi_energy", "nan", "invariants"),
+        ("fermi_energy", "inf", "invariants"),
+    ])
+    def test_thresholds_and_tolerances_rejected(self, tmp_path, capsys, key, value, command):
+        # tol and gap_threshold must be finite and > 0, fermi_energy finite
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = quaternionic\nnmax = 12\ncheck = kernels\n{key} = {value}\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
+        assert rc == EXIT_CONFIG
+        assert f"bad value for {key}" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_landau_rows(self, tmp_path):
@@ -146,6 +165,28 @@ class TestSpectrum:
         assert rc == EXIT_ASSERT
         rows = read_csv(tmp_path / "spectrum.csv")
         assert any(r[3] == "nan" for r in rows[1:])
+
+    def test_nmax_above_old_caps(self, tmp_path):
+        # the dense path capped the truncation at 40 and failed level 45 with exit 4
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = landau\njmax = 45\nnmax = 50\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
+        assert rc == EXIT_OK
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert rows[-1][0] == "E_45" and float(rows[-1][3]) == 0.0
+
+    @pytest.mark.parametrize("model", ["landau", "jaynes_cummings", "quaternionic"])
+    def test_builds_no_dense_matrix(self, tmp_path, monkeypatch, model):
+        # spectrum runs per n2 sector and must not fall back to dense OperatorMatrix algebra
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense OperatorMatrix built")
+
+        monkeypatch.setattr(fock.OperatorMatrix, "__init__", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = {model}\nparams.c_b = 0.5\nnmax = 40\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
+        assert rc == EXIT_OK
+        assert len(read_csv(tmp_path / "spectrum.csv")) > 1
 
 
 class TestInvariants:

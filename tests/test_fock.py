@@ -10,8 +10,6 @@ from landautrace.fock import (
     interior_block,
     ladder,
     landau_projection,
-    load_operator,
-    save_operator,
     tensor_with_spin,
 )
 from landautrace.kernels import psi_eval
@@ -285,20 +283,3 @@ class TestTensorAndBlocks:
         sub = interior_block(basis, p, 2)
         assert sub.basis.nmax == basis.nmax - 2
         assert sub.dim == sub.basis.dim * 2
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, basis):
-        op = derived_operator(basis, "K2")
-        path = tmp_path / "k2.op"
-        save_operator(op, path)
-        back = load_operator(path)
-        assert back.basis.nmax == basis.nmax
-        assert back.spin_dim == 1
-        assert np.abs(back.entries - op.entries).max() == 0.0
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.op"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_operator(path)

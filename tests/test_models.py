@@ -25,10 +25,25 @@ from landautrace.models import (
     nonabelian_field_check,
     quaternionic_ground_modes,
     quaternionic_hamiltonian,
-    quaternionic_hamiltonian_alt,
     quaternionic_trs,
     riesz_projection,
 )
+
+
+def quaternionic_hamiltonian_alt(basis, params):
+    """Second assembly of the quaternionic model: H_B x 1 + c_b eps_B W_Q + c_b^2 eps_B |r|^2."""
+    hb = tensor_with_spin(derived_operator(basis, "H_B", params), np.eye(2))
+    k1 = derived_operator(basis, "K1", params)
+    k2 = derived_operator(basis, "K2", params)
+    r0, r1, r2 = params.r
+    S = r1 * models.SIGMA1 + r2 * models.SIGMA3
+    w = tensor_with_spin(r0 * (k1 - k2), np.eye(2)) + tensor_with_spin(k1 + k2, S)
+    out = hb + (params.c_b * params.eps_B) * w
+    norm2 = r0 ** 2 + r1 ** 2 + r2 ** 2
+    out = out + OperatorMatrix(
+        basis, params.c_b ** 2 * params.eps_B * norm2 * np.eye(out.dim), spin_dim=2
+    )
+    return out
 
 
 @pytest.fixture(scope="module")

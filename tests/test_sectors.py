@@ -1,19 +1,54 @@
-"""Factored sector curvature and symmetry residuals against dense references.
+"""Sector eigensystems, factored curvature and symmetry residuals against dense references.
 
-The dense forms below are the reference implementations: the curvature
-density i P [d1 P, d2 P] from full 2s x 2s ladder products, and the
-symmetry residuals from U conj(P) U^dagger with U as a matrix.
+The dense forms are the reference implementations: the spectra from
+``eigvalsh`` of the Hamiltonians on the whole truncated basis, the
+curvature density i P [d1 P, d2 P] from full 2s x 2s ladder products,
+and the symmetry residuals from U conj(P) U^dagger with U as a matrix.
 """
 
 import numpy as np
 import pytest
 
-from landautrace import sectors, topo
-from landautrace.fock import ModelParams, build_basis
+from landautrace import models, sectors, topo
+from landautrace.fock import ModelParams, build_basis, derived_operator
 from landautrace.models import jc_angles
 
 NMAX = 20
 XI = 0.5
+
+
+SPECTRUM_PARAMS = [
+    ModelParams(c_b=0.3, r=(0.0, 1.0, 0.0)),
+    ModelParams(c_b=0.7, r=(0.36, 0.48, 0.8)),
+    ModelParams(eps_B=1.3, c_b=1.0, r=(0.6, 0.0, -0.8)),
+]
+
+
+@pytest.mark.parametrize("params", SPECTRUM_PARAMS)
+@pytest.mark.parametrize("nmax", [6, 12, 20])
+@pytest.mark.parametrize("model", ["landau", "jaynes_cummings", "quaternionic"])
+def test_sector_eigenvalues_match_dense(model, nmax, params):
+    basis = build_basis(nmax)
+    if model == "landau":
+        evs, _ = sectors.landau_sector_eigensystem(nmax, params)
+        dense = derived_operator(basis, "H_B", params)
+    elif model == "jaynes_cummings":
+        evs, _ = sectors.jc_sector_eigensystem(nmax, params)
+        dense = models.jc_hamiltonian(basis, params)
+    else:
+        _, evs, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
+        dense = models.quaternionic_hamiltonian(basis, params)
+    np.testing.assert_allclose(evs, np.linalg.eigvalsh(dense.entries), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("nmax", [6, 12, 40])
+def test_jc_interior_count(nmax):
+    # sector b holds its ground state and the pairs (n1 - 1 up, n1 down) with
+    # n1 + b <= nmax - 2 exactly: 1 + 2 (nmax - 2 - b) interior eigenvectors.
+    # The dense path mixes such vectors with edge ones of the same energy in
+    # other sectors and certifies fewer (23 of 25 at nmax 6, c_b 0.7).
+    _, flags = sectors.jc_sector_eigensystem(nmax, ModelParams(c_b=0.7))
+    assert flags.sum() == (nmax - 1) ** 2
 
 
 def dense_curvature(P, ap, am):

@@ -291,10 +291,10 @@ class TestGraded:
 
     def test_shell_sums_structure(self):
         basis = build_basis(16)
-        gd = graded_diagonal(landau_projection(basis, 3), 0.5)
+        sums = graded_diagonal(landau_projection(basis, 3), 0.5)
         ells = np.arange(17, dtype=float)
         expect = np.where(ells >= 3, 1.0 / (ells + 3.0), 0.0)
-        assert np.abs(gd.shell_sums - expect).max() <= 1e-14
+        assert np.abs(sums - expect).max() <= 1e-14
 
     def test_needs_enough_shells(self):
         basis = build_basis(10)
