@@ -230,13 +230,15 @@ def cmd_spectrum(config):
 
     Each closed-form level takes the nearest interior eigenvalue, NaN (exit
     4) when there is none; the quaternionic model lists its lowest ones.
+    Gaps are wider than ``gap_threshold``, by default 0.02 eps_B for the
+    spin-orbit model and 0.05 eps_B for the other two.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     params, nmax = config.params, config.nmax
+    thr = 0.05 * params.eps_B
     if config.model == "landau":
         closed = models.landau_levels(params, config.jmax)
         evs, flags = sectors.landau_sector_eigensystem(nmax, params)
-        thr = 0.05 * params.eps_B
     elif config.model == "jaynes_cummings":
         closed = models.jc_spectrum(params, config.jmax)
         evs, flags = sectors.jc_sector_eigensystem(nmax, params)
@@ -244,7 +246,8 @@ def cmd_spectrum(config):
     else:
         closed = None
         _, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params)
-        thr = 0.05 * params.eps_B if config.gap_threshold is None else config.gap_threshold
+    if config.gap_threshold is not None:
+        thr = config.gap_threshold
     interior = evs[flags]
     if closed is None:
         rows = [[f"e_{k}", "", float(ev), 0.0]
@@ -265,14 +268,13 @@ def cmd_spectrum(config):
 
 def cmd_invariants(config):
     os.makedirs(config.out_dir, exist_ok=True)
-    params = config.params
-    basis = build_basis(config.nmax)
+    params, nmax = config.params, config.nmax
     reports = []
     status = EXIT_OK
     if config.model == "landau":
         levels = [j for _, j in config.levels] or [0]
         for j in levels:
-            rep = topo.invariants_landau(j, basis, params)
+            rep = topo.invariants_landau(j, nmax, params)
             reports.append(dict(level=f"{j}", **rep.to_dict()))
             if not (rep.rank_certified and rep.chern_certified):
                 status = EXIT_NOCONV
@@ -281,7 +283,7 @@ def cmd_invariants(config):
         for sign, j in levels:
             if j == 0:
                 continue
-            rep = topo.invariants_jc(j, sign or "+", basis, params)
+            rep = topo.invariants_jc(j, sign or "+", nmax, params)
             reports.append(dict(level=f"{j}{sign or '+'}", **rep.to_dict()))
             if not (rep.rank_certified and rep.chern_certified):
                 status = EXIT_NOCONV
@@ -290,7 +292,7 @@ def cmd_invariants(config):
             raise ConfigError("quaternionic invariants need fermi_energy")
         try:
             rep = topo.invariants_quaternionic(
-                config.fermi_energy, basis, params, config.gap_threshold
+                config.fermi_energy, nmax, params, config.gap_threshold
             )
         except NoGapError as exc:
             _write_json(os.path.join(config.out_dir, "invariants.json"),
@@ -401,10 +403,10 @@ def _check_commutators(config, tol):
 
 def _check_curvature(config, tol):
     """Worst residual of the curvature identities (a) and (b), j = 0..5."""
-    basis = build_basis(max(12, min(config.nmax, 40)))
+    nmax = max(12, min(config.nmax, 40))
     worst = 0.0
-    for j in range(0, min(6, basis.nmax - 3)):
-        res = topo.verify_curvature_identity(j, basis, config.params)
+    for j in range(0, min(6, nmax - 3)):
+        res = topo.verify_curvature_identity(j, nmax, config.params)
         worst = max(worst, res["commutator_identity"], res["curvature_identity"])
     return worst
 

@@ -7,8 +7,11 @@ from non-Abelian kinetic momenta K_i = K_i x 1 - c_b 1 x gamma_i:
   exactly solvable, levels E_0 = eps_B(1/2 + c_b^2) and
   E_j^+- = eps_B(j +- sqrt(1 + 8 j c_b^2)/2 + c_b^2).
 * Quaternionic: gamma_1 = -alpha, gamma_2 = sigma_2 alpha sigma_2 with a
-  real symmetric alpha parametrized by (r0, r1, r2); no closed-form
-  spectrum, gaps are detected numerically.
+  real symmetric alpha parametrized by (r0, r1, r2). Its gauge matrix is
+  normal, so up to a fixed spin rotation and a phase gauge the model is
+  Landau x C^2: levels eps_B(n + 1/2), each doubled (the rotated form is
+  in :mod:`landautrace.sectors`). Gaps are read off the truncated
+  spectrum like those of the other models.
 
 The anti-unitary symmetries are Theta = F C (scalar), Xi = (F x theta) C
 with theta = diag(1, i), and Xi' = (F x sigma_2) C. The spin twist must

@@ -16,6 +16,26 @@ Spectra: one loop (:func:`_sector_eigensystem`) diagonalizes the sector
 blocks of all three Hamiltonians and flags the interior eigenvalues; the
 ``spectrum`` command and the quaternionic Fermi projections use it.
 
+The quaternionic blocks are solved in a rotated basis. The gauge matrix
+m- = e^{i pi/4} r0 1 + e^{-i pi/4} S, with S = r1 sigma1 + r2 sigma3
+Hermitian, is normal: the fixed 2 x 2 spin rotation W that diagonalizes S
+gives W^dagger m- W = diag(mu+, mu-), mu = e^{i pi/4} r0 + e^{-i pi/4}
+lambda(S). Conjugated by 1 x W, the sector block eps_B (A+ A- + 1/2) with
+A- = a x 1 + c_b 1 x m- splits into two displaced oscillators
+eps_B ((a + c_b mu_k)^dagger (a + c_b mu_k) + 1/2). The phase gauge
+u_n -> e^{i n arg mu_k} u_n makes each one real tridiagonal, with
+diagonal eps_B (n + 1/2 + c_b^2 |mu_k|^2) and off-diagonal
+eps_B c_b |mu_k| sqrt(n). Since lambda(S) = +-sqrt(r1^2 + r2^2), both
+channels have |mu_k| = |r|: they share one tridiagonal matrix, so every
+sector eigenvalue is doubled (the Kramers pairs of the odd symmetry) and
+the interior ones are eps_B (n + 1/2), as for Landau x C^2. Neither W nor
+the diagonal phases move probability between spatial levels, so the
+interior flags come from the real eigenvectors directly; only the
+columns of a Fermi projection are mapped back to the spin-fastest basis.
+The gauge covariance of the trace per unit volume behind this
+equivalence is that of Bellissard, van Elst and Schulz-Baldes,
+J. Math. Phys. 35 (1994) 5373.
+
 Curvature in factored form: every projection here has low rank r per
 sector (one column for a level, two per Landau level below the Fermi
 energy for the quaternionic model) and is given as P = V V^dagger by
@@ -222,21 +242,23 @@ def jc_shell_sums(nmax, j, theta, xi):
     return rank, chern, closed_resid
 
 
-def _sector_eigensystem(nmax, block):
+def _sector_eigensystem(nmax, block, columns=None):
     """Per-sector eigendecomposition of the blocks ``block(s)``, s = Nmax + 1 - b.
 
     An eigenvector is interior when less than INTERIOR_MASS of its
     probability sits on the outer EDGE_SHELLS shells. The sectors share no
     state, so the flags do not depend on the basis LAPACK picks inside
-    eigenspaces that several sectors share. Returns a list of
-    (b, eigenvalues, eigenvectors, interior flags) and the globally sorted
-    (eigenvalues, interior flags).
+    eigenspaces that several sectors share. ``columns(w, v)`` returns the
+    eigenvectors a caller keeps of a sector; without it none are kept.
+    Returns a list of (b, eigenvalues, kept eigenvectors or None, interior
+    flags) and the globally sorted (eigenvalues, interior flags).
     """
     secs = []
     for b in range(nmax + 1):
         s = nmax + 1 - b
         w, v = np.linalg.eigh(block(s))
-        secs.append((b, w, v, _edge_mass(v, s, b, nmax) < INTERIOR_MASS))
+        flags = _edge_mass(v, s, b, nmax) < INTERIOR_MASS
+        secs.append((b, w, None if columns is None else columns(w, v), flags))
     ev = np.concatenate([w for _, w, _, _ in secs])
     fl = np.concatenate([flags for _, _, _, flags in secs])
     order = np.argsort(ev)
@@ -285,6 +307,7 @@ def _edge_mass(vectors, s, b, nmax):
 
 
 def _quaternionic_blocks(params):
+    """The 2 x 2 gauge matrix m- = e^{i pi/4} r0 1 + e^{-i pi/4} (r1 sigma1 + r2 sigma3)."""
     e4 = np.exp(1j * np.pi / 4)
     r0, r1, r2 = params.r
     S = r1 * SIGMA1 + r2 * SIGMA3
@@ -292,30 +315,49 @@ def _quaternionic_blocks(params):
     return m_minus
 
 
-def quaternionic_sector_eigensystem(nmax, params):
+def quaternionic_sector_eigensystem(nmax, params, energy=None):
     """Per-sector eigendecomposition of the quaternionic Hamiltonian.
 
-    Returns a list of (b, eigenvalues, eigenvectors, interior_flags) and
-    the globally sorted (eigenvalues, interior_flags).
+    Each sector solves the one real tridiagonal block both spin channels
+    share (module docstring), so every eigenvalue appears twice. The
+    eigenvectors with eigenvalue <= energy are mapped back to the
+    spin-fastest basis, v[n, a] = e^{i n arg mu_k} u_n W[a, k] for both
+    channels k; without an energy no eigenvectors are kept. Returns a list
+    of (b, eigenvalues, those columns or None, interior flags) and the
+    globally sorted (eigenvalues, interior flags).
     """
-    m_minus = _quaternionic_blocks(params)
+    lam, W = np.linalg.eigh(params.r[1] * SIGMA1 + params.r[2] * SIGMA3)
+    mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger m- W = diag(mu)
+    shift = params.c_b * np.linalg.norm(params.r)  # c_b |mu_k| = c_b |r| for both k
 
     def block(s):
-        A_minus = np.kron(lowering_block(s), np.eye(2)) + params.c_b * np.kron(np.eye(s), m_minus)
-        return params.eps_B * (A_minus.conj().T @ A_minus + 0.5 * np.eye(2 * s))
+        n = np.arange(s)
+        T = np.diag(params.eps_B * (n + 0.5 + shift ** 2))
+        off = params.eps_B * shift * np.sqrt(n[1:])
+        T[n[1:], n[:-1]] = off
+        T[n[:-1], n[1:]] = off
+        return T
 
-    return _sector_eigensystem(nmax, block)
+    def columns(w, u):
+        phases = np.exp(1j * np.outer(np.arange(len(w)), np.angle(mu)))
+        return np.einsum("nk,nc,ak->nakc", phases, u[:, w <= energy], W).reshape(2 * len(w), -1)
+
+    secs, evs, flags = _sector_eigensystem(nmax, block, None if energy is None else columns)
+    secs = [(b, np.repeat(w, 2), V, np.repeat(fl, 2)) for b, w, V, fl in secs]
+    return secs, np.repeat(evs, 2), np.repeat(flags, 2)
 
 
 def quaternionic_shell_sums(nmax, params, energy, sectors=None):
-    """Shell sums of rank and Chern densities of the Fermi projection."""
+    """Shell sums of rank and Chern densities of the Fermi projection.
+
+    ``sectors`` is the output of :func:`quaternionic_sector_eigensystem`
+    at the same energy; it is computed when not given.
+    """
     if sectors is None:
-        sectors, _, _ = quaternionic_sector_eigensystem(nmax, params)
-    xi = params.xi
+        sectors, _, _ = quaternionic_sector_eigensystem(nmax, params, energy)
     rank = np.zeros(nmax + 1)
     chern = np.zeros(nmax + 1)
-    for b, w, v, _flags in sectors:
-        keep = w <= energy
-        if keep.any():
-            _add_sector(rank, chern, b, v[:, keep], 2, xi)
+    for b, _w, V, _flags in sectors:
+        if V.shape[1]:
+            _add_sector(rank, chern, b, V, 2, params.xi)
     return rank, chern

@@ -101,7 +101,7 @@ def partial_derivative(T, i, params=None):
     return -1j * X.commutator(T)
 
 
-def verify_curvature_identity(j, basis, params):
+def verify_curvature_identity(j, nmax, params):
     """Residuals of the two curvature identities on the margin-3 interior.
 
     (a)  [d1 P_j, d2 P_j] = -i ell^2 (P_j + j P_{j-1} - (j+1) P_{j+1})
@@ -121,7 +121,7 @@ def verify_curvature_identity(j, basis, params):
     residuals: the cost does not grow with Nmax and no dense matrix is
     built. The dense form on the whole truncated basis is the test oracle.
     """
-    res_a, res_b = sectors.landau_identity_residuals(basis.nmax, j, params.ell_B)
+    res_a, res_b = sectors.landau_identity_residuals(nmax, j, params.ell_B)
     return {"commutator_identity": res_a, "curvature_identity": res_b}
 
 
@@ -130,18 +130,19 @@ def _i_power(k):
     return np.array([1, 1j, -1, -1j])[np.asarray(k) % 4]
 
 
-def _theta_projection_residual(basis, j):
+def _theta_projection_residual(nmax, j):
     # Theta's unitary part is diagonal in this representation, so the
     # commutation with a level projection is exact; keep the computation
-    # numerical anyway.
-    shells = basis.shell
-    phases = _i_power(shells)
-    diag = (basis.n1 == j).astype(complex)
+    # numerical anyway, over the states n1 + n2 <= nmax.
+    n1, n2 = np.indices((nmax + 1, nmax + 1)).reshape(2, -1)
+    inside = n1 + n2 <= nmax
+    phases = _i_power((n1 + n2)[inside])
+    diag = (n1[inside] == j).astype(complex)
     conj_diag = phases * np.conj(diag) * np.conj(phases)
     return float(np.abs(conj_diag - diag).max())
 
 
-def invariants_landau(j, basis, params):
+def invariants_landau(j, nmax, params):
     """Rank and Chern number of the level-j projection.
 
     The rank runs through both closed-form estimators (zeta residue and
@@ -150,7 +151,7 @@ def invariants_landau(j, basis, params):
     numerically assembled curvature density (sector decomposition, ladder
     representation).
     """
-    if j > basis.nmax - LEVEL_MARGIN:
+    if j > nmax - LEVEL_MARGIN:
         raise ValueError(f"need j <= Nmax - {LEVEL_MARGIN}")
     xi = params.xi
     zeta_est = dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, xi, j))
@@ -163,12 +164,12 @@ def invariants_landau(j, basis, params):
         zeta_est.converged and gamma_est.converged and spread <= 1e-3,
         max(zeta_est.residual, spread),
     )
-    _, chern_sums = sectors.landau_shell_sums(basis.nmax, j, xi)
+    _, chern_sums = sectors.landau_shell_sums(nmax, j, xi)
     chern_est = dixmier_from_shell_sums(chern_sums)
     rank_rounded, rank_ok = _certify(rank_est)
     chern_rounded, chern_ok = _certify(chern_est)
-    residuals = verify_curvature_identity(j, basis, params)
-    sym_res = _theta_projection_residual(basis, j)
+    residuals = verify_curvature_identity(j, nmax, params)
+    sym_res = _theta_projection_residual(nmax, j)
     return TopologicalReport(
         rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
         "Real(+1)" if sym_res <= SYMMETRY_TOL else "none", sym_res, True,
@@ -176,23 +177,21 @@ def invariants_landau(j, basis, params):
     )
 
 
-def invariants_jc(j, sign, basis, params):
+def invariants_jc(j, sign, nmax, params):
     """Rank and Chern number of the spin-orbit pair projection P_j^sign.
 
     Also reports the interior residual of the spin-traced curvature
     against its closed form -i ell^2 (sin^2 P_{j-1} + cos^2 P_j).
     """
-    if j < 1 or j + 1 > basis.nmax - LEVEL_MARGIN:
+    if j < 1 or j + 1 > nmax - LEVEL_MARGIN:
         raise ValueError(f"need 1 <= j and j + 1 <= Nmax - {LEVEL_MARGIN}")
     theta = jc_angles(j, params.c_b)[0 if sign in ("+", 1) else 1]
-    rank_sums, chern_sums, closed_resid = sectors.jc_shell_sums(
-        basis.nmax, j, theta, params.xi
-    )
+    rank_sums, chern_sums, closed_resid = sectors.jc_shell_sums(nmax, j, theta, params.xi)
     rank_est = dixmier_from_shell_sums(rank_sums)
     chern_est = dixmier_from_shell_sums(chern_sums)
     rank_rounded, rank_ok = _certify(rank_est)
     chern_rounded, chern_ok = _certify(chern_est)
-    sym_res = _jc_symmetry_residual(basis, params, j, theta)
+    sym_res = _jc_symmetry_residual(nmax, j, theta)
     return TopologicalReport(
         rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
         "Real(+1)" if sym_res <= SYMMETRY_TOL else "none", sym_res, True,
@@ -200,27 +199,29 @@ def invariants_jc(j, sign, basis, params):
     )
 
 
-def _jc_symmetry_residual(basis, params, j, theta):
+def _jc_symmetry_residual(nmax, j, theta):
     """Residual of Xi P Xi^{-1} = P checked sector by sector.
 
     Xi's unitary part U is diagonal, so U conj(P) U^dagger is conj(P)
-    scaled by the phases of its row and column.
+    scaled by the phases of its row and column, and both sides vanish
+    outside the rows and columns where the pair vector v is nonzero.
     """
-    nmax = basis.nmax
     worst = 0.0
     for b in range(nmax + 1):
         s = nmax + 1 - b
         if j >= s:
             continue
         v = sectors._jc_sector_vector(s, j, theta)
+        idx = np.flatnonzero(v)  # spin-fastest index 2 n1 + spin
+        v = v[idx]
         P = np.outer(v, v.conj())
-        phases = np.kron(_i_power(np.arange(s) + b), np.array([1.0, 1j]))
+        phases = _i_power(idx // 2 + b) * np.array([1.0, 1j])[idx % 2]
         dev = np.abs(phases[:, None] * P.conj() * phases.conj()[None, :] - P).max()
         worst = max(worst, float(dev))
     return worst
 
 
-def invariants_quaternionic(energy, basis, params, gap_threshold=None):
+def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     """Rank and Chern number of the Fermi projection of the quaternionic model.
 
     Requires the energy to fall in a numerically certified gap (both
@@ -230,8 +231,7 @@ def invariants_quaternionic(energy, basis, params, gap_threshold=None):
     """
     if gap_threshold is None:
         gap_threshold = 0.05 * params.eps_B
-    nmax = basis.nmax
-    secs, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params)
+    secs, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
     gaps = _gaps_from_levels(evs[flags], gap_threshold)
     if not any(g.contains(energy) for g in gaps):
         raise NoGapError(f"no certified gap around E = {energy}")
@@ -242,7 +242,7 @@ def invariants_quaternionic(energy, basis, params, gap_threshold=None):
     chern_est = dixmier_from_shell_sums(chern_sums, tolerance=1e-1)
     rank_rounded, rank_ok = _certify(rank_est)
     chern_rounded, chern_ok = _certify(chern_est)
-    sym_res = _quaternionic_symmetry_residual(secs, energy, nmax)
+    sym_res = _quaternionic_symmetry_residual(secs)
     parity_ok = (
         rank_ok and chern_ok and rank_rounded % 2 == 0 and chern_rounded % 2 == 0
     )
@@ -254,18 +254,18 @@ def invariants_quaternionic(energy, basis, params, gap_threshold=None):
     )
 
 
-def _quaternionic_symmetry_residual(secs, energy, nmax):
+def _quaternionic_symmetry_residual(secs):
     """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector.
 
-    With P_E = V V^dagger, U conj(P_E) U^dagger = (U conj(V)) (U conj(V))^dagger;
+    ``secs`` is :func:`sectors.quaternionic_sector_eigensystem` at the
+    Fermi energy, whose columns V span P_E = V V^dagger per sector. Then
+    U conj(P_E) U^dagger = (U conj(V)) (U conj(V))^dagger, and
     U = diag(i^(n1 + b)) x sigma2 acts on each 2 x 2 spin block of conj(V).
     """
     worst = 0.0
-    for b, w, v, _fl in secs:
-        keep = w <= energy
-        if not keep.any():
+    for b, _w, V, _fl in secs:
+        if not V.shape[1]:
             continue
-        V = v[:, keep]
         s = V.shape[0] // 2
         phases = _i_power(np.arange(s) + b)
         UV = np.einsum(

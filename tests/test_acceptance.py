@@ -147,19 +147,17 @@ def test_ac04_kernel_suite():
 
 def test_ac05_curvature_identity():
     with Budget("AC-5 curvature identity residual <= 1e-10, j = 0..5, Nmax = 40", 10.0):
-        basis = build_basis(40)
         params = ModelParams()
         for j in range(6):
-            res = verify_curvature_identity(j, basis, params)
+            res = verify_curvature_identity(j, 40, params)
             assert res["curvature_identity"] <= 1e-10
 
 
 def test_ac06_landau_invariants():
     with Budget("AC-6 scalar-model invariants rank = chern = 1, j = 0..5, Nmax = 120", 60.0):
-        basis = build_basis(120)
         params = ModelParams()
         for j in range(6):
-            rep = invariants_landau(j, basis, params)
+            rep = invariants_landau(j, 120, params)
             assert rep.rank_rounded == 1 and rep.rank_certified
             assert rep.chern_rounded == 1 and rep.chern_certified
 
@@ -174,12 +172,11 @@ def test_ac07_jc_model():
             closed = jc_spectrum(params, nmax + 2).eigenvalues
             worst = max(np.abs(closed - e).min() for e in interior)
             assert worst <= 1e-8
-        basis = build_basis(120)
         for c_b in (0.3, 1.0):
             params = ModelParams(c_b=c_b)
             for j in (1, 2, 3, 4):
                 for sign in ("+", "-"):
-                    rep = invariants_jc(j, sign, basis, params)
+                    rep = invariants_jc(j, sign, 120, params)
                     assert rep.identity_residuals["spin_trace_closed_form"] <= 1e-9
                     assert rep.rank_rounded == 1 and rep.rank_certified
                     assert rep.chern_rounded == 1 and rep.chern_certified
@@ -223,15 +220,15 @@ def test_ac09_symmetry_classification():
 
 def test_ac10_quaternionic_parity():
     with Budget("AC-10 quaternionic parity: even certified invariants or no-gap", 180.0):
-        basis = build_basis(100)
+        nmax = 100
         # exact doubled scalar result at zero coupling
         p0 = ModelParams(c_b=0.0, r=(0.0, 1.0, 0.0))
-        rep = invariants_quaternionic(1.0, basis, p0)
+        rep = invariants_quaternionic(1.0, nmax, p0)
         assert rep.rank_rounded == 2 and rep.rank_certified
         assert rep.chern_rounded == 2 and rep.chern_certified
         # nonzero coupling with a certified gap
         p1 = ModelParams(c_b=0.4, r=(0.0, 1.0, 0.0))
-        rep = invariants_quaternionic(1.0, basis, p1)
+        rep = invariants_quaternionic(1.0, nmax, p1)
         assert rep.parity_ok
         assert rep.rank_rounded % 2 == 0 and rep.rank_certified
         assert rep.chern_rounded % 2 == 0 and rep.chern_certified
@@ -244,7 +241,7 @@ def test_ac10_quaternionic_parity():
         ):
             params = ModelParams(c_b=c_b, r=r)
             try:
-                rep = invariants_quaternionic(energy, basis, params)
+                rep = invariants_quaternionic(energy, nmax, params)
             except NoGapError:
                 continue
             if rep.rank_certified:

@@ -158,6 +158,16 @@ class TestSpectrum:
         assert all(w == pytest.approx(1.0, abs=1e-8) for w in widths[:3])
 
     @pytest.mark.parametrize("model", ["landau", "jaynes_cummings"])
+    def test_gap_threshold_honoured(self, tmp_path, model):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = {model}\nparams.c_b = 0.5\njmax = 2\nnmax = 12\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == EXIT_OK
+        assert len(read_csv(tmp_path / "gaps.csv")) > 1
+        cfg.write_text(cfg.read_text() + "gap_threshold = 2\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == EXIT_OK
+        assert read_csv(tmp_path / "gaps.csv") == [["lower", "upper", "width"]]
+
+    @pytest.mark.parametrize("model", ["landau", "jaynes_cummings"])
     @pytest.mark.parametrize("nmax", [0, 1])
     def test_unresolved_levels_fail(self, tmp_path, model, nmax):
         # no interior eigenvalue to match: NaN rows must not pass as exit 0

@@ -4,6 +4,8 @@ The dense forms are the reference implementations: the spectra from
 ``eigvalsh`` of the Hamiltonians on the whole truncated basis, the
 curvature density i P [d1 P, d2 P] from full 2s x 2s ladder products,
 and the symmetry residuals from U conj(P) U^dagger with U as a matrix.
+The rotated quaternionic solver is checked against a complex ``eigh`` of
+the dense 2s x 2s sector blocks.
 """
 
 import numpy as np
@@ -157,25 +159,6 @@ def test_jc_shell_sums_match_dense(j, branch):
     assert closed_resid <= 1e-12
 
 
-QUAT_PARAMS = ModelParams(xi=XI, c_b=0.4, r=(0.36, 0.48, 0.8))
-
-
-@pytest.fixture(scope="module")
-def quaternionic_sectors():
-    secs, _, _ = sectors.quaternionic_sector_eigensystem(NMAX, QUAT_PARAMS)
-    return secs
-
-
-@pytest.mark.parametrize("energy", [1.0, 2.0])
-def test_quaternionic_shell_sums_match_dense(quaternionic_sectors, energy):
-    columns = [(b, v[:, w <= energy]) for b, w, v, _ in quaternionic_sectors
-               if (w <= energy).any()]
-    rank, chern = sectors.quaternionic_shell_sums(NMAX, QUAT_PARAMS, energy, quaternionic_sectors)
-    ref_rank, ref_chern = dense_shell_sums(NMAX, columns, 2, XI)
-    np.testing.assert_allclose(rank, ref_rank, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(chern, ref_chern, rtol=0, atol=1e-12)
-
-
 def dense_jc_symmetry_residual(nmax, j, theta):
     worst = 0.0
     for b in range(nmax + 1):
@@ -189,30 +172,16 @@ def dense_jc_symmetry_residual(nmax, j, theta):
     return worst
 
 
-def dense_quaternionic_symmetry_residual(secs, energy):
-    worst = 0.0
-    for b, w, v, _ in secs:
-        V = v[:, w <= energy]
-        if V.shape[1] == 0:
-            continue
-        P = V @ V.conj().T
-        s = V.shape[0] // 2
-        U = np.kron(np.diag((1j) ** (np.arange(s) + b)), sectors.SIGMA2)
-        worst = max(worst, np.abs(U @ P.conj() @ U.conj().T - P).max())
-    return worst
-
-
 def test_jc_symmetry_residual_matches_dense(monkeypatch):
-    basis = build_basis(NMAX)
     theta = jc_angles(2, 0.4)[0]
-    res = topo._jc_symmetry_residual(basis, QUAT_PARAMS, 2, theta)
+    res = topo._jc_symmetry_residual(NMAX, 2, theta)
     assert res == pytest.approx(dense_jc_symmetry_residual(NMAX, 2, theta), abs=1e-13)
     assert res <= topo.SYMMETRY_TOL
     # vectors that break the symmetry: both forms give the same O(1) residual
     rng = np.random.default_rng(5)
     vectors = {s: rng.normal(size=2 * s) + 1j * rng.normal(size=2 * s) for s in range(1, NMAX + 2)}
     monkeypatch.setattr(sectors, "_jc_sector_vector", lambda s, j, theta: vectors[s])
-    res = topo._jc_symmetry_residual(basis, QUAT_PARAMS, 2, theta)
+    res = topo._jc_symmetry_residual(NMAX, 2, theta)
     ref = dense_jc_symmetry_residual(NMAX, 2, theta)
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)
@@ -222,22 +191,117 @@ def test_jc_symmetry_residual_matches_dense(monkeypatch):
 def test_jc_symmetry_residual_is_exact(j):
     # with the exact phase cycle 1, i, -1, -i the residual shows no rounding,
     # even where i**(n1 + b) by complex pow is off by 1e-14 (Nmax 140)
-    basis = build_basis(140)
     for theta in jc_angles(j, 0.5):
-        assert topo._jc_symmetry_residual(basis, ModelParams(c_b=0.5), j, theta) == 0.0
+        assert topo._jc_symmetry_residual(140, j, theta) == 0.0
+
+
+def dense_quaternionic_symmetry_residual(columns):
+    """max |U conj(P) U^dagger - P| per sector, P = V V^dagger from (b, V) columns."""
+    worst = 0.0
+    for b, V in columns:
+        if V.shape[1] == 0:
+            continue
+        P = V @ V.conj().T
+        s = V.shape[0] // 2
+        U = np.kron(np.diag((1j) ** (np.arange(s) + b)), sectors.SIGMA2)
+        worst = max(worst, np.abs(U @ P.conj() @ U.conj().T - P).max())
+    return worst
+
+
+def _unit(v):
+    return tuple(np.asarray(v, dtype=float) / np.linalg.norm(v))
+
+
+QUAT_CASES = [
+    ModelParams(xi=XI, c_b=0.7, r=_unit(np.random.default_rng(11).normal(size=3))),
+    ModelParams(xi=XI, c_b=0.5, r=(1.0, 0.0, 0.0)),  # S = 0: both channels coincide
+    ModelParams(xi=XI, eps_B=1.3, c_b=0.6, r=(0.0, 0.6, -0.8)),  # r0 = 0
+    ModelParams(xi=XI, c_b=0.0, r=(0.36, 0.48, 0.8)),  # no coupling: Landau x C^2
+]
+QUAT_IDS = ["random-r", "S=0", "r0=0", "c_b=0"]
+
+
+def dense_quaternionic_block(s, params):
+    """Sector block eps_B (A+ A- + 1/2), A- = a x 1 + c_b 1 x m-, spin fastest."""
+    A_minus = (np.kron(sectors.lowering_block(s), np.eye(2))
+               + params.c_b * np.kron(np.eye(s), sectors._quaternionic_blocks(params)))
+    return params.eps_B * (A_minus.conj().T @ A_minus + 0.5 * np.eye(2 * s))
+
+
+def dense_quaternionic_sectors(nmax, params):
+    """(b, eigenvalues, eigenvectors, interior flags) from a complex eigh of each block."""
+    secs = []
+    for b in range(nmax + 1):
+        s = nmax + 1 - b
+        w, v = np.linalg.eigh(dense_quaternionic_block(s, params))
+        spatial = (np.abs(v) ** 2).reshape(s, 2, -1).sum(axis=1)
+        edge = spatial[np.arange(s) + b > nmax - sectors.EDGE_SHELLS].sum(axis=0)
+        secs.append((b, w, v, edge < sectors.INTERIOR_MASS))
+    return secs
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+@pytest.mark.parametrize("nmax", [6, 20, 40])
+def test_quaternionic_rotated_sectors_match_dense_blocks(nmax, params):
+    secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
+    dense = dense_quaternionic_sectors(nmax, params)
+    assert len(secs) == len(dense)
+    for (b, w, V, flags), (db, dw, _, dflags) in zip(secs, dense):
+        assert b == db and V is None  # no energy: no eigenvectors kept
+        np.testing.assert_allclose(w, dw, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(flags, dflags)
+
+
+def rotated_and_dense_columns(energy):
+    """Fermi-projection columns of both paths, for every case at Nmax 6, 20 and 40."""
+    for params in QUAT_CASES:
+        for nmax in (6, 20, 40):
+            secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+            dense = dense_quaternionic_sectors(nmax, params)
+            columns = [(b, v[:, w <= energy]) for b, w, v, _ in dense]
+            for (_, _, V, _), (_, dV) in zip(secs, columns):
+                assert V.shape == dV.shape
+                P = V @ V.conj().T
+                assert np.abs(P - dV @ dV.conj().T).max() <= 1e-12
+                assert np.abs(P @ P - P).max() <= 1e-12
+            yield nmax, params, secs, columns
 
 
 @pytest.mark.parametrize("energy", [1.0, 2.0])
-def test_quaternionic_symmetry_residual_matches_dense(quaternionic_sectors, energy):
-    res = topo._quaternionic_symmetry_residual(quaternionic_sectors, energy, NMAX)
-    ref = dense_quaternionic_symmetry_residual(quaternionic_sectors, energy)
-    assert res == pytest.approx(ref, abs=1e-13)
-    assert res <= topo.SYMMETRY_TOL
+def test_quaternionic_shell_sums_match_dense(energy):
+    for nmax, params, secs, columns in rotated_and_dense_columns(energy):
+        rank, chern = sectors.quaternionic_shell_sums(nmax, params, energy, secs)
+        ref_rank, ref_chern = dense_shell_sums(nmax, columns, 2, params.xi)
+        np.testing.assert_allclose(rank, ref_rank, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chern, ref_chern, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("energy", [1.0, 2.0])
+def test_quaternionic_symmetry_residual_matches_dense(energy):
+    for _, _, secs, columns in rotated_and_dense_columns(energy):
+        res = topo._quaternionic_symmetry_residual(secs)
+        assert res == pytest.approx(dense_quaternionic_symmetry_residual(columns), abs=1e-13)
+        assert res <= topo.SYMMETRY_TOL
     # random orthonormal columns break the symmetry; both forms must still agree
     rng = np.random.default_rng(int(energy))
-    broken = [(b, w, random_columns(rng, v.shape[0], v.shape[1]), fl)
-              for b, w, v, fl in quaternionic_sectors]
-    res = topo._quaternionic_symmetry_residual(broken, energy, NMAX)
-    ref = dense_quaternionic_symmetry_residual(broken, energy)
+    secs, _, _ = sectors.quaternionic_sector_eigensystem(NMAX, QUAT_CASES[0], energy)
+    broken = [(b, w, random_columns(rng, V.shape[0], V.shape[1]), fl) for b, w, V, fl in secs]
+    res = topo._quaternionic_symmetry_residual(broken)
+    ref = dense_quaternionic_symmetry_residual([(b, V) for b, _, V, _ in broken])
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+@pytest.mark.parametrize("nmax", [6, 20, 40])
+def test_quaternionic_closed_form(nmax, params):
+    # Landau x C^2 up to a gauge: interior levels eps_B (n + 1/2), each an even
+    # number of times per sector. An interior vector leaves under INTERIOR_MASS
+    # on the edge shells, which moves its eigenvalue by less than that many eps_B.
+    secs, _, flags = sectors.quaternionic_sector_eigensystem(nmax, params)
+    assert flags.any() or nmax == 6
+    for _, w, _, interior in secs:
+        level = w[interior] / params.eps_B - 0.5
+        n = np.rint(level)
+        assert np.abs(level - n).max(initial=0.0) <= sectors.INTERIOR_MASS
+        assert (np.unique(n, return_counts=True)[1] % 2 == 0).all()

@@ -89,7 +89,7 @@ class TestPartialDerivative:
 class TestCurvatureIdentity:
     def test_curvature_residuals(self, basis40):
         for j in range(6):
-            res = verify_curvature_identity(j, basis40, ModelParams())
+            res = verify_curvature_identity(j, basis40.nmax, ModelParams())
             assert res["curvature_identity"] <= 1e-10
             assert res["commutator_identity"] <= 1e-10
 
@@ -122,9 +122,10 @@ class TestCurvatureIdentity:
         basis = build_basis(16)
         params1, params2 = ModelParams(ell_B=1.0), ModelParams(ell_B=2.0)
         # residuals normalized by ell^2 agree (here: both are zero to fp noise)
-        for route in (verify_curvature_identity, dense_curvature_identity):
-            res1 = route(1, basis, params1)
-            res2 = route(1, basis, params2)
+        for route, truncation in ((verify_curvature_identity, basis.nmax),
+                                  (dense_curvature_identity, basis)):
+            res1 = route(1, truncation, params1)
+            res2 = route(1, truncation, params2)
             assert res2["curvature_identity"] / 4.0 == pytest.approx(
                 res1["curvature_identity"], abs=1e-12
             )
@@ -134,7 +135,7 @@ class TestCurvatureIdentity:
 
     def test_precondition(self, basis40):
         with pytest.raises(ValueError):
-            verify_curvature_identity(basis40.nmax - 2, basis40, ModelParams())
+            verify_curvature_identity(basis40.nmax - 2, basis40.nmax, ModelParams())
 
     def test_quoted_lower_coefficient_fails_per_sector(self):
         # the sector window sees the same defect of exactly 1 on level j-1
@@ -151,7 +152,7 @@ def test_sector_path_matches_dense_oracle(nmax, ell_B):
     basis = build_basis(nmax)
     params = ModelParams(ell_B=ell_B)
     for j in range(min(5, nmax - LEVEL_MARGIN) + 1):
-        fast = verify_curvature_identity(j, basis, params)
+        fast = verify_curvature_identity(j, nmax, params)
         dense = dense_curvature_identity(j, basis, params)
         assert fast.keys() == dense.keys()
         for key in dense:
@@ -159,17 +160,17 @@ def test_sector_path_matches_dense_oracle(nmax, ell_B):
 
 
 class TestLandauInvariants:
-    def test_rank_and_chern_one(self, basis60):
+    def test_rank_and_chern_one(self):
         for j in (0, 1, 4):
-            rep = invariants_landau(j, basis60, ModelParams())
+            rep = invariants_landau(j, 60, ModelParams())
             assert rep.rank_rounded == 1 and rep.rank_certified
             assert rep.chern_rounded == 1 and rep.chern_certified
             assert rep.symmetry == "Real(+1)"
             assert rep.parity_ok
 
-    def test_xi_independence(self, basis60):
+    def test_xi_independence(self):
         reps = [
-            invariants_landau(2, basis60, ModelParams(xi=xi)) for xi in (0.0, 0.5, 1.0)
+            invariants_landau(2, 60, ModelParams(xi=xi)) for xi in (0.0, 0.5, 1.0)
         ]
         vals = [r.chern_estimate.value for r in reps]
         resid = sum(r.chern_estimate.residual for r in reps)
@@ -181,18 +182,18 @@ class TestLandauInvariants:
         est = dixmier_graded(0.0 * landau_projection(basis60, 0), 0.0)
         assert est.value == 0.0
 
-    def test_report_serializes(self, basis60):
-        rep = invariants_landau(0, basis60, ModelParams())
+    def test_report_serializes(self):
+        rep = invariants_landau(0, 60, ModelParams())
         payload = json.dumps(rep.to_dict())
         assert "chern" in payload
 
-    def test_precondition(self, basis60):
+    def test_precondition(self):
         with pytest.raises(ValueError):
-            invariants_landau(basis60.nmax - 1, basis60, ModelParams())
+            invariants_landau(59, 60, ModelParams())
 
     def test_same_residual_keys_at_every_truncation(self):
         keys = [
-            set(invariants_landau(2, build_basis(nmax), ModelParams()).identity_residuals)
+            set(invariants_landau(2, nmax, ModelParams()).identity_residuals)
             for nmax in (40, 60, 120)
         ]
         assert keys[0] == keys[1] == keys[2]
@@ -201,46 +202,46 @@ class TestLandauInvariants:
 
 class TestJcInvariants:
     @pytest.mark.parametrize("sign", ["+", "-"])
-    def test_rank_and_chern_one(self, basis60, sign):
-        rep = invariants_jc(2, sign, basis60, ModelParams(c_b=0.3))
+    def test_rank_and_chern_one(self, sign):
+        rep = invariants_jc(2, sign, 60, ModelParams(c_b=0.3))
         assert rep.rank_rounded == 1 and rep.rank_certified
         assert rep.chern_rounded == 1 and rep.chern_certified
         assert rep.identity_residuals["spin_trace_closed_form"] <= 1e-9
         assert rep.symmetry == "Real(+1)"
 
-    def test_zero_coupling_matches_landau(self, basis60):
-        rep0 = invariants_landau(2, basis60, ModelParams())
-        rep = invariants_jc(2, "+", basis60, ModelParams(c_b=0.0))
+    def test_zero_coupling_matches_landau(self):
+        rep0 = invariants_landau(2, 60, ModelParams())
+        rep = invariants_jc(2, "+", 60, ModelParams(c_b=0.0))
         assert abs(rep.rank_estimate.value - rep0.rank_estimate.value) <= 1e-2
         assert abs(rep.chern_estimate.value - rep0.chern_estimate.value) <= 1e-2
 
-    def test_precondition(self, basis60):
+    def test_precondition(self):
         with pytest.raises(ValueError):
-            invariants_jc(0, "+", basis60, ModelParams(c_b=0.3))
+            invariants_jc(0, "+", 60, ModelParams(c_b=0.3))
 
 
 class TestQuaternionicInvariants:
-    def test_zero_coupling_doubled_landau(self, basis60):
+    def test_zero_coupling_doubled_landau(self):
         p = ModelParams(c_b=0.0, r=(0.0, 1.0, 0.0))
-        rep = invariants_quaternionic(1.0, basis60, p)
+        rep = invariants_quaternionic(1.0, 60, p)
         assert rep.rank_rounded == 2 and rep.rank_certified
         assert rep.chern_rounded == 2 and rep.chern_certified
         assert rep.parity_ok
         assert rep.symmetry == "Quaternionic(-1)"
         assert rep.symmetry_residual <= 1e-8
 
-    def test_moderate_coupling_even(self, basis60):
+    def test_moderate_coupling_even(self):
         p = ModelParams(c_b=0.4, r=(0.0, 1.0, 0.0))
-        rep = invariants_quaternionic(1.0, basis60, p)
+        rep = invariants_quaternionic(1.0, 60, p)
         assert rep.rank_rounded % 2 == 0
         assert rep.chern_rounded % 2 == 0
         assert rep.parity_ok
         assert rep.identity_residuals["kramers_pairing"] <= 1e-8
 
-    def test_no_gap_raises(self, basis60):
+    def test_no_gap_raises(self):
         p = ModelParams(c_b=0.0, r=(0.0, 1.0, 0.0))
         with pytest.raises(NoGapError):
-            invariants_quaternionic(0.5, basis60, p)  # energy sits on a level
+            invariants_quaternionic(0.5, 60, p)  # energy sits on a level
 
 
 class TestClassifySymmetry:
