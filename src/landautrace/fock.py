@@ -120,6 +120,12 @@ class ModelParams:
             raise ValueError("parameters must be finite")
         if self.ell_B <= 0 or self.eps_B <= 0:
             raise ValueError("ell_B and eps_B must be positive")
+        # the derived scales the models and kernels use must neither overflow nor vanish
+        ell2, cb2 = self.ell_B * self.ell_B, self.c_b * self.c_b
+        if not (0 < ell2 and math.isfinite(ell2) and math.isfinite(1.0 / ell2)):
+            raise ValueError(f"ell_B^2 or 1/ell_B^2 overflows or vanishes: ell_B = {self.ell_B}")
+        if not math.isfinite(cb2) or (self.c_b > 0 and cb2 == 0):
+            raise ValueError(f"c_b^2 overflows or vanishes: c_b = {self.c_b}")
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
         if self.c_b < 0:
@@ -287,10 +293,11 @@ def derived_operator(basis, name, params=None):
     if name == "L3":
         diag = (basis.n1 - basis.n2).astype(complex)
         return OperatorMatrix(basis, np.diag(diag))
-    ap = ladder(basis, "a+").entries
-    am = ladder(basis, "a-").entries
-    bp = ladder(basis, "b+").entries
-    bm = ladder(basis, "b-").entries
+    # K uses the first mode, G the second, the positions both
+    modes = {"K": "a", "G": "b"}.get(name[0], "ab")
+    ap, am, bp, bm = (
+        ladder(basis, w).entries if w[0] in modes else None for w in ("a+", "a-", "b+", "b-")
+    )
     if name == "K1":
         m = (ap + am) / np.sqrt(2)
     elif name == "K2":

@@ -12,6 +12,12 @@ dense problems instead of one dim ~ 7e3 dense one.
 Shell bookkeeping: the state (n1, b) sits in shell l = n1 + b of the
 harmonic regulator, so sector results accumulate into shells at offset b.
 
+Projections leave this module in one format, per-sector columns
+[(b, V_b)] with P = (+)_b V_b V_b^dagger: the rows of V_b are the states
+n1 = 0..s_b - 1, spin fastest, and its columns are orthonormal. Two loops
+consume them for all three models, :func:`shell_sums` and
+:func:`symmetry_residual`; no other module reads the rows.
+
 Spectra: one loop (:func:`_sector_eigensystem`) diagonalizes the sector
 blocks of all three Hamiltonians and flags the interior eigenvalues; the
 ``spectrum`` command and the quaternionic Fermi projections use it.
@@ -62,6 +68,10 @@ __all__ = [
     "LEVEL_MARGIN",
     "lowering_block",
     "landau_identity_residuals",
+    "landau_columns",
+    "jc_columns",
+    "shell_sums",
+    "symmetry_residual",
     "landau_shell_sums",
     "jc_shell_sums",
     "landau_sector_eigensystem",
@@ -115,39 +125,57 @@ def _curvature(V, spin):
     )
 
 
-def _accumulate(shell_sums, sector_offset, diag, spin_dim):
-    """Add sector diagonal values into global shells l = n1 + offset."""
-    if spin_dim > 1:
-        diag = diag.reshape(-1, spin_dim).sum(axis=1)
-    n1 = np.arange(len(diag))
-    np.add.at(shell_sums, n1 + sector_offset, diag)
+def landau_columns(nmax, j):
+    """Per-sector columns (b, V_b) of the level-j projection: the unit vector at n1 = j."""
+    return [(b, np.eye(nmax + 1 - b, 1, -j, dtype=complex)) for b in range(nmax + 1 - j)]
 
 
-def _add_sector(rank, chern, b, V, spin, xi):
-    """Accumulate the weighted rank and curvature densities of P = V V^dagger.
+def shell_sums(nmax, columns, spin, xi):
+    """Shell sums of (Q^-1 P, i/ell^2 Q^-1 R) for the per-sector columns (b, V_b) of P.
 
-    Returns the curvature core K of the sector (see :func:`_curvature`).
+    Each row is weighted by 1/(l + 2 + 2 xi), l = n1 + b, before the spin
+    components of its shell are summed.
     """
-    s = V.shape[0] // spin
-    weights = 1.0 / (np.repeat(np.arange(s), spin) + b + 2.0 + 2.0 * xi)
-    K = _curvature(V, spin)
-    _accumulate(rank, b, np.einsum("kp,kp->k", V, V.conj()).real * weights, spin)
-    _accumulate(chern, b, np.einsum("kp,pq,kq->k", V, K, V.conj()).real * weights, spin)
-    return K
+    rank = np.zeros(nmax + 1)
+    chern = np.zeros(nmax + 1)
+    for b, V in columns:
+        if not V.shape[1]:
+            continue
+        s = V.shape[0] // spin
+        weights = 1.0 / (np.repeat(np.arange(s), spin) + b + 2.0 + 2.0 * xi)
+        K = _curvature(V, spin)
+        for sums, diag in ((rank, np.einsum("kp,kp->k", V, V.conj())),
+                           (chern, np.einsum("kp,pq,kq->k", V, K, V.conj()))):
+            sums[b:b + s] += (diag.real * weights).reshape(s, spin).sum(axis=1)
+    return rank, chern
+
+
+def symmetry_residual(columns, twist):
+    """max |U conj(P) U^dagger - P| for the per-sector columns (b, V_b) of P.
+
+    U = diag(i^(n1 + b)) x twist is the unitary part of the symmetry:
+    twist [[1]] for Theta, diag(1, i) for Xi, sigma2 for Xi'. Per sector
+    U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger, and both sides
+    vanish off the rows where V or U conj(V) is nonzero. The phases cycle
+    exactly through 1, i, -1, -i: complex pow rounds at large exponents.
+    """
+    spin = len(twist)
+    worst = 0.0
+    for b, V in columns:
+        s = V.shape[0] // spin
+        phases = np.array([1, 1j, -1, -1j])[(np.arange(s) + b) % 4]
+        UV = np.einsum(
+            "n,ab,nbr->nar", phases, twist, V.conj().reshape(s, spin, -1)
+        ).reshape(spin * s, -1)
+        rows = (V != 0).any(axis=1) | (UV != 0).any(axis=1)
+        UV, V = UV[rows], V[rows]
+        worst = max(worst, float(np.abs(UV @ UV.conj().T - V @ V.conj().T).max(initial=0.0)))
+    return worst
 
 
 def landau_shell_sums(nmax, j, xi):
     """Shell sums of (Q^-1 P_j, i/ell^2 Q^-1 R_j) for the scalar model."""
-    rank = np.zeros(nmax + 1)
-    chern = np.zeros(nmax + 1)
-    for b in range(nmax + 1):
-        s = nmax + 1 - b
-        if j >= s:
-            continue
-        V = np.zeros((s, 1), dtype=complex)
-        V[j, 0] = 1.0
-        _add_sector(rank, chern, b, V, 1, xi)
-    return rank, chern
+    return shell_sums(nmax, landau_columns(nmax, j), 1, xi)
 
 
 def _landau_curvature_window(j, ell_B):
@@ -211,35 +239,36 @@ def _jc_sector_vector(s, j, theta):
     return v
 
 
+def jc_columns(nmax, j, theta):
+    """Per-sector columns (b, V_b) of the spin-orbit pair projection P_j^theta."""
+    return [(b, _jc_sector_vector(nmax + 1 - b, j, theta)[:, None]) for b in range(nmax + 1 - j)]
+
+
 def jc_shell_sums(nmax, j, theta, xi):
     """Shell sums of rank and Chern densities for a spin-orbit pair level.
 
     Also returns the worst interior deviation of the spin-traced curvature
-    from -i (sin^2 P_{j-1} + cos^2 P_j), margin 3 shells.
+    from -i (sin^2 P_{j-1} + cos^2 P_j), margin 3 shells, read off the
+    levels j-1, j of the b = 0 sector: both sides vanish elsewhere, every
+    sector with s >= j + 2 has the same window, the edge sector's interior
+    misses it, and b = 0 has the largest interior.
     """
     if j < 1:
         raise ValueError("pair levels start at j = 1")
-    rank = np.zeros(nmax + 1)
-    chern = np.zeros(nmax + 1)
-    closed_resid = 0.0
-    for b in range(nmax + 1):
-        s = nmax + 1 - b
-        if j >= s:
-            continue
-        V = _jc_sector_vector(s, j, theta)[:, None]
-        K = _add_sector(rank, chern, b, V, 2, xi)
-        # spin-traced curvature against the closed form, interior rows only
-        interior = s - LEVEL_MARGIN
-        if interior > 0:
-            Rspin = np.einsum(
-                "iar,jar->ij", (V @ K).reshape(s, 2, -1), V.conj().reshape(s, 2, -1)
-            ) / 1j
-            target = np.zeros((s, s), dtype=complex)
-            target[j - 1, j - 1] = -1j * np.sin(theta) ** 2
-            target[j, j] = -1j * np.cos(theta) ** 2
-            dev = np.abs((Rspin - target)[:interior, :interior]).max()
-            closed_resid = max(closed_resid, float(dev))
-    return rank, chern, closed_resid
+    columns = jc_columns(nmax, j, theta)
+    rank, chern = shell_sums(nmax, columns, 2, xi)
+    if not columns:
+        return rank, chern, 0.0
+    V = columns[0][1]
+    level = np.array([j - 1, j])
+    Rspin = np.einsum(
+        "iar,jar->ij",
+        (V @ _curvature(V, 2)).reshape(-1, 2, 1)[level], V.conj().reshape(-1, 2, 1)[level],
+    ) / 1j
+    target = np.diag([-1j * np.sin(theta) ** 2, -1j * np.cos(theta) ** 2])
+    inner = level <= nmax - LEVEL_MARGIN
+    closed_resid = np.abs(Rspin - target)[np.ix_(inner, inner)].max(initial=0.0)
+    return rank, chern, float(closed_resid)
 
 
 def _sector_eigensystem(nmax, block, columns=None):
@@ -355,9 +384,4 @@ def quaternionic_shell_sums(nmax, params, energy, sectors=None):
     """
     if sectors is None:
         sectors, _, _ = quaternionic_sector_eigensystem(nmax, params, energy)
-    rank = np.zeros(nmax + 1)
-    chern = np.zeros(nmax + 1)
-    for b, _w, V, _flags in sectors:
-        if V.shape[1]:
-            _add_sector(rank, chern, b, V, 2, params.xi)
-    return rank, chern
+    return shell_sums(nmax, [(b, V) for b, _w, V, _flags in sectors], 2, params.xi)

@@ -15,7 +15,11 @@ The invariants and the curvature-identity check conserve the second
 mode number n2 and run sector by sector in :mod:`landautrace.sectors`:
 the curvature shell sums in factored form, O(s r^2) per sector, and the
 Landau curvature identities on one window of at most 3 x 3, whatever
-Nmax. Only :func:`classify_symmetry` and the dense derivation
+Nmax. Projections come from there as per-sector columns, which this
+module passes on without reading their rows: to ``sectors.shell_sums``
+and to ``sectors.symmetry_residual`` with the spin twist of each symmetry
+([[1]] for Theta, diag(1, i) for Xi, sigma2 for Xi'). Only
+:func:`classify_symmetry` and the dense derivation
 :func:`partial_derivative` take dense matrices; the dense forms of the
 other computations are the test oracles.
 """
@@ -53,7 +57,7 @@ LEVEL_MARGIN = sectors.LEVEL_MARGIN
 class TopologicalReport:
     rank_estimate: DixmierEstimate
     chern_estimate: DixmierEstimate
-    rank_rounded: int
+    rank_rounded: int           # None when the estimate is not finite
     chern_rounded: int
     rank_certified: bool
     chern_certified: bool
@@ -82,6 +86,9 @@ class TopologicalReport:
 
 
 def _certify(estimate):
+    """(nearest integer, certified); a non-finite estimate rounds to None, uncertified."""
+    if not np.isfinite(estimate.value):
+        return None, False
     rounded = int(np.rint(estimate.value))
     ok = abs(estimate.value - rounded) <= 3.0 * estimate.residual and estimate.converged
     return rounded, bool(ok)
@@ -125,21 +132,9 @@ def verify_curvature_identity(j, nmax, params):
     return {"commutator_identity": res_a, "curvature_identity": res_b}
 
 
-def _i_power(k):
-    """i**k for integer k (arrays too), exact: complex pow rounds at large k."""
-    return np.array([1, 1j, -1, -1j])[np.asarray(k) % 4]
-
-
 def _theta_projection_residual(nmax, j):
-    # Theta's unitary part is diagonal in this representation, so the
-    # commutation with a level projection is exact; keep the computation
-    # numerical anyway, over the states n1 + n2 <= nmax.
-    n1, n2 = np.indices((nmax + 1, nmax + 1)).reshape(2, -1)
-    inside = n1 + n2 <= nmax
-    phases = _i_power((n1 + n2)[inside])
-    diag = (n1[inside] == j).astype(complex)
-    conj_diag = phases * np.conj(diag) * np.conj(phases)
-    return float(np.abs(conj_diag - diag).max())
+    """Residual of Theta P_j Theta^{-1} = P_j, sector by sector."""
+    return sectors.symmetry_residual(sectors.landau_columns(nmax, j), np.ones((1, 1)))
 
 
 def invariants_landau(j, nmax, params):
@@ -200,25 +195,8 @@ def invariants_jc(j, sign, nmax, params):
 
 
 def _jc_symmetry_residual(nmax, j, theta):
-    """Residual of Xi P Xi^{-1} = P checked sector by sector.
-
-    Xi's unitary part U is diagonal, so U conj(P) U^dagger is conj(P)
-    scaled by the phases of its row and column, and both sides vanish
-    outside the rows and columns where the pair vector v is nonzero.
-    """
-    worst = 0.0
-    for b in range(nmax + 1):
-        s = nmax + 1 - b
-        if j >= s:
-            continue
-        v = sectors._jc_sector_vector(s, j, theta)
-        idx = np.flatnonzero(v)  # spin-fastest index 2 n1 + spin
-        v = v[idx]
-        P = np.outer(v, v.conj())
-        phases = _i_power(idx // 2 + b) * np.array([1.0, 1j])[idx % 2]
-        dev = np.abs(phases[:, None] * P.conj() * phases.conj()[None, :] - P).max()
-        worst = max(worst, float(dev))
-    return worst
+    """Residual of Xi P Xi^{-1} = P, sector by sector; Xi twists the spin by diag(1, i)."""
+    return sectors.symmetry_residual(sectors.jc_columns(nmax, j, theta), np.diag([1, 1j]))
 
 
 def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
@@ -255,56 +233,40 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
 
 
 def _quaternionic_symmetry_residual(secs):
-    """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector.
+    """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector; Xi' twists the spin by sigma2.
 
     ``secs`` is :func:`sectors.quaternionic_sector_eigensystem` at the
-    Fermi energy, whose columns V span P_E = V V^dagger per sector. Then
-    U conj(P_E) U^dagger = (U conj(V)) (U conj(V))^dagger, and
-    U = diag(i^(n1 + b)) x sigma2 acts on each 2 x 2 spin block of conj(V).
+    Fermi energy, whose columns V span P_E = V V^dagger per sector.
     """
-    worst = 0.0
-    for b, _w, V, _fl in secs:
-        if not V.shape[1]:
-            continue
-        s = V.shape[0] // 2
-        phases = _i_power(np.arange(s) + b)
-        UV = np.einsum(
-            "n,ab,nbr->nar", phases, sectors.SIGMA2, V.conj().reshape(s, 2, -1)
-        ).reshape(2 * s, -1)
-        dev = np.abs(UV @ UV.conj().T - V @ V.conj().T).max()
-        worst = max(worst, float(dev))
-    return worst
+    return sectors.symmetry_residual([(b, V) for b, _w, V, _fl in secs], sectors.SIGMA2)
 
 
 def _kramers_residual(levels, tol=1e-8):
-    """Worst odd-cluster defect: every eigenvalue cluster must have even size."""
-    if len(levels) == 0:
-        return 0.0
-    worst = 0.0
-    i = 0
+    """Worst odd-cluster defect: every eigenvalue cluster must have even size.
+
+    Clusters split where a gap exceeds tol. An odd cluster scores the gap to
+    its nearest neighbour (inf without one). The rotated quaternionic solver
+    doubles every eigenvalue by construction, so this checks that doubling.
+    """
     levels = np.sort(levels)
-    while i < len(levels):
-        k = i + 1
-        while k < len(levels) and levels[k] - levels[k - 1] <= tol:
-            k += 1
-        if (k - i) % 2 == 1:
-            # distance to the nearest neighbor that would even the cluster
-            gap_prev = levels[i] - levels[i - 1] if i > 0 else np.inf
-            gap_next = levels[k] - levels[k - 1] if k < len(levels) else np.inf
-            worst = max(worst, 0.0 if min(gap_prev, gap_next) <= tol else min(gap_prev, gap_next))
-        i = k
-    return worst
+    gaps = np.diff(levels)
+    cut = np.flatnonzero(gaps > tol)  # cluster k ends at index cut[k]
+    sizes = np.diff(np.concatenate(([-1], cut, [len(levels) - 1])))
+    edges = np.concatenate(([np.inf], gaps[cut], [np.inf]))  # gaps around each cluster
+    nearest = np.minimum(edges[:-1], edges[1:])
+    return float(nearest[sizes % 2 == 1].max(initial=0.0))
 
 
 def classify_symmetry(H, candidates, tol=SYMMETRY_TOL, margin=2):
     """Label a Hamiltonian by the first anti-unitary candidate commuting with it.
 
     Returns (label, residual) with label "Real", "Quaternionic" or "none";
-    the residual is measured on the margin-restricted interior block.
+    the residual is measured on the margin-restricted interior block. H
+    must be hermitian to 1e-10 relative to its largest entry.
     """
     from .fock import interior_block
 
-    if not H.is_hermitian(1e-10):
+    if not H.is_hermitian(1e-10 * max(1.0, H.max_abs())):
         raise ValueError("Hamiltonian must be hermitian")
     best = ("none", np.inf)
     for rep in candidates:

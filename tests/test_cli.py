@@ -95,6 +95,20 @@ class TestConfigParsing:
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("model, command, key, value", [
+        ("jaynes_cummings", "invariants", "params.c_b", "1e200"),
+        ("jaynes_cummings", "spectrum", "params.c_b", "1e200"),
+        ("landau", "verify", "params.c_b", "1e200"),
+        ("landau", "verify", "params.ell_b", "1e-200"),
+    ])
+    def test_overflowing_scales_rejected(self, tmp_path, capsys, model, command, key, value):
+        # c_b^2 overflowed in the JC angles and Hamiltonian, 1/ell_B^2 in the kernel check
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = {model}\nnmax = 16\n{key} = {value}\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
+        assert rc == EXIT_CONFIG
+        assert "invalid params" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, command", [
         ("tol", "nan", "verify"),
         ("tol", "-1", "verify"),
@@ -175,6 +189,17 @@ class TestSpectrum:
         assert rc == EXIT_ASSERT
         rows = read_csv(tmp_path / "spectrum.csv")
         assert any(r[3] == "nan" for r in rows[1:])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_quaternionic_non_finite_rows_fail(self, tmp_path):
+        # eps_B (c_b |r|)^2 overflows the sector blocks: NaN eigenvalues must not pass as exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = quaternionic\nnmax = 5\nparams.c_b = 1e150\nparams.eps_b = 1e10\n"
+                       "params.r0 = 1\nparams.r1 = 0\nparams.r2 = 0\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
+        assert rc == EXIT_ASSERT
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert len(rows) > 1 and all(r[2] == "nan" for r in rows[1:])
 
     def test_nmax_above_old_caps(self, tmp_path):
         # the dense path capped the truncation at 40 and failed level 45 with exit 4

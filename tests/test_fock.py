@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from landautrace import fock
 from landautrace.fock import (
     ModelParams,
     OperatorMatrix,
@@ -137,6 +138,36 @@ class TestDerivedOperators:
     def test_unknown(self, basis):
         with pytest.raises(ValueError):
             derived_operator(basis, "Z9")
+
+    @pytest.mark.parametrize("name, used", [
+        ("K1", ["a+", "a-"]), ("K2", ["a+", "a-"]), ("G1", ["b+", "b-"]), ("G2", ["b+", "b-"]),
+        ("X1", ["a+", "a-", "b+", "b-"]), ("X2", ["a+", "a-", "b+", "b-"]), ("H_B", []),
+    ])
+    def test_builds_only_the_ladders_it_uses(self, basis, monkeypatch, name, used):
+        built = []
+        real = fock.ladder
+        monkeypatch.setattr(fock, "ladder", lambda b, which: built.append(which) or real(b, which))
+        derived_operator(basis, name)
+        assert sorted(built) == used
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("kwargs", [
+        dict(c_b=1e200),     # c_b^2 overflows
+        dict(c_b=1e-200),    # c_b^2 vanishes although c_b > 0
+        dict(ell_B=1e200),   # ell_B^2 overflows
+        dict(ell_B=1e-200),  # ell_B^2 vanishes
+        dict(ell_B=1e-160),  # ell_B^2 is subnormal, 1/ell_B^2 overflows
+    ])
+    def test_derived_scales_must_not_overflow_or_vanish(self, kwargs):
+        with pytest.raises(ValueError, match="overflows or vanishes"):
+            ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(c_b=0.0), dict(c_b=1e150), dict(ell_B=1e150), dict(ell_B=1e-150),
+    ])
+    def test_representable_scales_accepted(self, kwargs):
+        ModelParams(**kwargs)
 
 
 class TestLandauProjection:

@@ -208,6 +208,42 @@ def dense_quaternionic_symmetry_residual(columns):
     return worst
 
 
+TWISTS = {"Theta": np.ones((1, 1)), "Xi": np.diag([1, 1j]), "Xi-prime": sectors.SIGMA2}
+
+
+def dense_symmetry_residual(columns, twist):
+    """max |U conj(P) U^dagger - P| with U = diag(i^(n1 + b)) x twist as a matrix."""
+    worst = 0.0
+    for b, V in columns:
+        s = V.shape[0] // len(twist)
+        U = np.kron(np.diag((1j) ** (np.arange(s) + b)), twist)
+        P = V @ V.conj().T
+        worst = max(worst, np.abs(U @ P.conj() @ U.conj().T - P).max())
+    return worst
+
+
+@pytest.mark.parametrize("name", TWISTS)
+def test_symmetry_residual_matches_dense(name):
+    twist = TWISTS[name]
+    spin = len(twist)
+    rng = np.random.default_rng(len(name))
+    columns = []
+    for b in range(NMAX + 1):
+        n = spin * (NMAX + 1 - b)
+        V = random_columns(rng, n, min(1 + b % 3, n))
+        # zero rows: the supports of V and U conj(V) differ (sigma2 swaps the spins)
+        V[rng.random(n) < 0.5] = 0.0
+        columns.append((b, V))
+    res = sectors.symmetry_residual(columns, twist)
+    assert res > 1e-1
+    assert res == pytest.approx(dense_symmetry_residual(columns, twist), rel=1e-12)
+    # one spin component alone breaks Xi', which moves it to the other spin
+    e = np.zeros((2 * spin, 1), dtype=complex)
+    e[0] = 1.0
+    expected = 1.0 if name == "Xi-prime" else 0.0
+    assert sectors.symmetry_residual([(3, e)], twist) == expected
+
+
 def _unit(v):
     return tuple(np.asarray(v, dtype=float) / np.linalg.norm(v))
 

@@ -25,6 +25,7 @@ from landautrace.models import (
 from landautrace.singtrace import dixmier_graded
 from landautrace.topo import (
     LEVEL_MARGIN,
+    _kramers_residual,
     classify_symmetry,
     invariants_jc,
     invariants_landau,
@@ -244,6 +245,17 @@ class TestQuaternionicInvariants:
             invariants_quaternionic(0.5, 60, p)  # energy sits on a level
 
 
+def test_kramers_residual():
+    # clusters split where a gap exceeds tol = 1e-8
+    assert _kramers_residual(np.array([])) == 0.0
+    assert _kramers_residual(np.array([2.5, 0.5, 1.5, 0.5, 1.5 + 1e-10, 2.5])) == 0.0
+    # the odd cluster at 1.2 pairs with its nearest neighbour, 0.7 below
+    assert _kramers_residual(np.array([0.5, 0.5, 1.2, 2.5, 2.5])) == pytest.approx(0.7)
+    assert _kramers_residual(np.array([0.5, 0.5, 1.2, 1.2, 1.2, 1.5, 1.5])) == pytest.approx(0.3)
+    # an odd cluster with no neighbour can never pair
+    assert _kramers_residual(np.array([1.0, 1.0 + 1e-9, 1.0])) == np.inf
+
+
 class TestClassifySymmetry:
     def test_three_models(self):
         basis = build_basis(16)
@@ -257,6 +269,14 @@ class TestClassifySymmetry:
         hq = quaternionic_hamiltonian(basis, params)
         label, resid = classify_symmetry(hq, [quaternionic_trs(basis)])
         assert label == "Quaternionic" and resid <= 1e-8
+
+    def test_hermiticity_relative_to_scale(self):
+        # at eps_B 2e7 the rounding of A+ A- exceeds 1e-10 absolute, not 1e-10 relative
+        basis = build_basis(12)
+        H = quaternionic_hamiltonian(basis, ModelParams(eps_B=2e7, c_b=0.5, r=(0.36, 0.48, 0.8)))
+        assert not H.is_hermitian(1e-10)
+        _, res = classify_symmetry(H, [quaternionic_trs(basis)])
+        assert res <= 1e-15 * H.max_abs()
 
     def test_wrong_candidate_gives_none(self):
         basis = build_basis(12)
