@@ -427,20 +427,22 @@ def _check_integral_identity(config, tol):
 
 
 def _check_symmetries(config, tol):
+    """Worst symmetry residual of the three Hamiltonians, in units of max(1, eps_B) like H."""
     basis = build_basis(min(config.nmax, 20))
     params = config.params
+    scale = max(1.0, params.eps_B)
     _, _, theta = flip_and_conjugation(basis)
-    hb = derived_operator(basis, "H_B", params)
-    label, res = topo.classify_symmetry(hb, [theta])
-    worst = res if label == "Real" else np.inf
     p_jc = ModelParams(ell_B=params.ell_B, eps_B=params.eps_B, xi=params.xi,
                        c_b=params.c_b or 0.5, r=params.r)
-    hjc = models.jc_hamiltonian(basis, p_jc)
-    label, res = topo.classify_symmetry(hjc, [models.jc_trs(basis)])
-    worst = max(worst, res if label == "Real" else np.inf)
-    hq = models.quaternionic_hamiltonian(basis, p_jc)
-    label, res = topo.classify_symmetry(hq, [models.quaternionic_trs(basis)])
-    worst = max(worst, res if label == "Quaternionic" else np.inf)
+    worst = 0.0
+    for H, rep, expected in (
+        (derived_operator(basis, "H_B", params), theta, "Real"),
+        (models.jc_hamiltonian(basis, p_jc), models.jc_trs(basis), "Real"),
+        (models.quaternionic_hamiltonian(basis, p_jc), models.quaternionic_trs(basis),
+         "Quaternionic"),
+    ):
+        label, res = topo.classify_symmetry(H, [rep], topo.SYMMETRY_TOL * scale)
+        worst = max(worst, res / scale if label == expected else np.inf)
     return worst
 
 

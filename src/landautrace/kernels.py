@@ -46,6 +46,7 @@ __all__ = [
     "basis_matrix",
     "landau_kernel",
     "deriv_kernel",
+    "integrate_refined",
     "integrate_kernel_diagonal",
     "verify_integral_identity",
     "matrix_diagonal_values",
@@ -223,22 +224,19 @@ def matrix_diagonal_values(T, points, params=None):
     return np.einsum("ip,ij,jp->p", np.conj(V), T.entries, V, optimize=True)
 
 
-def integrate_kernel_diagonal(T, region, params=None, tol=1e-8, order=64):
-    """integral over the region of T(x,x), T expanded in the eigenbasis.
+def integrate_refined(region, values, tol, order):
+    """Integral of values(points) over the region at twice the order, checked at the order."""
+    coarse, fine = (complex(np.sum(rule.weights * values(rule.points)))
+                    for rule in (region.rule(order), region.rule(2 * order)))
+    moved = abs(fine - coarse)
+    if moved > tol * max(1.0, abs(fine)):
+        raise QuadratureConvergenceError(f"refinement moved the integral by {moved:.2e}")
+    return fine
 
-    Evaluates at the given order and at twice the order; raises
-    QuadratureConvergenceError when the refinements disagree beyond tol.
-    """
-    results = []
-    for q in (order, 2 * order):
-        rule = region.rule(q)
-        vals = matrix_diagonal_values(T, rule.points, params)
-        results.append(complex(np.sum(rule.weights * vals)))
-    if abs(results[1] - results[0]) > tol * max(1.0, abs(results[1])):
-        raise QuadratureConvergenceError(
-            f"refinement moved the integral by {abs(results[1] - results[0]):.2e}"
-        )
-    return results[1]
+
+def integrate_kernel_diagonal(T, region, params=None, tol=1e-8, order=64):
+    """integral over the region of T(x,x), T expanded in the eigenbasis, refined once."""
+    return integrate_refined(region, lambda pts: matrix_diagonal_values(T, pts, params), tol, order)
 
 
 def _gauss_laguerre_factors(j, u):

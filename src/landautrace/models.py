@@ -1,10 +1,12 @@
 """Concrete Hamiltonians: Landau, spin-orbit (Jaynes-Cummings), quaternionic.
 
-All spin-1/2 models share the structure H = eps_B (K1^2 + K2^2)/2 built
-from non-Abelian kinetic momenta K_i = K_i x 1 - c_b 1 x gamma_i:
+Both spin-1/2 models are H = eps_B (K1^2 + K2^2)/2 with non-Abelian
+kinetic momenta K_i = K_i x 1 - c_b 1 x gamma_i, each one record of
+:mod:`landautrace.sectors` (``sectors.JC``, ``sectors.QUATERNIONIC``)
+whose builder gives the dense Hamiltonians here and the sector blocks:
 
-* Jaynes-Cummings: gamma_1 = -sigma_2, gamma_2 = sigma_1 (Rashba type);
-  exactly solvable, levels E_0 = eps_B(1/2 + c_b^2) and
+* Jaynes-Cummings: gamma = (-sigma_2, sigma_1) (Rashba type); exactly
+  solvable, levels E_0 = eps_B(1/2 + c_b^2) and
   E_j^+- = eps_B(j +- sqrt(1 + 8 j c_b^2)/2 + c_b^2).
 * Quaternionic: gamma_1 = -alpha, gamma_2 = sigma_2 alpha sigma_2 with a
   real symmetric alpha parametrized by (r0, r1, r2). Its gauge matrix is
@@ -13,9 +15,9 @@ from non-Abelian kinetic momenta K_i = K_i x 1 - c_b 1 x gamma_i:
   in :mod:`landautrace.sectors`). Gaps are read off the truncated
   spectrum like those of the other models.
 
-The anti-unitary symmetries are Theta = F C (scalar), Xi = (F x theta) C
-with theta = diag(1, i), and Xi' = (F x sigma_2) C. The spin twist must
-be diag(1, i) rather than the often-seen diag(1, -i): with
+The anti-unitary symmetries are Theta = F C (scalar) and (F x twist) C
+with the record's twist: diag(1, i) for Xi, sigma_2 for Xi'. The twist
+of Xi must be diag(1, i) rather than the often-seen diag(1, -i): with
 coefficient-wise complex conjugation only the former intertwines the
 spin-orbit Hamiltonian (the latter maps c_b -> -c_b); both square to +1.
 """
@@ -25,16 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sectors
-from .fock import (
-    AntiUnitaryRep,
-    ModelParams,
-    OperatorMatrix,
-    derived_operator,
-    flip_and_conjugation,
-    ladder,
-    landau_projection,
-    tensor_with_spin,
-)
+from .fock import AntiUnitaryRep, OperatorMatrix, ladder, landau_projection, tensor_with_spin
 
 __all__ = [
     "SpectrumTable",
@@ -105,17 +98,16 @@ def jc_angles(j, c_b):
     """Mixing angles of the j-th spin-orbit pair, principal branch.
 
     theta_j^+- = atan( sqrt(8 c_b^2 j) / (1 +- sqrt(1 + 8 c_b^2 j)) ).
-    The lower branch tends to -pi/2 as c_b -> 0.
+    The lower branch tends to -pi/2 as c_b -> 0. Both roots are formed
+    from c_b sqrt(8 j), so they stay finite wherever c_b is.
     """
     if j < 1:
         raise ValueError("pair levels start at j = 1; level 0 is the scalar state")
     if c_b == 0:
         return 0.0, -np.pi / 2.0
-    root = np.sqrt(1.0 + 8.0 * c_b ** 2 * j)
-    num = np.sqrt(8.0 * c_b ** 2 * j)
-    theta_plus = np.arctan(num / (1.0 + root))
-    theta_minus = np.arctan(num / (1.0 - root))
-    return float(theta_plus), float(theta_minus)
+    num = c_b * np.sqrt(8.0 * j)
+    root = np.hypot(1.0, num)
+    return float(np.arctan(num / (1.0 + root))), float(np.arctan(num / (1.0 - root)))
 
 
 def jc_spectrum(params, jmax):
@@ -126,7 +118,7 @@ def jc_spectrum(params, jmax):
     vals = [params.eps_B * (0.5 + params.c_b ** 2)]
     labels = ["E_0"]
     for j in range(1, jmax + 1):
-        root = np.sqrt(1.0 + 8.0 * j * params.c_b ** 2)
+        root = np.hypot(1.0, params.c_b * np.sqrt(8.0 * j))
         vals.append(params.eps_B * (j - root / 2.0 + params.c_b ** 2))
         vals.append(params.eps_B * (j + root / 2.0 + params.c_b ** 2))
         labels += [f"E_{j}-", f"E_{j}+"]
@@ -138,13 +130,8 @@ def jc_spectrum(params, jmax):
 
 def jc_hamiltonian(basis, params):
     """H = H_B x 1 + c_b eps_B (K1 x s2 - K2 x s1) + c_b^2 eps_B."""
-    hb = tensor_with_spin(derived_operator(basis, "H_B", params), np.eye(2))
-    k1 = derived_operator(basis, "K1", params)
-    k2 = derived_operator(basis, "K2", params)
-    w = tensor_with_spin(k1, SIGMA2) - tensor_with_spin(k2, SIGMA1)
-    out = hb + (params.c_b * params.eps_B) * w
-    out = out + OperatorMatrix(basis, params.c_b ** 2 * params.eps_B * np.eye(out.dim), spin_dim=2)
-    return out
+    h = sectors.JC.hamiltonian(ladder(basis, "a-").entries, basis.n1, params)
+    return OperatorMatrix(basis, h, spin_dim=2)
 
 
 def jc_projection(basis, params, j, sign=None):
@@ -179,33 +166,20 @@ def jc_projection(basis, params, j, sign=None):
 
 
 def jc_trs(basis):
-    """Even anti-unitary symmetry Xi = (F x theta) C, theta = diag(1, i)."""
-    F, C, _ = flip_and_conjugation(basis)
-    u = np.kron(F.entries @ C.unitary_part.entries, np.diag([1.0, 1j]))
+    """Even anti-unitary symmetry Xi = (F x diag(1, i)) C; F C carries the phase i^(n1 + n2)."""
+    u = sectors.JC.symmetry_unitary(basis.shell)
     return AntiUnitaryRep(OperatorMatrix(basis, u, spin_dim=2))
 
 
-def _quaternionic_gammas(params):
-    r0, r1, r2 = params.r
-    gamma1 = np.array([[-r0 - r2, -r1], [-r1, -r0 + r2]], dtype=complex)
-    gamma2 = np.array([[r0 - r2, -r1], [-r1, r0 + r2]], dtype=complex)
-    return gamma1, gamma2
-
-
 def quaternionic_hamiltonian(basis, params):
-    """H = eps_B (A+ A- + 1/2) with the displaced ladder blocks A+-."""
-    m_minus = sectors._quaternionic_blocks(params)
-    am = np.kron(ladder(basis, "a-").entries, np.eye(2))
-    a_minus = am + params.c_b * np.kron(np.eye(basis.dim), m_minus)
-    a_plus = a_minus.conj().T
-    h = params.eps_B * (a_plus @ a_minus + 0.5 * np.eye(2 * basis.dim))
+    """H = eps_B (A+ A- + 1/2) with A- = a x 1 + c_b 1 x M, the record's M normal."""
+    h = sectors.QUATERNIONIC.hamiltonian(ladder(basis, "a-").entries, basis.n1, params)
     return OperatorMatrix(basis, h, spin_dim=2)
 
 
 def quaternionic_trs(basis):
     """Odd anti-unitary symmetry Xi' = (F x sigma_2) C; squares to -1."""
-    F, C, _ = flip_and_conjugation(basis)
-    u = np.kron(F.entries @ C.unitary_part.entries, SIGMA2)
+    u = sectors.QUATERNIONIC.symmetry_unitary(basis.shell)
     return AntiUnitaryRep(OperatorMatrix(basis, u, spin_dim=2))
 
 
@@ -313,20 +287,15 @@ def nonabelian_field_check(params, model):
     b^2/hbar; for the quaternionic model the gammas commute and the field
     stays purely Abelian. Returns the coefficient pattern as a report.
     """
-    if model == "JC":
-        gamma1, gamma2 = -SIGMA2, SIGMA1
-    elif model == "Q":
-        gamma1, gamma2 = _quaternionic_gammas(params)
-    else:
+    if model not in ("JC", "Q"):
         raise ValueError("model must be 'JC' or 'Q'")
+    gamma1, gamma2 = (sectors.JC if model == "JC" else sectors.QUATERNIONIC).gammas(params)
     comm = gamma1 @ gamma2 - gamma2 @ gamma1
     su2_part = -1j * comm
-    sigma3_coeff = complex(np.trace(su2_part @ SIGMA3) / 2.0)
-    abelian = float(np.abs(comm).max()) < 1e-14
     return {
         "model": model,
         "commutator_norm": float(np.abs(comm).max()),
         "su2_part": su2_part,
-        "sigma3_coefficient": sigma3_coeff,
-        "abelian": abelian,
+        "sigma3_coefficient": complex(np.trace(su2_part @ SIGMA3) / 2.0),
+        "abelian": float(np.abs(comm).max()) < 1e-14,
     }

@@ -18,16 +18,28 @@ n1 = 0..s_b - 1, spin fastest, and its columns are orthonormal. Two loops
 consume them for all three models, :func:`shell_sums` and
 :func:`symmetry_residual`; no other module reads the rows.
 
+Each spin-1/2 model is one :class:`SpinHalfModel` record (:data:`JC`,
+:data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2), its spin
+twist and its symmetry label. With K_i x 1 - c_b 1 x gamma_i and
+M = -(gamma_1 - i gamma_2)/sqrt2, eps_B (K_1^2 + K_2^2)/2 is
+
+    eps_B (n x 1 + c_b (a+ x M + a x M^dagger) + 1 x (c_b^2 G + 1/2)),
+    G = M^dagger M + (i/2)[gamma_1, gamma_2] = (gamma_1^2 + gamma_2^2)/2,
+
+one builder (:meth:`SpinHalfModel.hamiltonian`) for sector blocks and
+dense matrices alike.
+
 Spectra: one loop (:func:`_sector_eigensystem`) diagonalizes the sector
 blocks of all three Hamiltonians and flags the interior eigenvalues; the
 ``spectrum`` command and the quaternionic Fermi projections use it.
 
-The quaternionic blocks are solved in a rotated basis. The gauge matrix
-m- = e^{i pi/4} r0 1 + e^{-i pi/4} S, with S = r1 sigma1 + r2 sigma3
+The quaternionic blocks are solved in a rotated basis, an independent
+route to the same spectrum. The record's gauge matrix
+M = e^{i pi/4} r0 1 + e^{-i pi/4} S, with S = r1 sigma1 + r2 sigma3
 Hermitian, is normal: the fixed 2 x 2 spin rotation W that diagonalizes S
-gives W^dagger m- W = diag(mu+, mu-), mu = e^{i pi/4} r0 + e^{-i pi/4}
-lambda(S). Conjugated by 1 x W, the sector block eps_B (A+ A- + 1/2) with
-A- = a x 1 + c_b 1 x m- splits into two displaced oscillators
+gives W^dagger M W = diag(mu+, mu-), mu = e^{i pi/4} r0 + e^{-i pi/4}
+lambda(S). Conjugated by 1 x W, the sector block eps_B (A+ A- + 1/2)
+splits into two displaced oscillators
 eps_B ((a + c_b mu_k)^dagger (a + c_b mu_k) + 1/2). The phase gauge
 u_n -> e^{i n arg mu_k} u_n makes each one real tridiagonal, with
 diagonal eps_B (n + 1/2 + c_b^2 |mu_k|^2) and off-diagonal
@@ -42,19 +54,13 @@ The gauge covariance of the trace per unit volume behind this
 equivalence is that of Bellissard, van Elst and Schulz-Baldes,
 J. Math. Phys. 35 (1994) 5373.
 
-Curvature in factored form: every projection here has low rank r per
-sector (one column for a level, two per Landau level below the Fermi
-energy for the quaternionic model) and is given as P = V V^dagger by
-columns V (s*spin x r) with V^dagger V = 1. Under that precondition the
-curvature density is
-
-    R = i P [d1 P, d2 P] = V K V^dagger,
-    K = V^dagger (a- a+ - a+ a-) V + [V^dagger a+ V, V^dagger a- V],
-
-with the truncated first-mode ladders a+-, so the edge row of
-a- a+ - a+ a- (which is -(s-1), not 1) is carried exactly. a+ V and a- V
-are row shifts of V scaled by sqrt(n), and diag(R) costs O(s r^2) per
-sector instead of the O(s^3) of dense products.
+Curvature in factored form (:func:`_curvature`): every projection here
+is P = V V^dagger with orthonormal columns V of low rank r per sector (one
+for a level, two per Landau level below the Fermi energy for the
+quaternionic model), so R = i P [d1 P, d2 P] = V K V^dagger with an
+r x r core K from row shifts of V. The truncated ladders carry the edge
+row of a- a+ - a+ a- (-(s-1), not 1) exactly, and diag(R) costs O(s r^2)
+per sector instead of the O(s^3) of dense products.
 
 The Landau curvature identities are checked per sector too
 (:func:`landau_identity_residuals`): all their nonzero entries sit on the
@@ -62,10 +68,16 @@ levels j-1..j+1, the same 3 x 3 window in every sector that reaches them,
 so the largest sector alone gives the largest residual.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 __all__ = [
     "LEVEL_MARGIN",
+    "SpinHalfModel",
+    "JC",
+    "QUATERNIONIC",
     "lowering_block",
     "landau_identity_residuals",
     "landau_columns",
@@ -88,6 +100,48 @@ INTERIOR_MASS = 1e-8
 #: levels need j <= Nmax - LEVEL_MARGIN (pairs: j + 1): the curvature checks
 #: and closed forms hold on the interior, LEVEL_MARGIN shells from the edge
 LEVEL_MARGIN = 3
+
+
+@dataclass(frozen=True, eq=False)
+class SpinHalfModel:
+    """A spin-1/2 model: ``gammas(params)`` = (gamma_1, gamma_2), its spin twist, its label."""
+
+    gammas: Callable
+    twist: np.ndarray
+    symmetry: str
+
+    def lowering(self, params):
+        """M = -(gamma_1 - i gamma_2)/sqrt2, the spin part of A- = a x 1 + c_b 1 x M."""
+        gamma1, gamma2 = self.gammas(params)
+        return -(gamma1 - 1j * gamma2) / np.sqrt(2)
+
+    def hamiltonian(self, lowering, occupations, params):
+        """H for lowering matrix a, diag(a+ a) = occupations: krons and 2 x 2 products only."""
+        gamma1, gamma2 = self.gammas(params)
+        hop = params.c_b * np.kron(lowering.conj().T, self.lowering(params))
+        onsite = params.c_b ** 2 * (gamma1 @ gamma1 + gamma2 @ gamma2) / 2 + 0.5 * np.eye(2)
+        h = hop + hop.conj().T + np.kron(np.eye(len(occupations)), onsite)
+        h[np.diag_indices_from(h)] += np.repeat(occupations, 2)
+        return params.eps_B * h
+
+    def symmetry_unitary(self, shell):
+        """diag(i^shell) x twist, the unitary part of the symmetry (F x twist) C."""
+        return np.kron(np.diag(_i_power(shell)), self.twist)
+
+
+def _commuting_gammas(params):
+    """gamma_1 = -(r0 + S), gamma_2 = r0 - S with S = r1 sigma1 + r2 sigma3."""
+    S = params.r[1] * SIGMA1 + params.r[2] * SIGMA3
+    return -(params.r[0] * np.eye(2) + S), params.r[0] * np.eye(2) - S
+
+
+JC = SpinHalfModel(lambda params: (-SIGMA2, SIGMA1), np.diag([1, 1j]), "Real(+1)")
+QUATERNIONIC = SpinHalfModel(_commuting_gammas, SIGMA2, "Quaternionic(-1)")
+
+
+def _i_power(exponent):
+    """i^exponent, cycling exactly through 1, i, -1, -i: complex pow rounds at large exponents."""
+    return np.array([1, 1j, -1, -1j])[np.asarray(exponent) % 4]
 
 
 def lowering_block(size):
@@ -154,16 +208,15 @@ def symmetry_residual(columns, twist):
     """max |U conj(P) U^dagger - P| for the per-sector columns (b, V_b) of P.
 
     U = diag(i^(n1 + b)) x twist is the unitary part of the symmetry:
-    twist [[1]] for Theta, diag(1, i) for Xi, sigma2 for Xi'. Per sector
+    twist [[1]] for Theta, a :class:`SpinHalfModel` twist for Xi, Xi'. Per sector
     U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger, and both sides
-    vanish off the rows where V or U conj(V) is nonzero. The phases cycle
-    exactly through 1, i, -1, -i: complex pow rounds at large exponents.
+    vanish off the rows where V or U conj(V) is nonzero.
     """
     spin = len(twist)
     worst = 0.0
     for b, V in columns:
         s = V.shape[0] // spin
-        phases = np.array([1, 1j, -1, -1j])[(np.arange(s) + b) % 4]
+        phases = _i_power(np.arange(s) + b)
         UV = np.einsum(
             "n,ab,nbr->nar", phases, twist, V.conj().reshape(s, spin, -1)
         ).reshape(spin * s, -1)
@@ -310,18 +363,9 @@ def jc_sector_eigensystem(nmax, params):
 
     Returns (eigenvalues, interior flags) over all sectors combined.
     """
-
-    def block(s):
-        am1 = lowering_block(s)
-        num = np.kron(np.diag(np.arange(s, dtype=complex)), np.eye(2))
-        hb = params.eps_B * (num + 0.5 * (1.0 + 2.0 * params.c_b ** 2) * np.eye(2 * s, dtype=complex))
-        hb += params.eps_B * params.c_b * np.sqrt(2) * (
-            -1j * np.kron(am1, np.array([[0, 1], [0, 0]]))
-            + 1j * np.kron(am1.conj().T, np.array([[0, 0], [1, 0]]))
-        )
-        return hb
-
-    _, evs, flags = _sector_eigensystem(nmax, block)
+    _, evs, flags = _sector_eigensystem(
+        nmax, lambda s: JC.hamiltonian(lowering_block(s), np.arange(s), params)
+    )
     return evs, flags
 
 
@@ -333,15 +377,6 @@ def _edge_mass(vectors, s, b, nmax):
     if not n1_edge.any():
         return np.zeros(vectors.shape[1])
     return spatial[n1_edge].sum(axis=0)
-
-
-def _quaternionic_blocks(params):
-    """The 2 x 2 gauge matrix m- = e^{i pi/4} r0 1 + e^{-i pi/4} (r1 sigma1 + r2 sigma3)."""
-    e4 = np.exp(1j * np.pi / 4)
-    r0, r1, r2 = params.r
-    S = r1 * SIGMA1 + r2 * SIGMA3
-    m_minus = e4 * r0 * np.eye(2) + np.conj(e4) * S
-    return m_minus
 
 
 def quaternionic_sector_eigensystem(nmax, params, energy=None):
@@ -356,7 +391,7 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     globally sorted (eigenvalues, interior flags).
     """
     lam, W = np.linalg.eigh(params.r[1] * SIGMA1 + params.r[2] * SIGMA3)
-    mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger m- W = diag(mu)
+    mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger M W = diag(mu)
     shift = params.c_b * np.linalg.norm(params.r)  # c_b |mu_k| = c_b |r| for both k
 
     def block(s):

@@ -18,7 +18,7 @@ Landau curvature identities on one window of at most 3 x 3, whatever
 Nmax. Projections come from there as per-sector columns, which this
 module passes on without reading their rows: to ``sectors.shell_sums``
 and to ``sectors.symmetry_residual`` with the spin twist of each symmetry
-([[1]] for Theta, diag(1, i) for Xi, sigma2 for Xi'). Only
+([[1]] for Theta, the model record's twist for Xi and Xi'). Only
 :func:`classify_symmetry` and the dense derivation
 :func:`partial_derivative` take dense matrices; the dense forms of the
 other computations are the test oracles.
@@ -189,14 +189,14 @@ def invariants_jc(j, sign, nmax, params):
     sym_res = _jc_symmetry_residual(nmax, j, theta)
     return TopologicalReport(
         rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
-        "Real(+1)" if sym_res <= SYMMETRY_TOL else "none", sym_res, True,
+        sectors.JC.symmetry if sym_res <= SYMMETRY_TOL else "none", sym_res, True,
         {"spin_trace_closed_form": closed_resid},
     )
 
 
 def _jc_symmetry_residual(nmax, j, theta):
-    """Residual of Xi P Xi^{-1} = P, sector by sector; Xi twists the spin by diag(1, i)."""
-    return sectors.symmetry_residual(sectors.jc_columns(nmax, j, theta), np.diag([1, 1j]))
+    """Residual of Xi P Xi^{-1} = P, sector by sector, with the spin-orbit record's twist."""
+    return sectors.symmetry_residual(sectors.jc_columns(nmax, j, theta), sectors.JC.twist)
 
 
 def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
@@ -227,18 +227,18 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     kramers = _kramers_residual(evs[flags])
     return TopologicalReport(
         rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
-        "Quaternionic(-1)" if sym_res <= SYMMETRY_TOL else "none", sym_res, parity_ok,
+        sectors.QUATERNIONIC.symmetry if sym_res <= SYMMETRY_TOL else "none", sym_res, parity_ok,
         {"kramers_pairing": kramers, "n_gaps": float(len(gaps))},
     )
 
 
 def _quaternionic_symmetry_residual(secs):
-    """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector; Xi' twists the spin by sigma2.
+    """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector, with the quaternionic record's twist.
 
     ``secs`` is :func:`sectors.quaternionic_sector_eigensystem` at the
     Fermi energy, whose columns V span P_E = V V^dagger per sector.
     """
-    return sectors.symmetry_residual([(b, V) for b, _w, V, _fl in secs], sectors.SIGMA2)
+    return sectors.symmetry_residual([(b, V) for b, _w, V, _fl in secs], sectors.QUATERNIONIC.twist)
 
 
 def _kramers_residual(levels, tol=1e-8):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import ModelParams
-from .kernels import Region, landau_kernel, integrate_kernel_diagonal
+from .kernels import Region, landau_kernel, integrate_kernel_diagonal, integrate_refined
 from .singtrace import dixmier_via_zeta_residue, trace_Q_power_proj
 
 __all__ = [
@@ -83,19 +83,13 @@ def restricted_trace(T, region, params=None, order=64, tol=1e-8):
     """Tr(chi_L T chi_L) = integral over the region of T(x, x).
 
     T is either an OperatorMatrix (basis-expansion kernel) or a
-    LandauCombination (closed-form kernel diagonal).
+    LandauCombination (closed-form kernel diagonal). Both refine the
+    quadrature once and raise QuadratureConvergenceError when it moves.
     """
     if params is None:
         params = ModelParams()
     if isinstance(T, LandauCombination):
-        results = []
-        for q in (order, 2 * order):
-            rule = region.rule(q)
-            vals = T.kernel_diagonal(rule.points, params)
-            results.append(complex(np.sum(rule.weights * vals)))
-        if abs(results[1] - results[0]) > tol * max(1.0, abs(results[1])):
-            raise RuntimeError("restricted trace did not converge under refinement")
-        out = results[1]
+        out = integrate_refined(region, lambda pts: T.kernel_diagonal(pts, params), tol, order)
     else:
         out = integrate_kernel_diagonal(T, region, params, tol=tol, order=order)
     if abs(out.imag) > 1e-9 * max(1.0, abs(out.real)):

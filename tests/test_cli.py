@@ -1,12 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from landautrace import fock
+from landautrace import fock, tuv
 from landautrace.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
@@ -320,6 +321,46 @@ class TestVerify:
         assert rc == EXIT_OK
         reports = json.loads((tmp_path / "invariants.json").read_text())
         assert all("curvature_identity" in r["identity_residuals"] for r in reports)
+
+    @pytest.mark.parametrize("eps_b", ["2e7", "1e12"])
+    def test_symmetries_at_large_energy_scale(self, tmp_path, monkeypatch, eps_b):
+        # the rounding of H grows with eps_B; residual and tolerance are in its units
+        monkeypatch.setenv("LANDAU_PARAMS__EPS_B", eps_b)
+        rc = main(["--check", "symmetries", "--nmax", "20", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-8
+
+    def test_symmetries_independent_of_blas_threads(self, tmp_path):
+        # seed-2 couplings of the benchmark's verify-suite, whose symmetries row
+        # once came out differently at 1 and at 2 BLAS threads
+        couplings = {"C_B": "0.25495087244304415", "R0": "-0.41817164447055993",
+                     "R1": "0.49869878352203106", "R2": "0.759231189476851"}
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
+            env.update({f"LANDAU_PARAMS__{k}": v for k, v in couplings.items()})
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "landautrace.cli", "--check", "symmetries",
+                 "--out", str(out), "verify"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append((out / "verify.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_tuv_bridge_non_convergence_is_reported(self, tmp_path, monkeypatch, capsys):
+        # a kernel diagonal the quadrature cannot resolve: the failed refinement
+        # is a failed row with a NaN residual, not a traceback
+        monkeypatch.setattr(tuv.LandauCombination, "kernel_diagonal",
+                            lambda self, points, params: np.cos(40.0 * points[:, 0]))
+        rc = main(["--check", "tuv_bridge", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_ASSERT
+        assert "tuv_bridge: non-convergence" in capsys.readouterr().err
+        assert read_csv(tmp_path / "verify.csv")[1][1:] == ["nan", "0.001", "FAIL"]
 
     def test_unknown_check_rejected(self, tmp_path):
         rc = main(["--check", "nonsense", "--out", str(tmp_path), "verify"])

@@ -102,10 +102,12 @@ def test_every_input_ends_in_a_documented_status(run):
     # eigh gives up on the overflowing sector blocks: non-convergence
     ("spectrum", {"model": "jaynes_cummings", "nmax": 13, "params.eps_b": 1.7e308,
                   "params.c_b": 1.0}, EXIT_NOCONV),
-    # 8 c_b^2 j overflows the pair angles: the NaN estimates stay uncertified
+    # the pair angles stay finite, but Nmax 13 is too short for a certified estimate
     ("invariants", {"model": "jaynes_cummings", "nmax": 13, "params.c_b": 1e154}, EXIT_NOCONV),
     # the areas of the Folner regions overflow: the check fails
     ("verify", {"nmax": 13, "params.ell_b": 1e154, "check": "tuv_bridge"}, EXIT_ASSERT),
+    # c_b^2 itself is finite, and the pair angles are formed from c_b sqrt(8 j)
+    ("invariants", {"model": "jaynes_cummings", "nmax": 40, "params.c_b": 1e154}, EXIT_OK),
 ])
 def test_overflow_inside_the_engines(command, keys, status):
     # inputs whose derived scales pass ModelParams but overflow further in

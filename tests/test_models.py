@@ -267,7 +267,7 @@ class TestQuaternionic:
         from landautrace import sectors
 
         amat = np.kron(ladder(basis, "a-").entries, np.eye(2)) \
-            + p.c_b * np.kron(np.eye(basis.dim), sectors._quaternionic_blocks(p))
+            + p.c_b * np.kron(np.eye(basis.dim), sectors.QUATERNIONIC.lowering(p))
         for vec, eig in quaternionic_ground_modes(basis, p, m=2):
             assert np.abs(amat @ vec - eig * vec).max() <= 1e-12
             expect_mod = p.c_b  # |r0 +- i rho| = |r| = 1

@@ -43,6 +43,21 @@ def test_sector_eigenvalues_match_dense(model, nmax, params):
     np.testing.assert_allclose(evs, np.linalg.eigvalsh(dense.entries), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("params", SPECTRUM_PARAMS)
+@pytest.mark.parametrize("nmax", [6, 20])
+def test_jc_sector_blocks_are_dense_rows(nmax, params):
+    # the record's builder gives the sector block n2 = b, edge rows included, and
+    # the dense Hamiltonian couples no other state to that sector
+    H = models.jc_hamiltonian(build_basis(nmax), params).entries
+    n2 = np.repeat(build_basis(nmax).n2, 2)
+    for b in range(nmax + 1):
+        s = nmax + 1 - b
+        block = sectors.JC.hamiltonian(sectors.lowering_block(s), np.arange(s), params)
+        rows = n2 == b  # level-major order lists n1 ascending within the sector
+        assert np.abs(H[np.ix_(rows, rows)] - block).max() <= 1e-14
+        assert not H[np.ix_(rows, ~rows)].any()
+
+
 @pytest.mark.parametrize("nmax", [6, 12, 40])
 def test_jc_interior_count(nmax):
     # sector b holds its ground state and the pairs (n1 - 1 up, n1 down) with
@@ -258,10 +273,20 @@ QUAT_IDS = ["random-r", "S=0", "r0=0", "c_b=0"]
 
 
 def dense_quaternionic_block(s, params):
-    """Sector block eps_B (A+ A- + 1/2), A- = a x 1 + c_b 1 x m-, spin fastest."""
+    """Sector block eps_B (A+ A- + 1/2), A- = a x 1 + c_b 1 x M, spin fastest."""
     A_minus = (np.kron(sectors.lowering_block(s), np.eye(2))
-               + params.c_b * np.kron(np.eye(s), sectors._quaternionic_blocks(params)))
+               + params.c_b * np.kron(np.eye(s), sectors.QUATERNIONIC.lowering(params)))
     return params.eps_B * (A_minus.conj().T @ A_minus + 0.5 * np.eye(2 * s))
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+def test_rotation_diagonalizes_record_lowering(params):
+    # W and mu as the rotated solver forms them; M from the quaternionic record
+    lam, W = np.linalg.eigh(params.r[1] * sectors.SIGMA1 + params.r[2] * sectors.SIGMA3)
+    mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam
+    M = sectors.QUATERNIONIC.lowering(params)
+    assert np.abs(W.conj().T @ M @ W - np.diag(mu)).max() <= 1e-15
+    assert np.abs(np.abs(mu) - np.linalg.norm(params.r)).max() <= 1e-15
 
 
 def dense_quaternionic_sectors(nmax, params):

@@ -22,9 +22,10 @@ from landautrace.models import (
     quaternionic_hamiltonian,
     quaternionic_trs,
 )
-from landautrace.singtrace import dixmier_graded
+from landautrace.singtrace import DixmierEstimate, dixmier_graded
 from landautrace.topo import (
     LEVEL_MARGIN,
+    _certify,
     _kramers_residual,
     classify_symmetry,
     invariants_jc,
@@ -220,6 +221,19 @@ class TestJcInvariants:
         with pytest.raises(ValueError):
             invariants_jc(0, "+", 60, ModelParams(c_b=0.3))
 
+    def test_huge_coupling_stays_finite(self):
+        # c_b sqrt(8 j) replaces 8 c_b^2 j, which overflows near c_b = 1e154
+        rep = invariants_jc(1, "+", 40, ModelParams(c_b=1e154))
+        assert np.isfinite(rep.rank_estimate.value) and np.isfinite(rep.chern_estimate.value)
+        assert rep.rank_rounded == rep.chern_rounded == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_certify_non_finite_estimate(value):
+    est = DixmierEstimate(value, "graded", [], True, 0.0)
+    assert _certify(est) == (None, False)
+    assert _certify(DixmierEstimate(1.0 + 1e-9, "graded", [], True, 1e-9)) == (1, True)
+
 
 class TestQuaternionicInvariants:
     def test_zero_coupling_doubled_landau(self):
@@ -271,9 +285,14 @@ class TestClassifySymmetry:
         assert label == "Quaternionic" and resid <= 1e-8
 
     def test_hermiticity_relative_to_scale(self):
-        # at eps_B 2e7 the rounding of A+ A- exceeds 1e-10 absolute, not 1e-10 relative
+        # at eps_B 2e7 the rounding of the dense product A+ A- exceeds 1e-10
+        # absolute, not 1e-10 relative (the package builds H without it)
         basis = build_basis(12)
-        H = quaternionic_hamiltonian(basis, ModelParams(eps_B=2e7, c_b=0.5, r=(0.36, 0.48, 0.8)))
+        p = ModelParams(eps_B=2e7, c_b=0.5, r=(0.36, 0.48, 0.8))
+        a_minus = np.kron(ladder(basis, "a-").entries, np.eye(2)) \
+            + p.c_b * np.kron(np.eye(basis.dim), sectors.QUATERNIONIC.lowering(p))
+        h = p.eps_B * (a_minus.conj().T @ a_minus + 0.5 * np.eye(2 * basis.dim))
+        H = OperatorMatrix(basis, h, spin_dim=2)
         assert not H.is_hermitian(1e-10)
         _, res = classify_symmetry(H, [quaternionic_trs(basis)])
         assert res <= 1e-15 * H.max_abs()

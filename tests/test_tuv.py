@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landautrace.fock import ModelParams, build_basis, landau_projection
-from landautrace.kernels import Region
+from landautrace.kernels import QuadratureConvergenceError, Region
 from landautrace.tuv import (
     FolnerFamily,
     LandauCombination,
@@ -49,6 +49,13 @@ class TestRestrictedTrace:
             for side in (2.0, 4.0, 8.0, 16.0)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_unresolved_refinement_raises(self, monkeypatch):
+        # both kinds of operator share the refinement rule and its error
+        monkeypatch.setattr(LandauCombination, "kernel_diagonal",
+                            lambda self, points, params: np.cos(40.0 * points[:, 0]))
+        with pytest.raises(QuadratureConvergenceError):
+            restricted_trace(LandauCombination([1.0]), Region.square(8.0), ModelParams())
 
     def test_scales_with_magnetic_length(self):
         val = restricted_trace(
