@@ -12,6 +12,7 @@ spectral gap and an eigensolver that gives up), 4 assertion failure
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from .singtrace import (
     dixmier_via_gamma_fit,
     dixmier_via_zeta_residue,
     q_level_sequence,
-    q_resolvent_sequence,
     trace_Q_power,
     trace_Q_power_proj,
 )
@@ -138,15 +138,15 @@ class RunConfig:
             raise ConfigError("quaternionic runs select a fermi_energy, not levels")
         for sign, j in self.levels:
             if self.model == "landau" and sign:
-                raise ConfigError(f"landau levels take no sign (got {sign}{j})")
+                raise ConfigError(f"landau levels take no sign (got {j}{sign})")
             if self.model == "jaynes_cummings" and j > 0 and not sign:
                 raise ConfigError(f"pair level {j} needs a sign, e.g. {j}+")
             if j > self.nmax:
                 raise ConfigError(f"level {j} exceeds nmax = {self.nmax}")
         if command == "invariants":
             self._check_invariants()
-        # the commutator and symmetry checks compare interior blocks up to
-        # two shells in (topo.classify_symmetry's margin)
+        # the commutator check compares ladder commutators on the interior one
+        # shell in (interior_block's margin), which must hold more than shell 0
         if command == "verify" and self.nmax < 2:
             raise ConfigError(f"verify needs nmax >= 2, got {self.nmax}")
 
@@ -269,43 +269,29 @@ def cmd_spectrum(config):
 
 
 def cmd_invariants(config):
+    """One report per requested level; exit 3 when any report is not certified."""
     os.makedirs(config.out_dir, exist_ok=True)
-    params, nmax = config.params, config.nmax
-    reports = []
-    status = EXIT_OK
+    path = os.path.join(config.out_dir, "invariants.json")
     if config.model == "landau":
-        levels = [j for _, j in config.levels] or [0]
-        for j in levels:
-            rep = topo.invariants_landau(j, nmax, params)
-            reports.append(dict(level=f"{j}", **rep.to_dict()))
-            if not (rep.rank_certified and rep.chern_certified):
-                status = EXIT_NOCONV
+        runs = [(f"{j}", topo.invariants_landau, (j,)) for _, j in config.levels or [("", 0)]]
     elif config.model == "jaynes_cummings":
-        levels = config.levels or [("+", 1)]
-        for sign, j in levels:
-            if j == 0:
-                continue
-            rep = topo.invariants_jc(j, sign or "+", nmax, params)
-            reports.append(dict(level=f"{j}{sign or '+'}", **rep.to_dict()))
-            if not (rep.rank_certified and rep.chern_certified):
-                status = EXIT_NOCONV
+        runs = [(f"{j}{sign or '+'}", topo.invariants_jc, (j, sign or "+"))
+                for sign, j in config.levels or [("+", 1)] if j]
+    elif config.fermi_energy is None:
+        raise ConfigError("quaternionic invariants need fermi_energy")
     else:
-        if config.fermi_energy is None:
-            raise ConfigError("quaternionic invariants need fermi_energy")
-        try:
-            rep = topo.invariants_quaternionic(
-                config.fermi_energy, nmax, params, config.gap_threshold
-            )
-        except NoGapError as exc:
-            _write_json(os.path.join(config.out_dir, "invariants.json"),
-                        {"error": "no-gap", "detail": str(exc)})
-            print(f"no-gap: {exc}", file=sys.stderr)
-            return EXIT_NOCONV
-        reports.append(dict(level=f"E={config.fermi_energy}", **rep.to_dict()))
-        if not (rep.rank_certified and rep.chern_certified and rep.parity_ok):
-            status = EXIT_NOCONV
-    _write_json(os.path.join(config.out_dir, "invariants.json"), reports)
-    return status
+        run = functools.partial(topo.invariants_quaternionic, gap_threshold=config.gap_threshold)
+        runs = [(f"E={config.fermi_energy}", run, (config.fermi_energy,))]
+    reports = []
+    try:
+        for level, run, args in runs:
+            reports.append((level, run(*args, config.nmax, config.params)))
+    except NoGapError as exc:
+        _write_json(path, {"error": "no-gap", "detail": str(exc)})
+        print(f"no-gap: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
+    _write_json(path, [dict(level=level, **rep.to_dict()) for level, rep in reports])
+    return EXIT_OK if all(rep.certified for _, rep in reports) else EXIT_NOCONV
 
 
 # --- verification suite -----------------------------------------------------
@@ -397,7 +383,7 @@ def _check_commutators(config, tol):
 
 def _check_curvature(config, tol):
     """Worst residual of the curvature identities (a) and (b), j = 0..5."""
-    nmax = max(12, min(config.nmax, 40))
+    nmax = max(12, config.nmax)
     worst = 0.0
     for j in range(0, min(6, nmax - 3)):
         res = topo.verify_curvature_identity(j, nmax, config.params)
@@ -427,22 +413,23 @@ def _check_integral_identity(config, tol):
 
 
 def _check_symmetries(config, tol):
-    """Worst symmetry residual of the three Hamiltonians, in units of max(1, eps_B) like H."""
-    basis = build_basis(min(config.nmax, 20))
+    """Worst symmetry residual of the Hamiltonians' b = 0 sector blocks, in units of max(1, eps_B)."""
     params = config.params
+    s = config.nmax + 1
     scale = max(1.0, params.eps_B)
-    _, _, theta = flip_and_conjugation(basis)
     p_jc = ModelParams(ell_B=params.ell_B, eps_B=params.eps_B, xi=params.xi,
                        c_b=params.c_b or 0.5, r=params.r)
+    lowering, occupations = sectors.lowering_block(s), np.arange(s)
     worst = 0.0
-    for H, rep, expected in (
-        (derived_operator(basis, "H_B", params), theta, "Real"),
-        (models.jc_hamiltonian(basis, p_jc), models.jc_trs(basis), "Real"),
-        (models.quaternionic_hamiltonian(basis, p_jc), models.quaternionic_trs(basis),
-         "Quaternionic"),
+    for H, twist, expected in (
+        (np.diag(params.eps_B * (occupations + 0.5)), sectors.THETA_TWIST, "Real(+1)"),
+        (sectors.JC.hamiltonian(lowering, occupations, p_jc), sectors.JC.twist, "Real(+1)"),
+        (sectors.QUATERNIONIC.hamiltonian(lowering, occupations, p_jc),
+         sectors.QUATERNIONIC.twist, "Quaternionic(-1)"),
     ):
-        label, res = topo.classify_symmetry(H, [rep], topo.SYMMETRY_TOL * scale)
-        worst = max(worst, res / scale if label == expected else np.inf)
+        res = sectors.block_symmetry_residual(H, twist)
+        ok = res <= topo.SYMMETRY_TOL * scale and sectors.symmetry_label(twist) == expected
+        worst = max(worst, res / scale if ok else np.inf)
     return worst
 
 
@@ -481,17 +468,16 @@ def cmd_verify(config):
         tol = config.tol if config.tol is not None else default_tol
         try:
             residual = float(fn(config, tol))
-            ok = residual <= tol
+            failure = EXIT_OK if residual <= tol else EXIT_ASSERT
         except QuadratureConvergenceError as exc:
-            residual, ok = float("nan"), False
-            status = max(status, EXIT_NOCONV)
+            residual, failure = float("nan"), EXIT_NOCONV
             print(f"{name}: non-convergence: {exc}", file=sys.stderr)
         except ArithmeticError as exc:  # a scale of the check overflows at these params
-            residual, ok = float("nan"), False
+            residual, failure = float("nan"), EXIT_ASSERT
             print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        ok = failure == EXIT_OK
+        status = max(status, failure)
         rows.append([name, residual, tol, "pass" if ok else "FAIL"])
-        if not ok:
-            status = max(status, EXIT_ASSERT)
         print(f"{name:<22s} residual={residual:.3e} tol={tol:.1e} "
               f"{'pass' if ok else 'FAIL'}")
     _write_csv(os.path.join(config.out_dir, "verify.csv"),

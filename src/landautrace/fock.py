@@ -16,10 +16,10 @@ Mode conventions (hbar = 1):
     L3 = a+a- - b+b-
 
 Matrices are stored dense, and products cost O(dim^3) (dim ~ 2e3 at
-Nmax 60). The ``spectrum`` and ``invariants`` commands and ``verify
---check curvature`` build none of them: they run sector by sector in
-:mod:`landautrace.sectors`. Dense matrices serve the other ``verify``
-checks and the test oracles.
+Nmax 60). Of the commands only ``verify --check commutators`` builds
+them; the others run sector by sector in :mod:`landautrace.sectors`.
+The rest, :class:`AntiUnitaryRep` and :func:`flip_and_conjugation` among
+them, serves the test oracles.
 """
 
 from dataclasses import dataclass
@@ -86,9 +86,6 @@ class TruncatedBasis:
 
     def index_of(self, n1, n2):
         return self._index[(n1, n2)]
-
-    def __contains__(self, key):
-        return tuple(key) in self._index
 
     def __repr__(self):
         return f"TruncatedBasis(nmax={self.nmax}, dim={self.dim})"

@@ -91,13 +91,6 @@ class Region:
             return self.size ** 2
         return np.pi * self.size ** 2
 
-    @property
-    def radius_bound(self):
-        """Circumradius; bounds |x| on the region."""
-        if self.shape == "square":
-            return self.size * np.sqrt(2) / 2
-        return self.size
-
     def rule(self, order):
         """Tensor Gauss-Legendre (square) or polar GL x trapezoid (disk)."""
         if order < 2:

@@ -63,7 +63,6 @@ class SpectrumTable:
 
     eigenvalues: np.ndarray
     provenance: str                 # "closed_form" or "diagonalized"
-    multiplicities: np.ndarray = None   # within truncation; None for closed forms
     interior: np.ndarray = None         # None for closed forms
     labels: list = None                 # level names, closed forms only
 
@@ -207,7 +206,7 @@ def quaternionic_ground_modes(basis, params, m):
     return out
 
 
-def diagonalize_and_gaps(H, gap_threshold, params=None):
+def diagonalize_and_gaps(H, gap_threshold):
     """Dense hermitian eigendecomposition with interior-certified gap list.
 
     The dense oracle of :func:`sectors.jc_sector_eigensystem` and
@@ -229,7 +228,7 @@ def diagonalize_and_gaps(H, gap_threshold, params=None):
     edge = shell > basis.nmax - sectors.EDGE_SHELLS
     mass = (np.abs(v) ** 2)[edge].sum(axis=0)
     interior = mass < sectors.INTERIOR_MASS
-    table = SpectrumTable(w, "diagonalized", np.ones_like(w, dtype=np.int64), interior)
+    table = SpectrumTable(w, "diagonalized", interior=interior)
     gaps = _gaps_from_levels(w[interior], gap_threshold)
     return table, gaps
 
@@ -242,11 +241,9 @@ def _gaps_from_levels(levels, threshold):
     return gaps
 
 
-def fermi_projection(H, energy, gap_threshold=None, params=None):
+def fermi_projection(H, energy, gap_threshold=0.05):
     """Sum of eigenprojections below an energy inside a certified gap."""
-    if gap_threshold is None:
-        gap_threshold = 0.05
-    table, gaps = diagonalize_and_gaps(H, gap_threshold, params)
+    table, gaps = diagonalize_and_gaps(H, gap_threshold)
     if not any(g.contains(energy) for g in gaps):
         raise NoGapError(f"no certified gap around E = {energy}")
     w, v = np.linalg.eigh(H.entries)

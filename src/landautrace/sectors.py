@@ -19,8 +19,9 @@ consume them for all three models, :func:`shell_sums` and
 :func:`symmetry_residual`; no other module reads the rows.
 
 Each spin-1/2 model is one :class:`SpinHalfModel` record (:data:`JC`,
-:data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2), its spin
-twist and its symmetry label. With K_i x 1 - c_b 1 x gamma_i and
+:data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2) and its spin
+twist, which decides the symmetry label (:func:`symmetry_label`; Theta's
+twist is :data:`THETA_TWIST`). With K_i x 1 - c_b 1 x gamma_i and
 M = -(gamma_1 - i gamma_2)/sqrt2, eps_B (K_1^2 + K_2^2)/2 is
 
     eps_B (n x 1 + c_b (a+ x M + a x M^dagger) + 1 x (c_b^2 G + 1/2)),
@@ -78,12 +79,15 @@ __all__ = [
     "SpinHalfModel",
     "JC",
     "QUATERNIONIC",
+    "THETA_TWIST",
+    "symmetry_label",
     "lowering_block",
     "landau_identity_residuals",
     "landau_columns",
     "jc_columns",
     "shell_sums",
     "symmetry_residual",
+    "block_symmetry_residual",
     "landau_shell_sums",
     "jc_shell_sums",
     "landau_sector_eigensystem",
@@ -104,11 +108,10 @@ LEVEL_MARGIN = 3
 
 @dataclass(frozen=True, eq=False)
 class SpinHalfModel:
-    """A spin-1/2 model: ``gammas(params)`` = (gamma_1, gamma_2), its spin twist, its label."""
+    """A spin-1/2 model: ``gammas(params)`` = (gamma_1, gamma_2) and its spin twist."""
 
     gammas: Callable
     twist: np.ndarray
-    symmetry: str
 
     def lowering(self, params):
         """M = -(gamma_1 - i gamma_2)/sqrt2, the spin part of A- = a x 1 + c_b 1 x M."""
@@ -135,8 +138,18 @@ def _commuting_gammas(params):
     return -(params.r[0] * np.eye(2) + S), params.r[0] * np.eye(2) - S
 
 
-JC = SpinHalfModel(lambda params: (-SIGMA2, SIGMA1), np.diag([1, 1j]), "Real(+1)")
-QUATERNIONIC = SpinHalfModel(_commuting_gammas, SIGMA2, "Quaternionic(-1)")
+JC = SpinHalfModel(lambda params: (-SIGMA2, SIGMA1), np.diag([1, 1j]))
+QUATERNIONIC = SpinHalfModel(_commuting_gammas, SIGMA2)
+THETA_TWIST = np.ones((1, 1))  # Theta = F C of the Landau model
+
+
+def symmetry_label(twist):
+    """"Real(+1)" or "Quaternionic(-1)": (F x twist) C squares to twist conj(twist) = +-1."""
+    square = twist @ twist.conj()
+    for sign, label in ((1, "Real(+1)"), (-1, "Quaternionic(-1)")):
+        if np.allclose(square, sign * np.eye(len(twist)), rtol=0, atol=1e-12):
+            return label
+    raise ValueError(f"twist conj(twist) is not +-1: {square.tolist()}")
 
 
 def _i_power(exponent):
@@ -204,26 +217,37 @@ def shell_sums(nmax, columns, spin, xi):
     return rank, chern
 
 
+def _twist(Z, b, twist):
+    """U conj(Z) on the rows of sector b: U = diag(i^(n1 + b)) x twist, entries exact."""
+    spin = len(twist)
+    s = Z.shape[0] // spin
+    return np.einsum(
+        "n,ab,nbr->nar", _i_power(np.arange(s) + b), twist, Z.conj().reshape(s, spin, -1)
+    ).reshape(spin * s, -1)
+
+
 def symmetry_residual(columns, twist):
     """max |U conj(P) U^dagger - P| for the per-sector columns (b, V_b) of P.
 
-    U = diag(i^(n1 + b)) x twist is the unitary part of the symmetry:
-    twist [[1]] for Theta, a :class:`SpinHalfModel` twist for Xi, Xi'. Per sector
-    U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger, and both sides
-    vanish off the rows where V or U conj(V) is nonzero.
+    Per sector U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger, and both
+    sides vanish off the rows where V or U conj(V) is nonzero.
     """
-    spin = len(twist)
     worst = 0.0
     for b, V in columns:
-        s = V.shape[0] // spin
-        phases = _i_power(np.arange(s) + b)
-        UV = np.einsum(
-            "n,ab,nbr->nar", phases, twist, V.conj().reshape(s, spin, -1)
-        ).reshape(spin * s, -1)
+        UV = _twist(V, b, twist)
         rows = (V != 0).any(axis=1) | (UV != 0).any(axis=1)
         UV, V = UV[rows], V[rows]
         worst = max(worst, float(np.abs(UV @ UV.conj().T - V @ V.conj().T).max(initial=0.0)))
     return worst
+
+
+def block_symmetry_residual(H, twist):
+    """max |U conj(H) U^dagger - H| = max |T(T(H)^T) - H|, T = :func:`_twist`, H Hermitian.
+
+    Every other sector block is a leading principal submatrix of the b = 0
+    block H with U off by the global phase i^b, so H has the largest residual.
+    """
+    return float(np.abs(_twist(_twist(H, 0, twist).T, 0, twist) - H).max())
 
 
 def landau_shell_sums(nmax, j, xi):
@@ -411,12 +435,10 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     return secs, np.repeat(evs, 2), np.repeat(flags, 2)
 
 
-def quaternionic_shell_sums(nmax, params, energy, sectors=None):
+def quaternionic_shell_sums(nmax, params, energy, sectors):
     """Shell sums of rank and Chern densities of the Fermi projection.
 
     ``sectors`` is the output of :func:`quaternionic_sector_eigensystem`
-    at the same energy; it is computed when not given.
+    at the same energy.
     """
-    if sectors is None:
-        sectors, _, _ = quaternionic_sector_eigensystem(nmax, params, energy)
     return shell_sums(nmax, [(b, V) for b, _w, V, _flags in sectors], 2, params.xi)

@@ -376,7 +376,7 @@ def graded_diagonal(M, xi):
     return sums.real.copy()
 
 
-def dixmier_from_shell_sums(shell_sums, tolerance=5e-2, margin=GRADED_MARGIN):
+def dixmier_from_shell_sums(shell_sums, tolerance=5e-2):
     """Extrapolate the shell-indexed gamma sequence of a graded diagonal.
 
     gamma_l = (sum of shell sums through l) / log(l+1) is fitted over the
@@ -389,9 +389,9 @@ def dixmier_from_shell_sums(shell_sums, tolerance=5e-2, margin=GRADED_MARGIN):
     """
     shell_sums = np.asarray(shell_sums, dtype=float)
     n_shells = len(shell_sums)
-    if n_shells < 12 + margin:
-        raise ValueError(f"need at least {12 + margin} shells, got {n_shells}")
-    keep = n_shells - margin
+    if n_shells < 12 + GRADED_MARGIN:
+        raise ValueError(f"need at least {12 + GRADED_MARGIN} shells, got {n_shells}")
+    keep = n_shells - GRADED_MARGIN
     cum = np.cumsum(shell_sums[:keep])
     ell = np.arange(keep, dtype=float)
     lo = keep // 2
@@ -413,7 +413,7 @@ def dixmier_from_shell_sums(shell_sums, tolerance=5e-2, margin=GRADED_MARGIN):
 def dixmier_graded(M, xi, tolerance=5e-2):
     """Dixmier trace of (Q + 2 xi)^{-1} M from the graded diagonal of M.
 
-    Exactly linear in M by construction. Requires Nmax >= 12 + margin
+    Exactly linear in M by construction. Requires 12 + GRADED_MARGIN
     shells; the outer ``GRADED_MARGIN`` shells are dropped because ladder
     products of order <= 2 corrupt them at the truncation edge.
     """

@@ -18,10 +18,11 @@ Landau curvature identities on one window of at most 3 x 3, whatever
 Nmax. Projections come from there as per-sector columns, which this
 module passes on without reading their rows: to ``sectors.shell_sums``
 and to ``sectors.symmetry_residual`` with the spin twist of each symmetry
-([[1]] for Theta, the model record's twist for Xi and Xi'). Only
-:func:`classify_symmetry` and the dense derivation
-:func:`partial_derivative` take dense matrices; the dense forms of the
-other computations are the test oracles.
+(``sectors.THETA_TWIST`` for Theta, the model record's twist for Xi and
+Xi'), which also decides the label; :func:`_report` makes every report.
+:func:`classify_symmetry` and :func:`partial_derivative` take dense
+matrices: like the dense Hamiltonians, ``models.jc_trs`` and
+``quaternionic_trs``, they are test oracles.
 """
 
 from dataclasses import dataclass, field
@@ -66,6 +67,11 @@ class TopologicalReport:
     parity_ok: bool
     identity_residuals: dict = field(default_factory=dict)
 
+    @property
+    def certified(self):
+        """Rank, Chern number and parity all pass."""
+        return self.rank_certified and self.chern_certified and self.parity_ok
+
     def to_dict(self):
         return {
             "rank": {
@@ -92,6 +98,18 @@ def _certify(estimate):
     rounded = int(np.rint(estimate.value))
     ok = abs(estimate.value - rounded) <= 3.0 * estimate.residual and estimate.converged
     return rounded, bool(ok)
+
+
+def _report(rank_est, chern_est, twist, sym_res, residuals, parity=False):
+    """Certify both estimates, label the twist ("none" over SYMMETRY_TOL), check parity if asked."""
+    rank_rounded, rank_ok = _certify(rank_est)
+    chern_rounded, chern_ok = _certify(chern_est)
+    label = sectors.symmetry_label(twist) if sym_res <= SYMMETRY_TOL else "none"
+    parity_ok = not parity or (rank_ok and chern_ok and rank_rounded % 2 == chern_rounded % 2 == 0)
+    return TopologicalReport(
+        rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
+        label, sym_res, parity_ok, residuals,
+    )
 
 
 def partial_derivative(T, i, params=None):
@@ -134,7 +152,7 @@ def verify_curvature_identity(j, nmax, params):
 
 def _theta_projection_residual(nmax, j):
     """Residual of Theta P_j Theta^{-1} = P_j, sector by sector."""
-    return sectors.symmetry_residual(sectors.landau_columns(nmax, j), np.ones((1, 1)))
+    return sectors.symmetry_residual(sectors.landau_columns(nmax, j), sectors.THETA_TWIST)
 
 
 def invariants_landau(j, nmax, params):
@@ -161,15 +179,10 @@ def invariants_landau(j, nmax, params):
     )
     _, chern_sums = sectors.landau_shell_sums(nmax, j, xi)
     chern_est = dixmier_from_shell_sums(chern_sums)
-    rank_rounded, rank_ok = _certify(rank_est)
-    chern_rounded, chern_ok = _certify(chern_est)
     residuals = verify_curvature_identity(j, nmax, params)
     sym_res = _theta_projection_residual(nmax, j)
-    return TopologicalReport(
-        rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
-        "Real(+1)" if sym_res <= SYMMETRY_TOL else "none", sym_res, True,
-        dict(residuals, estimator_spread=spread),
-    )
+    return _report(rank_est, chern_est, sectors.THETA_TWIST, sym_res,
+                   dict(residuals, estimator_spread=spread))
 
 
 def invariants_jc(j, sign, nmax, params):
@@ -184,14 +197,9 @@ def invariants_jc(j, sign, nmax, params):
     rank_sums, chern_sums, closed_resid = sectors.jc_shell_sums(nmax, j, theta, params.xi)
     rank_est = dixmier_from_shell_sums(rank_sums)
     chern_est = dixmier_from_shell_sums(chern_sums)
-    rank_rounded, rank_ok = _certify(rank_est)
-    chern_rounded, chern_ok = _certify(chern_est)
     sym_res = _jc_symmetry_residual(nmax, j, theta)
-    return TopologicalReport(
-        rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
-        sectors.JC.symmetry if sym_res <= SYMMETRY_TOL else "none", sym_res, True,
-        {"spin_trace_closed_form": closed_resid},
-    )
+    return _report(rank_est, chern_est, sectors.JC.twist, sym_res,
+                   {"spin_trace_closed_form": closed_resid})
 
 
 def _jc_symmetry_residual(nmax, j, theta):
@@ -218,18 +226,10 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     # documented certification budget for the quaternionic invariants
     rank_est = dixmier_from_shell_sums(rank_sums, tolerance=1e-1)
     chern_est = dixmier_from_shell_sums(chern_sums, tolerance=1e-1)
-    rank_rounded, rank_ok = _certify(rank_est)
-    chern_rounded, chern_ok = _certify(chern_est)
     sym_res = _quaternionic_symmetry_residual(secs)
-    parity_ok = (
-        rank_ok and chern_ok and rank_rounded % 2 == 0 and chern_rounded % 2 == 0
-    )
     kramers = _kramers_residual(evs[flags])
-    return TopologicalReport(
-        rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
-        sectors.QUATERNIONIC.symmetry if sym_res <= SYMMETRY_TOL else "none", sym_res, parity_ok,
-        {"kramers_pairing": kramers, "n_gaps": float(len(gaps))},
-    )
+    return _report(rank_est, chern_est, sectors.QUATERNIONIC.twist, sym_res,
+                   {"kramers_pairing": kramers, "n_gaps": float(len(gaps))}, parity=True)
 
 
 def _quaternionic_symmetry_residual(secs):
@@ -262,7 +262,9 @@ def classify_symmetry(H, candidates, tol=SYMMETRY_TOL, margin=2):
 
     Returns (label, residual) with label "Real", "Quaternionic" or "none";
     the residual is measured on the margin-restricted interior block. H
-    must be hermitian to 1e-10 relative to its largest entry.
+    must be hermitian to 1e-10 relative to its largest entry. The dense
+    oracle of ``sectors.block_symmetry_residual``, which ``verify --check
+    symmetries`` uses.
     """
     from .fock import interior_block
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from landautrace import fock, tuv
+from landautrace import fock, sectors, tuv
 from landautrace.cli import (
+    _MODELS,
     EXIT_ASSERT,
     EXIT_CONFIG,
     EXIT_NOCONV,
@@ -60,6 +62,12 @@ class TestConfigParsing:
         cfg.write_text("model = jaynes_cummings\nlevels = 2\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_CONFIG
+
+    def test_landau_level_sign_echoed_as_written(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = landau\nlevels = 2-\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_CONFIG
+        assert "landau levels take no sign (got 2-)" in capsys.readouterr().err
 
     def test_invariants_need_graded_shells(self, tmp_path, capsys):
         # shells 0..nmax feed the graded fit, which needs 12 + GRADED_MARGIN of them
@@ -272,6 +280,28 @@ class TestInvariants:
         assert data[0]["chern"]["rounded"] == 2
         assert data[0]["parity_ok"]
 
+    def test_mixed_certification_exits_3_with_every_report(self, tmp_path):
+        # level 0 certifies at Nmax 40, level 37 (the last interior one) does not
+        cfg = self._config(tmp_path, "landau", "0,37")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
+        assert rc == EXIT_NOCONV
+        data = json.loads((tmp_path / "invariants.json").read_text())
+        assert [r["level"] for r in data] == ["0", "37"]
+        assert data[0]["rank"]["certified"] and data[0]["chern"]["certified"]
+        assert not data[1]["rank"]["certified"]
+
+    def test_jc_pair_level_zero_skipped(self, tmp_path):
+        cfg = self._config(tmp_path, "jaynes_cummings", "0,1+", "params.c_b = 0.3\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_OK
+        data = json.loads((tmp_path / "invariants.json").read_text())
+        assert [r["level"] for r in data] == ["1+"]
+
+    @staticmethod
+    def _config(tmp_path, model, levels, extra=""):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = {model}\nnmax = 40\nlevels = {levels}\n{extra}")
+        return cfg
+
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = landau\nlevels = 0,1\nnmax = 40\n")
@@ -308,14 +338,15 @@ class TestVerify:
         assert rc == EXIT_OK
 
     def test_curvature_and_landau_invariants_build_no_dense_matrix(self, tmp_path, monkeypatch):
-        # both run per n2 sector and must not fall back to dense OperatorMatrix algebra
+        # these run per n2 sector and must not fall back to dense OperatorMatrix algebra
         def refuse(*args, **kwargs):
             raise AssertionError("dense OperatorMatrix built")
 
         monkeypatch.setattr(fock.OperatorMatrix, "__init__", refuse)
-        rc = main(["--check", "curvature", "--out", str(tmp_path), "verify"])
-        assert rc == EXIT_OK
-        assert read_csv(tmp_path / "verify.csv")[1][3] == "pass"
+        for check in ("curvature", "symmetries"):
+            rc = main(["--check", check, "--out", str(tmp_path), "verify"])
+            assert rc == EXIT_OK, check
+            assert read_csv(tmp_path / "verify.csv")[1][3] == "pass"
         monkeypatch.setenv("LANDAU_LEVELS", "0,3")
         rc = main(["--model", "landau", "--nmax", "60", "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_OK
@@ -329,6 +360,23 @@ class TestVerify:
         rc = main(["--check", "symmetries", "--nmax", "20", "--out", str(tmp_path), "verify"])
         assert rc == EXIT_OK
         assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-8
+
+    def test_symmetries_at_large_truncation(self, tmp_path):
+        # the dense check stopped at Nmax 20; the b = 0 block takes every row
+        rc = main(["--check", "symmetries", "--nmax", "300", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-8
+
+    def test_symmetries_fail_on_a_wrong_twist_or_class(self, tmp_path, monkeypatch):
+        argv = ["--check", "symmetries", "--nmax", "12", "--out", str(tmp_path), "verify"]
+        # diag(1, -i) maps c_b -> -c_b: the spin-orbit block breaks it
+        with monkeypatch.context() as m:
+            m.setattr(sectors, "JC", dataclasses.replace(sectors.JC, twist=np.diag([1, -1j])))
+            assert main(argv) == EXIT_ASSERT
+        # sigma_2 read as Real: the quaternionic residual stays small, its class is wrong
+        monkeypatch.setattr(sectors, "symmetry_label", lambda twist: "Real(+1)")
+        assert main(argv) == EXIT_ASSERT
+        assert read_csv(tmp_path / "verify.csv")[1][1] == "inf"
 
     def test_symmetries_independent_of_blas_threads(self, tmp_path):
         # seed-2 couplings of the benchmark's verify-suite, whose symmetries row
@@ -352,15 +400,58 @@ class TestVerify:
             outputs.append((out / "verify.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # invariants of all three models and spectrum, each run at 1 and 2 BLAS threads
+        couplings = ("params.c_b = 0.25495087244304415\nparams.r0 = -0.41817164447055993\n"
+                     "params.r1 = 0.49869878352203106\nparams.r2 = 0.759231189476851\n")
+        jobs = {
+            "inv-landau": ("invariants", "model = landau\nnmax = 60\nlevels = 0,2\n"),
+            "inv-jc": ("invariants", "model = jaynes_cummings\nnmax = 60\nlevels = 1+,2-\n"),
+            "inv-quaternionic": ("invariants", "model = quaternionic\nnmax = 60\nfermi_energy = 1\n"),
+        }
+        jobs.update({f"spectrum-{m}": ("spectrum", f"model = {m}\nnmax = 40\n") for m in _MODELS})
+        runs = []
+        for name, (command, text) in jobs.items():
+            (tmp_path / f"{name}.cfg").write_text(text + couplings)
+            runs.append((name, str(tmp_path / f"{name}.cfg"), command))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        # one child per thread count runs every job; argv[1] is its output root
+        script = ("import os, sys\nfrom landautrace.cli import main\n"
+                  f"sys.exit(max(main(['--config', cfg, '--out', os.path.join(sys.argv[1], name), "
+                  f"command]) for name, cfg, command in {runs!r}))")
+        outputs = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            files = sorted((tmp_path / threads).rglob("*.*"))
+            outputs.append({f.relative_to(tmp_path / threads): f.read_bytes() for f in files})
+        assert len(outputs[0]) == 3 + 2 * 3
+        assert outputs[0] == outputs[1]
+
     def test_tuv_bridge_non_convergence_is_reported(self, tmp_path, monkeypatch, capsys):
         # a kernel diagonal the quadrature cannot resolve: the failed refinement
-        # is a failed row with a NaN residual, not a traceback
+        # is a failed row with a NaN residual, not a traceback, and exits 3
         monkeypatch.setattr(tuv.LandauCombination, "kernel_diagonal",
                             lambda self, points, params: np.cos(40.0 * points[:, 0]))
         rc = main(["--check", "tuv_bridge", "--out", str(tmp_path), "verify"])
-        assert rc == EXIT_ASSERT
+        assert rc == EXIT_NOCONV
         assert "tuv_bridge: non-convergence" in capsys.readouterr().err
         assert read_csv(tmp_path / "verify.csv")[1][1:] == ["nan", "0.001", "FAIL"]
+
+    def test_tolerance_failure_outranks_non_convergence(self, tmp_path, monkeypatch):
+        # the same unresolved quadrature in the full suite at a tolerance no
+        # check meets: the tolerance failures exit 4
+        monkeypatch.setattr(tuv.LandauCombination, "kernel_diagonal",
+                            lambda self, points, params: np.cos(40.0 * points[:, 0]))
+        rc = main(["--tol", "1e-30", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_ASSERT
+        rows = {r[0]: r for r in read_csv(tmp_path / "verify.csv")[1:]}
+        assert rows["tuv_bridge"][1:] == ["nan", "1.0000000000000001e-30", "FAIL"]
+        assert sum(r[3] == "FAIL" for r in rows.values()) > 1
 
     def test_unknown_check_rejected(self, tmp_path):
         rc = main(["--check", "nonsense", "--out", str(tmp_path), "verify"])

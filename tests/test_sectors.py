@@ -8,11 +8,13 @@ The rotated quaternionic solver is checked against a complex ``eigh`` of
 the dense 2s x 2s sector blocks.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from landautrace import models, sectors, topo
-from landautrace.fock import ModelParams, build_basis, derived_operator
+from landautrace.fock import ModelParams, build_basis, derived_operator, flip_and_conjugation
 from landautrace.models import jc_angles
 
 NMAX = 20
@@ -226,6 +228,16 @@ def dense_quaternionic_symmetry_residual(columns):
 TWISTS = {"Theta": np.ones((1, 1)), "Xi": np.diag([1, 1j]), "Xi-prime": sectors.SIGMA2}
 
 
+def test_symmetry_labels_from_twists():
+    assert sectors.symmetry_label(sectors.THETA_TWIST) == "Real(+1)"
+    assert sectors.symmetry_label(sectors.JC.twist) == "Real(+1)"
+    # squares to +1 as well, though it maps c_b -> -c_b (see models)
+    assert sectors.symmetry_label(np.diag([1, -1j])) == "Real(+1)"
+    assert sectors.symmetry_label(sectors.QUATERNIONIC.twist) == "Quaternionic(-1)"
+    with pytest.raises(ValueError, match="not"):
+        sectors.symmetry_label(np.array([[0, 1], [1j, 0]]))  # unitary, squares to diag(-i, i)
+
+
 def dense_symmetry_residual(columns, twist):
     """max |U conj(P) U^dagger - P| with U = diag(i^(n1 + b)) x twist as a matrix."""
     worst = 0.0
@@ -351,6 +363,29 @@ def test_quaternionic_symmetry_residual_matches_dense(energy):
     ref = dense_quaternionic_symmetry_residual([(b, V) for b, _, V, _ in broken])
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps_B", [1.0, 2e7])
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+@pytest.mark.parametrize("nmax", [6, 12, 20])
+def test_block_symmetry_residual_matches_dense(nmax, params, eps_B):
+    # the b = 0 block, every row, gives the residual of classify_symmetry on the
+    # dense H and its margin-2 interior bit for bit, and the same class
+    p = dataclasses.replace(params, eps_B=eps_B)
+    basis = build_basis(nmax)
+    lowering, occupations = sectors.lowering_block(nmax + 1), np.arange(nmax + 1)
+    for H, rep, model, twist in (
+        (derived_operator(basis, "H_B", p), flip_and_conjugation(basis)[2], None,
+         sectors.THETA_TWIST),
+        (models.jc_hamiltonian(basis, p), models.jc_trs(basis), sectors.JC, sectors.JC.twist),
+        (models.quaternionic_hamiltonian(basis, p), models.quaternionic_trs(basis),
+         sectors.QUATERNIONIC, sectors.QUATERNIONIC.twist),
+    ):
+        block = (np.diag(p.eps_B * (occupations + 0.5)) if model is None
+                 else model.hamiltonian(lowering, occupations, p))
+        label, ref = topo.classify_symmetry(H, [rep], tol=np.inf)
+        assert sectors.block_symmetry_residual(block, twist) == ref
+        assert sectors.symmetry_label(twist).startswith(label)
 
 
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)

@@ -25,7 +25,9 @@ from landautrace.models import (
 from landautrace.singtrace import DixmierEstimate, dixmier_graded
 from landautrace.topo import (
     LEVEL_MARGIN,
+    SYMMETRY_TOL,
     _certify,
+    _report,
     _kramers_residual,
     classify_symmetry,
     invariants_jc,
@@ -235,13 +237,26 @@ def test_certify_non_finite_estimate(value):
     assert _certify(DixmierEstimate(1.0 + 1e-9, "graded", [], True, 1e-9)) == (1, True)
 
 
+def test_report_step():
+    # labels come from the twist below SYMMETRY_TOL; parity, when asked, needs even integers
+    one, two = (DixmierEstimate(v, "graded", [], True, 1e-3) for v in (1.0, 2.0))
+    rep = _report(one, one, sectors.THETA_TWIST, 0.0, {})
+    assert rep.symmetry == "Real(+1)" and rep.parity_ok and rep.certified
+    rep = _report(one, one, sectors.QUATERNIONIC.twist, 0.0, {}, parity=True)
+    assert rep.symmetry == "Quaternionic(-1)" and not rep.parity_ok and not rep.certified
+    rep = _report(two, two, sectors.QUATERNIONIC.twist, 2 * SYMMETRY_TOL, {}, parity=True)
+    assert rep.symmetry == "none" and rep.parity_ok and rep.certified
+    rep = _report(two, DixmierEstimate(np.nan, "graded", [], True, 0.0), sectors.JC.twist, 0.0, {})
+    assert rep.rank_certified and not rep.certified
+
+
 class TestQuaternionicInvariants:
     def test_zero_coupling_doubled_landau(self):
         p = ModelParams(c_b=0.0, r=(0.0, 1.0, 0.0))
         rep = invariants_quaternionic(1.0, 60, p)
         assert rep.rank_rounded == 2 and rep.rank_certified
         assert rep.chern_rounded == 2 and rep.chern_certified
-        assert rep.parity_ok
+        assert rep.parity_ok and rep.certified
         assert rep.symmetry == "Quaternionic(-1)"
         assert rep.symmetry_residual <= 1e-8
 
