@@ -10,7 +10,6 @@ families of regions.
 
 from .fock import (
     AntiUnitaryRep,
-    FockIndex,
     ModelParams,
     OperatorMatrix,
     TruncatedBasis,
@@ -35,7 +34,6 @@ from .singtrace import (
 __all__ = [
     "AntiUnitaryRep",
     "DixmierEstimate",
-    "FockIndex",
     "ModelParams",
     "OperatorMatrix",
     "SingularSequence",

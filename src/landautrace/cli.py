@@ -8,6 +8,10 @@ variable with prefix ``LANDAU_`` (dots become double underscores, e.g.
 Exit status: 0 ok, 2 config error, 3 non-convergence (including a missing
 spectral gap and an eigensolver that gives up), 4 assertion failure
 (including a check that overflows).
+
+``verify --check commutators`` is the one check that builds dense
+matrices; their products cost O(dim^3), so it runs at
+min(nmax, COMMUTATOR_NMAX = 24).
 """
 
 import argparse
@@ -134,7 +138,7 @@ class RunConfig:
         self.check = _get(cfg, "check", None)
         self.out_dir = _get(cfg, "out", ".")
         # module preconditions checked up front
-        if self.model == "quaternionic" and any(s for s, _ in self.levels):
+        if self.model == "quaternionic" and self.levels:
             raise ConfigError("quaternionic runs select a fermi_energy, not levels")
         for sign, j in self.levels:
             if self.model == "landau" and sign:
@@ -146,7 +150,8 @@ class RunConfig:
         if command == "invariants":
             self._check_invariants()
         # the commutator check compares ladder commutators on the interior one
-        # shell in (interior_block's margin), which must hold more than shell 0
+        # shell in (interior_block's margin), which must hold more than shell 0;
+        # it runs at min(nmax, COMMUTATOR_NMAX)
         if command == "verify" and self.nmax < 2:
             raise ConfigError(f"verify needs nmax >= 2, got {self.nmax}")
 
@@ -357,8 +362,12 @@ def _check_dixmier(config, tol):
     return worst
 
 
+#: truncation cap of the commutator check, whose dense products cost O(dim^3)
+COMMUTATOR_NMAX = 24
+
+
 def _check_commutators(config, tol):
-    basis = build_basis(min(config.nmax, 24))
+    basis = build_basis(min(config.nmax, COMMUTATOR_NMAX))
     params = config.params
     eye = np.eye(build_basis(basis.nmax - 1).dim)  # the margin-1 interior
     am, ap = ladder(basis, "a-"), ladder(basis, "a+")

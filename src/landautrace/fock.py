@@ -1,10 +1,12 @@
 """Truncated two-mode oscillator space and explicit operator matrices.
 
-The basis is the family of joint number states |n1, n2> of two commuting
-boson modes, truncated by the graded cutoff n1 + n2 <= Nmax and ordered
-level-major: ascending shell s = n1 + n2, then ascending n1. Shells align
-with the eigenspaces of the harmonic regulator Q = a+a- + b+b- + 2, which
-is what the singular-trace engine sums over.
+The basis holds the joint number states |n1, n2> of two commuting boson
+modes with graded cutoff n1 + n2 <= Nmax, ordered level-major: ascending
+shell s = n1 + n2, then ascending n1, so |n1, n2> has index
+s(s+1)/2 + n1. :class:`TruncatedBasis` keeps the enumeration as integer
+arrays, from which each matrix is filled by one fancy-index assignment.
+Shells align with the eigenspaces of the harmonic regulator
+Q = a+a- + b+b- + 2, which is what the singular-trace engine sums over.
 
 Mode conventions (hbar = 1):
 
@@ -28,7 +30,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "FockIndex",
     "TruncatedBasis",
     "OperatorMatrix",
     "AntiUnitaryRep",
@@ -46,54 +47,44 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FockIndex:
-    """Two-mode occupation (n1, n2)."""
-
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError(f"occupations must be nonnegative: {(self.n1, self.n2)}")
-
-    @property
-    def shell(self):
-        return self.n1 + self.n2
+def _shell_start(s):
+    """Index of |0, s>, the first state of shell s; broadcasts."""
+    return s * (s + 1) // 2
 
 
 class TruncatedBasis:
-    """Graded basis of states with n1 + n2 <= Nmax, level-major ordering."""
+    """Graded basis of states with n1 + n2 <= Nmax, level-major ordering.
+
+    State i is |n1[i], n2[i]> on shell[i] = n1[i] + n2[i]; ``index_of``
+    is the inverse map.
+    """
 
     def __init__(self, nmax):
         if nmax < 0:
             raise ValueError("Nmax must be nonnegative")
         self.nmax = int(nmax)
-        states = []
-        for s in range(self.nmax + 1):
-            for n1 in range(s + 1):
-                states.append(FockIndex(n1, s - n1))
-        self.states = tuple(states)
-        self._index = {(st.n1, st.n2): i for i, st in enumerate(states)}
-        # vectorized copies of the occupation numbers
-        self.n1 = np.array([st.n1 for st in states], dtype=np.int64)
-        self.n2 = np.array([st.n2 for st in states], dtype=np.int64)
-        self.shell = self.n1 + self.n2
+        self.shell = np.repeat(np.arange(self.nmax + 1), np.arange(1, self.nmax + 2))
+        self.n1 = np.arange(self.dim) - _shell_start(self.shell)
+        self.n2 = self.shell - self.n1
 
     @property
     def dim(self):
-        return len(self.states)
+        return _shell_start(self.nmax + 1)
 
     def index_of(self, n1, n2):
-        return self._index[(n1, n2)]
+        """Index of |n1, n2>; broadcasts over arrays, KeyError outside the truncation."""
+        n1, n2 = np.asarray(n1), np.asarray(n2)
+        if np.any((n1 < 0) | (n2 < 0) | (n1 + n2 > self.nmax)):
+            raise KeyError(f"state outside n1, n2 >= 0, n1 + n2 <= {self.nmax}")
+        index = _shell_start(n1 + n2) + n1
+        return index if index.ndim else int(index)
 
     def __repr__(self):
         return f"TruncatedBasis(nmax={self.nmax}, dim={self.dim})"
 
     def shell_slice(self, s):
         """Contiguous index range of shell s."""
-        start = s * (s + 1) // 2
-        return slice(start, start + s + 1)
+        return slice(_shell_start(s), _shell_start(s + 1))
 
 
 @dataclass
@@ -206,7 +197,6 @@ class AntiUnitaryRep:
     """Anti-unitary operator U * (complex conjugation of coefficients)."""
 
     unitary_part: OperatorMatrix
-    conjugates: bool = True
 
     def __post_init__(self):
         u = self.unitary_part.entries
@@ -215,21 +205,17 @@ class AntiUnitaryRep:
             raise ValueError(f"unitary part fails unitarity by {dev:.2e}")
 
     def apply(self, vec):
-        vec = np.asarray(vec, dtype=complex)
-        if self.conjugates:
-            vec = vec.conj()
-        return self.unitary_part.entries @ vec
+        return self.unitary_part.entries @ np.asarray(vec, dtype=complex).conj()
 
     def conjugate_operator(self, op):
         """Return (anti-unitary) A op A^{-1} as a matrix."""
         u = self.unitary_part.entries
-        m = op.entries.conj() if self.conjugates else op.entries
-        return OperatorMatrix(op.basis, u @ m @ u.conj().T, op.spin_dim)
+        return OperatorMatrix(op.basis, u @ op.entries.conj() @ u.conj().T, op.spin_dim)
 
     def square_sign(self):
         """Sign of A^2, which is +-1 for the symmetries built here."""
         u = self.unitary_part.entries
-        sq = u @ u.conj() if self.conjugates else u @ u
+        sq = u @ u.conj()
         d = sq.shape[0]
         if np.abs(sq - np.eye(d)).max() < 1e-10:
             return +1
@@ -249,22 +235,15 @@ def ladder(basis, which):
     Raising matrix elements whose target leaves the truncation are
     dropped, so 'a+' is exactly the adjoint of 'a-' on the retained space.
     """
-    d = basis.dim
-    mat = np.zeros((d, d), dtype=complex)
-    lowering = which in ("a-", "b-")
-    mode_a = which in ("a-", "a+")
     if which not in ("a-", "a+", "b-", "b+"):
         raise ValueError(f"unknown ladder operator {which!r}")
-    for i, st in enumerate(basis.states):
-        n = st.n1 if mode_a else st.n2
-        if n == 0:
-            continue
-        tgt = (st.n1 - 1, st.n2) if mode_a else (st.n1, st.n2 - 1)
-        mat[basis.index_of(*tgt), i] = np.sqrt(n)
+    mode_a = which[0] == "a"
+    n = basis.n1 if mode_a else basis.n2
+    src = np.flatnonzero(n)  # states with n = 0 are annihilated
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    mat[basis.index_of(basis.n1[src] - mode_a, basis.n2[src] - (not mode_a)), src] = np.sqrt(n[src])
     lower = OperatorMatrix(basis, mat)
-    if lowering:
-        return lower
-    return lower.dagger()
+    return lower if which[1] == "-" else lower.dagger()
 
 
 _DERIVED = ("K1", "K2", "G1", "G2", "X1", "X2", "L3", "H_B", "Q_B")
@@ -334,13 +313,12 @@ def flip_and_conjugation(basis):
     unitary part and break those contracts.
     """
     d = basis.dim
+    swap, src = basis.index_of(basis.n2, basis.n1), np.arange(d)
     fmat = np.zeros((d, d), dtype=complex)
     cmat = np.zeros((d, d), dtype=complex)
-    for i, st in enumerate(basis.states):
-        jswap = basis.index_of(st.n2, st.n1)
-        s = st.shell
-        fmat[jswap, i] = (-1.0) ** s
-        cmat[jswap, i] = (-1j) ** s
+    fmat[swap, src] = (-1.0) ** basis.shell
+    # one Python complex power per shell: numpy's power signs some zeros differently
+    cmat[swap, src] = np.array([(-1j) ** s for s in range(basis.nmax + 1)])[basis.shell]
     F = OperatorMatrix(basis, fmat)
     C = AntiUnitaryRep(OperatorMatrix(basis, cmat))
     theta_u = OperatorMatrix(basis, fmat @ cmat)

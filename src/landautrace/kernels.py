@@ -120,10 +120,10 @@ class Region:
 
 
 def psi_eval(n, x, params=None):
-    """Eigenfunction psi_n at point(s) x; x is (2,) or (..., 2)."""
+    """Eigenfunction psi_n, n = (n1, n2), at point(s) x; x is (2,) or (..., 2)."""
     if params is None:
         params = ModelParams()
-    n1, n2 = (n.n1, n.n2) if hasattr(n, "n1") else (int(n[0]), int(n[1]))
+    n1, n2 = int(n[0]), int(n[1])
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = x[None, :] if scalar else x.reshape(-1, 2)

@@ -435,10 +435,10 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     return secs, np.repeat(evs, 2), np.repeat(flags, 2)
 
 
-def quaternionic_shell_sums(nmax, params, energy, sectors):
+def quaternionic_shell_sums(nmax, params, sectors):
     """Shell sums of rank and Chern densities of the Fermi projection.
 
     ``sectors`` is the output of :func:`quaternionic_sector_eigensystem`
-    at the same energy.
+    at the Fermi energy.
     """
     return shell_sums(nmax, [(b, V) for b, _w, V, _flags in sectors], 2, params.xi)

@@ -277,9 +277,9 @@ def _linfit(x, y):
 
 
 def _sigma_slope(N, sig):
-    """Slope of sigma_N = L log N + b + e / sqrt(N) and the gamma-unit deviation."""
+    """Slope of sigma_N = L log N + b + e / sqrt(N) + f / N and the gamma-unit deviation."""
     logn = np.log(N)
-    A = np.vstack([logn, np.ones_like(N), N ** -0.5]).T
+    A = np.vstack([logn, np.ones_like(N), N ** -0.5, 1.0 / N]).T
     coef, *_ = np.linalg.lstsq(A, sig, rcond=None)
     dev = float(np.abs((A @ coef - sig) / logn).max())
     return float(coef[0]), dev
@@ -292,20 +292,23 @@ def dixmier_via_gamma_fit(seq, tolerance=1e-3, schedule=GAMMA_SCHEDULE):
     sigma_N = L log N + c (least squares there keeps the intercept drift
     out of the slope), evaluated at multiplicity-block boundaries (the
     shell-subsequence trick) and augmented by a 1/sqrt(N) column that
-    captures the shell-tail correction of graded families. The residual
-    combines the fit deviation (in gamma units) with the spread against a
-    refit on the upper half of the schedule; non-convergence is reported
-    through the flag, never raised.
+    captures the shell-tail correction of graded families and a 1/N
+    column for the (a - 1/2)/N term of digamma partial sums
+    psi(N + a) - psi(a) (DLMF 5.11.2). The four-column fit needs at least
+    five schedule points, so it never passes through every point. The
+    residual combines the fit deviation (in gamma units) with the spread
+    against a refit on the upper half of the schedule; non-convergence is
+    reported through the flag, never raised.
     """
     schedule = [int(n) for n in schedule]
     if seq.finite:
         top = seq.total_count
         schedule = [n for n in schedule if n <= top]
-        if len(schedule) < 4:
+        if len(schedule) < 5:
             schedule = sorted({max(2, top // 2 ** k) for k in range(6)} | {top})
     # snap to multiplicity-block boundaries (shell-subsequence evaluation)
     schedule = sorted({seq.boundary_at_least(n) for n in schedule})
-    if len(schedule) < 4:
+    if len(schedule) < 5:
         return DixmierEstimate(np.nan, "gamma_fit", [], False, np.inf)
     N = np.array(schedule, dtype=float)
     sig = seq.sigma(np.array(schedule))

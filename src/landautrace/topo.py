@@ -52,6 +52,8 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-8
 LEVEL_MARGIN = sectors.LEVEL_MARGIN
+#: eigenvalues closer than this belong to one Kramers cluster
+KRAMERS_CLUSTER_TOL = 1e-8
 
 
 @dataclass
@@ -221,7 +223,7 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     gaps = _gaps_from_levels(evs[flags], gap_threshold)
     if not any(g.contains(energy) for g in gaps):
         raise NoGapError(f"no certified gap around E = {energy}")
-    rank_sums, chern_sums = sectors.quaternionic_shell_sums(nmax, params, energy, secs)
+    rank_sums, chern_sums = sectors.quaternionic_shell_sums(nmax, params, secs)
     # spin-doubled densities double the extrapolation spread; 0.1 is the
     # documented certification budget for the quaternionic invariants
     rank_est = dixmier_from_shell_sums(rank_sums, tolerance=1e-1)
@@ -241,16 +243,17 @@ def _quaternionic_symmetry_residual(secs):
     return sectors.symmetry_residual([(b, V) for b, _w, V, _fl in secs], sectors.QUATERNIONIC.twist)
 
 
-def _kramers_residual(levels, tol=1e-8):
+def _kramers_residual(levels):
     """Worst odd-cluster defect: every eigenvalue cluster must have even size.
 
-    Clusters split where a gap exceeds tol. An odd cluster scores the gap to
-    its nearest neighbour (inf without one). The rotated quaternionic solver
-    doubles every eigenvalue by construction, so this checks that doubling.
+    Clusters split where a gap exceeds KRAMERS_CLUSTER_TOL. An odd cluster
+    scores the gap to its nearest neighbour (inf without one). The rotated
+    quaternionic solver doubles every eigenvalue by construction, so this
+    checks that doubling.
     """
     levels = np.sort(levels)
     gaps = np.diff(levels)
-    cut = np.flatnonzero(gaps > tol)  # cluster k ends at index cut[k]
+    cut = np.flatnonzero(gaps > KRAMERS_CLUSTER_TOL)  # cluster k ends at index cut[k]
     sizes = np.diff(np.concatenate(([-1], cut, [len(levels) - 1])))
     edges = np.concatenate(([np.inf], gaps[cut], [np.inf]))  # gaps around each cluster
     nearest = np.minimum(edges[:-1], edges[1:])

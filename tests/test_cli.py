@@ -63,6 +63,13 @@ class TestConfigParsing:
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("levels", ["3", "3+", "0,1"])
+    def test_quaternionic_rejects_levels(self, tmp_path, capsys, levels):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = quaternionic\nnmax = 20\nfermi_energy = 1\nlevels = {levels}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_CONFIG
+        assert "quaternionic runs select a fermi_energy, not levels" in capsys.readouterr().err
+
     def test_landau_level_sign_echoed_as_written(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = landau\nlevels = 2-\n")
@@ -281,14 +288,15 @@ class TestInvariants:
         assert data[0]["parity_ok"]
 
     def test_mixed_certification_exits_3_with_every_report(self, tmp_path):
-        # level 0 certifies at Nmax 40, level 37 (the last interior one) does not
+        # level 0 certifies at Nmax 40; level 37, the last interior one, has an
+        # uncertified Chern number there
         cfg = self._config(tmp_path, "landau", "0,37")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_NOCONV
         data = json.loads((tmp_path / "invariants.json").read_text())
         assert [r["level"] for r in data] == ["0", "37"]
         assert data[0]["rank"]["certified"] and data[0]["chern"]["certified"]
-        assert not data[1]["rank"]["certified"]
+        assert not data[1]["chern"]["certified"]
 
     def test_jc_pair_level_zero_skipped(self, tmp_path):
         cfg = self._config(tmp_path, "jaynes_cummings", "0,1+", "params.c_b = 0.3\n")

@@ -21,15 +21,44 @@ def basis():
     return build_basis(12)
 
 
+def _enumerated(nmax):
+    """The level-major enumeration spelled out, and its inverse as a dict."""
+    states = [(n1, s - n1) for s in range(nmax + 1) for n1 in range(s + 1)]
+    return states, {st: i for i, st in enumerate(states)}
+
+
+def _loop_ladder(nmax, which):
+    """Oracle: the ladder matrix filled state by state."""
+    states, index = _enumerated(nmax)
+    mat = np.zeros((len(states), len(states)), dtype=complex)
+    mode_a = which[0] == "a"
+    for i, (n1, n2) in enumerate(states):
+        n = n1 if mode_a else n2
+        if n:
+            mat[index[(n1 - 1, n2) if mode_a else (n1, n2 - 1)], i] = np.sqrt(n)
+    return mat if which[1] == "-" else mat.conj().T
+
+
+def _loop_flip_and_conjugation(nmax):
+    """Oracle: the unitaries of F, C and Theta = F C filled state by state."""
+    states, index = _enumerated(nmax)
+    fmat = np.zeros((len(states), len(states)), dtype=complex)
+    cmat = np.zeros_like(fmat)
+    for i, (n1, n2) in enumerate(states):
+        fmat[index[(n2, n1)], i] = (-1.0) ** (n1 + n2)
+        cmat[index[(n2, n1)], i] = (-1j) ** (n1 + n2)
+    return fmat, cmat, fmat @ cmat
+
+
 class TestBasis:
     def test_smallest(self):
         b = build_basis(0)
         assert b.dim == 1
-        assert (b.states[0].n1, b.states[0].n2) == (0, 0)
+        assert (b.n1[0], b.n2[0]) == (0, 0)
 
     def test_ordering_nmax2(self):
         b = build_basis(2)
-        assert [(s.n1, s.n2) for s in b.states] == [
+        assert list(zip(b.n1, b.n2)) == [
             (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)
         ]
 
@@ -39,14 +68,35 @@ class TestBasis:
         assert b.dim == 8 * 9 // 2
 
     def test_index_bijection(self, basis):
-        for i, st in enumerate(basis.states):
-            assert basis.index_of(st.n1, st.n2) == i
+        for i, (n1, n2) in enumerate(zip(basis.n1, basis.n2)):
+            assert basis.index_of(n1, n2) == i
 
     def test_shells_contiguous(self, basis):
         for s in range(basis.nmax + 1):
             sl = basis.shell_slice(s)
             assert sl.stop - sl.start == s + 1
-            assert all(basis.states[i].shell == s for i in range(sl.start, sl.stop))
+            assert all(basis.n1[i] + basis.n2[i] == s for i in range(sl.start, sl.stop))
+
+    @pytest.mark.parametrize("nmax", range(13))
+    def test_arrays_match_enumeration(self, nmax):
+        b = build_basis(nmax)
+        states, _ = _enumerated(nmax)
+        assert list(zip(b.n1.tolist(), b.n2.tolist())) == states
+        assert np.array_equal(b.shell, b.n1 + b.n2)
+        assert b.dim == len(states)
+
+    def test_index_of_on_arrays(self, basis):
+        assert np.array_equal(basis.index_of(basis.n1, basis.n2), np.arange(basis.dim))
+        n1, n2 = np.arange(4)[:, None], np.arange(5)[None, :]
+        grid = basis.index_of(n1, n2)
+        assert np.array_equal(basis.n1[grid], np.broadcast_to(n1, grid.shape))
+        assert np.array_equal(basis.n2[grid], np.broadcast_to(n2, grid.shape))
+        assert type(basis.index_of(2, 3)) is int
+
+    @pytest.mark.parametrize("n1, n2", [(-1, 0), (0, -1), (13, 0), (6, 7), ([0, 13], [0, 0])])
+    def test_index_of_outside_truncation(self, basis, n1, n2):
+        with pytest.raises(KeyError):
+            basis.index_of(n1, n2)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -91,6 +141,12 @@ class TestLadder:
     def test_unknown_name(self, basis):
         with pytest.raises(ValueError):
             ladder(basis, "c+")
+
+    @pytest.mark.parametrize("nmax", [*range(13), 24])
+    def test_matches_state_loop(self, nmax):
+        b = build_basis(nmax)
+        for which in ("a-", "a+", "b-", "b+"):
+            assert np.array_equal(ladder(b, which).entries, _loop_ladder(nmax, which))
 
 
 class TestDerivedOperators:
@@ -267,6 +323,15 @@ class TestSymmetries:
                 expect = np.zeros(b.dim, dtype=complex)
                 expect[b.index_of(n2, n1)] = (-1j) ** s
                 assert np.abs(col - expect).max() == 0.0
+
+    @pytest.mark.parametrize("nmax", [*range(13), 24])
+    def test_matches_state_loop(self, nmax):
+        F, C, theta = flip_and_conjugation(build_basis(nmax))
+        fmat, cmat, tmat = _loop_flip_and_conjugation(nmax)
+        assert np.array_equal(F.entries, fmat)
+        assert np.array_equal(theta.unitary_part.entries, tmat)
+        # same bits, signed zeros included: C's phases come from Python's complex power
+        assert C.unitary_part.entries.tobytes() == cmat.tobytes()
 
     def test_c_intertwines_ladders(self, basis):
         # C a+ C = -i b+ and C b+ C = -i a+

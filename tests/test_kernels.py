@@ -62,8 +62,7 @@ class TestPsiEval:
         pts = rng.uniform(-3, 3, size=(40, 2))
         V = basis_matrix(basis, pts)
         for idx in (0, 5, 17, 30, 54):
-            st = basis.states[idx]
-            ref = psi_eval((st.n1, st.n2), pts)
+            ref = psi_eval((basis.n1[idx], basis.n2[idx]), pts)
             assert np.abs(V[idx] - ref).max() <= 1e-12
 
 

@@ -343,7 +343,7 @@ def rotated_and_dense_columns(energy):
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 def test_quaternionic_shell_sums_match_dense(energy):
     for nmax, params, secs, columns in rotated_and_dense_columns(energy):
-        rank, chern = sectors.quaternionic_shell_sums(nmax, params, energy, secs)
+        rank, chern = sectors.quaternionic_shell_sums(nmax, params, secs)
         ref_rank, ref_chern = dense_shell_sums(nmax, columns, 2, params.xi)
         np.testing.assert_allclose(rank, ref_rank, rtol=0, atol=1e-12)
         np.testing.assert_allclose(chern, ref_chern, rtol=0, atol=1e-12)

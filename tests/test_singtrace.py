@@ -166,7 +166,7 @@ class TestCesaro:
 
 class TestGammaFit:
     @pytest.mark.parametrize("xi", [0.0, 0.5])
-    @pytest.mark.parametrize("j", [0, 1, 3, 5])
+    @pytest.mark.parametrize("j", [0, 1, 3, 5, 25, 37, 60])
     def test_level_sequences_give_one(self, xi, j):
         est = dixmier_via_gamma_fit(q_level_sequence(xi, j))
         assert est.converged

@@ -172,6 +172,13 @@ class TestLandauInvariants:
             assert rep.symmetry == "Real(+1)"
             assert rep.parity_ok
 
+    @pytest.mark.parametrize("j", [25, 37, 60])
+    def test_high_level_rank_certified(self, j):
+        # the gamma fit's 1/N column keeps its spread from the zeta residue small
+        rep = invariants_landau(j, 300, ModelParams())
+        assert rep.rank_rounded == 1 and rep.rank_certified
+        assert rep.rank_estimate.residual <= 1e-4
+
     def test_xi_independence(self):
         reps = [
             invariants_landau(2, 60, ModelParams(xi=xi)) for xi in (0.0, 0.5, 1.0)
