@@ -9,9 +9,8 @@ Exit status: 0 ok, 2 config error, 3 non-convergence (including a missing
 spectral gap and an eigensolver that gives up), 4 assertion failure
 (including a check that overflows).
 
-``verify --check commutators`` is the one check that builds dense
-matrices; their products cost O(dim^3), so it runs at
-min(nmax, COMMUTATOR_NMAX = 24).
+No command builds a dense operator matrix: ``verify --check commutators``
+works on the bands of the n2 sector blocks at the requested nmax.
 """
 
 import argparse
@@ -24,7 +23,7 @@ import sys
 import numpy as np
 
 from . import models, sectors, singtrace, topo, tuv
-from .fock import ModelParams, build_basis, derived_operator, flip_and_conjugation, interior_block, ladder
+from .fock import ModelParams
 from .kernels import landau_kernel, verify_integral_identity, QuadratureConvergenceError, TARGET_IDENTITY
 from .models import NoGapError
 from .singtrace import (
@@ -150,8 +149,7 @@ class RunConfig:
         if command == "invariants":
             self._check_invariants()
         # the commutator check compares ladder commutators on the interior one
-        # shell in (interior_block's margin), which must hold more than shell 0;
-        # it runs at min(nmax, COMMUTATOR_NMAX)
+        # shell in (the margin-1 interior), which must hold more than shell 0
         if command == "verify" and self.nmax < 2:
             raise ConfigError(f"verify needs nmax >= 2, got {self.nmax}")
 
@@ -337,12 +335,15 @@ def _check_zeta_closed_forms(config, tol):
             ref = _brute_trace_q_power(s, xi)
             val = trace_Q_power(s, xi)
             worst = max(worst, abs(val - ref) / abs(ref))
+    # one power array per (s, xi): the sum for level j is its slice from j,
+    # whose entries are those of (seq + j + 2 + 2 xi)^-s since seq + j is exact
+    terms = 200000
     for s in (1.5, 2.0, 3.0):
         for xi in (0.0, 0.5, 1.0):
+            powers = (np.arange(terms + 7, dtype=float) + 2.0 + 2.0 * xi) ** (-s)
             for j in (0, 3, 7):
-                seq = np.arange(200000, dtype=float)
-                direct = np.sum((seq + j + 2.0 + 2.0 * xi) ** (-s))
-                a = 200000.0 + j + 2.0 + 2.0 * xi
+                direct = np.sum(powers[j:j + terms])
+                a = terms + j + 2.0 + 2.0 * xi
                 direct += a ** (1 - s) / (s - 1) + 0.5 * a ** (-s) + s * a ** (-s - 1) / 12.0
                 val = trace_Q_power_proj(s, xi, j)
                 worst = max(worst, abs(val - direct) / abs(direct))
@@ -362,32 +363,80 @@ def _check_dixmier(config, tol):
     return worst
 
 
-#: truncation cap of the commutator check, whose dense products cost O(dim^3)
-COMMUTATOR_NMAX = 24
+def _tridiagonal_commutator(x, y, rows):
+    """Diagonal and second bands of [X, Y] on its leading rows x rows block.
+
+    X and Y are tridiagonal with zero diagonal, given as (sub, sup) bands
+    with X[n + 1, n] = sub[n] and X[n, n + 1] = sup[n], at least ``rows``
+    long, so every entry of the block is a sum of products of two band
+    entries.
+    """
+    def product(p, q):
+        diag = p[1][:rows] * q[0][:rows]                   # n -> n + 1 -> n
+        diag[1:] += p[0][:rows - 1] * q[1][:rows - 1]      # n -> n - 1 -> n
+        top = max(rows - 2, 0)
+        return diag, p[1][:top] * q[1][1:top + 1], p[0][1:top + 1] * q[0][:top]
+
+    return [a - b for a, b in zip(product(x, y), product(y, x))]
+
+
+def _commutator_residuals(nmax):
+    """Residual of each canonical commutator and of Theta, on the n2 sector blocks.
+
+    Sector b (n2 = b) holds n1 = 0..nmax - b. The first mode acts inside
+    each sector by the leading block of one tridiagonal matrix, given by
+    its (sub, sup) bands c+ sqrt(n) and c- sqrt(n), n = 1, 2, ..., for
+    c+ a+ + c- a-. The second mode maps sector b to b - 1 by sqrt(b) on
+    their common n1 range, so its operators are the same bands along the
+    sector index. No block is formed: every entry compared is a sum of
+    products of two band entries.
+
+    Commutators are compared on the margin-1 interior, the first nmax - b
+    rows of sector b (n1 + b <= nmax - 1): first-mode ones per sector,
+    second-mode ones along the sector index, and [K, G] between sectors b
+    and b + 1, each entry one band entry of K times their coupling, in
+    either order. Theta, the phase i^(n1 + b) with complex conjugation,
+    conjugates K1 and K2 on every row.
+    """
+    root = np.sqrt(np.arange(1, nmax + 1, dtype=float))
+    c, ci = 1 / np.sqrt(2), 1 / (1j * np.sqrt(2))
+
+    def mode(c_raise, c_lower):
+        return c_raise * root, c_lower * root
+
+    lowering, raising = mode(0.0, 1.0), mode(1.0, 0.0)
+    k1, k2, g1, g2 = mode(c, c), mode(ci, -ci), mode(-c, -c), mode(-ci, ci)
+    names = ("[a-,a+] - 1", "[b-,b+] - 1", "[K1,K2] + i", "[G1,G2] + i",
+             "[K1,G1]", "[K2,G2]", "Theta K1 Theta^-1 + K2", "Theta K2 Theta^-1 + K1")
+    worst = dict.fromkeys(names, 0.0)
+
+    def record(name, *parts):
+        worst[name] = max(worst[name], *(float(np.abs(p).max(initial=0.0)) for p in parts))
+
+    def commutator(name, x, y, rows, target):
+        diag, *bands = _tridiagonal_commutator(x, y, rows)
+        record(name, diag - target, *bands)
+
+    # second mode: along the sector index, over every sector with interior rows
+    commutator("[b-,b+] - 1", lowering, raising, nmax, 1.0)
+    commutator("[G1,G2] + i", g1, g2, nmax, -1j)
+    for b in range(nmax):
+        rows = nmax - b
+        commutator("[a-,a+] - 1", lowering, raising, rows, 1.0)
+        commutator("[K1,K2] + i", k1, k2, rows, -1j)
+        for name, x, g in (("[K1,G1]", k1, g1), ("[K2,G2]", k2, g2)):
+            record(name, *(band[:rows - 1] * g[i][b] - g[i][b] * band[:rows - 1]
+                           for band in x for i in (0, 1)))
+        phase = sectors._i_power(np.arange(rows + 1) + b)
+        for name, x, y in (("Theta K1 Theta^-1 + K2", k1, k2), ("Theta K2 Theta^-1 + K1", k2, k1)):
+            sub = phase[1:] * x[0][:rows].conj() * phase[:-1].conj()
+            sup = phase[:-1] * x[1][:rows].conj() * phase[1:].conj()
+            record(name, sub + y[0][:rows], sup + y[1][:rows])
+    return worst
 
 
 def _check_commutators(config, tol):
-    basis = build_basis(min(config.nmax, COMMUTATOR_NMAX))
-    params = config.params
-    eye = np.eye(build_basis(basis.nmax - 1).dim)  # the margin-1 interior
-    am, ap = ladder(basis, "a-"), ladder(basis, "a+")
-    bm, bp = ladder(basis, "b-"), ladder(basis, "b+")
-    worst = 0.0
-    for low, high in ((am, ap), (bm, bp)):
-        comm = low.commutator(high)
-        worst = max(worst, np.abs(interior_block(basis, comm, 1).entries - eye).max())
-    k1 = derived_operator(basis, "K1", params)
-    k2 = derived_operator(basis, "K2", params)
-    g1 = derived_operator(basis, "G1", params)
-    g2 = derived_operator(basis, "G2", params)
-    worst = max(worst, np.abs(interior_block(basis, k1.commutator(k2), 1).entries + 1j * eye).max())
-    worst = max(worst, np.abs(interior_block(basis, g1.commutator(g2), 1).entries + 1j * eye).max())
-    worst = max(worst, interior_block(basis, k1.commutator(g1), 1).max_abs())
-    worst = max(worst, interior_block(basis, k2.commutator(g2), 1).max_abs())
-    _, _, theta = flip_and_conjugation(basis)
-    worst = max(worst, (theta.conjugate_operator(k1) + k2).max_abs())
-    worst = max(worst, (theta.conjugate_operator(k2) + k1).max_abs())
-    return worst
+    return max(_commutator_residuals(config.nmax).values())
 
 
 def _check_curvature(config, tol):
@@ -401,16 +450,22 @@ def _check_curvature(config, tol):
 
 
 def _check_tuv_bridge(config, tol):
+    """Density formula for two random combinations at xi = 0 and 1.
+
+    The trace per unit volume does not depend on xi and is integrated once
+    per combination; its samples are written once per (combination, xi).
+    """
     rng = np.random.default_rng(7)
     worst = 0.0
     rows = []
     for _ in range(2):
         coeffs = rng.uniform(-1.0, 1.0, size=4)
+        rhs = tuv.tuv_limit(tuv.LandauCombination(coeffs), params=config.params)
         for xi in (0.0, 1.0):
-            rep = tuv.compare_tuv_dixmier(coeffs, xi=xi, params=config.params)
-            worst = max(worst, rep["diff"])
-            for scale, raw, normalized in rep["tuv_samples"]:
-                rows.append(["squares", float(scale), float(raw), float(normalized)])
+            lhs, _, _ = tuv.dixmier_density(coeffs, xi, config.params)
+            worst = max(worst, abs(lhs - rhs.value))
+            rows += [["squares", float(scale), float(raw), float(normalized)]
+                     for scale, raw, normalized in rhs.samples]
     _write_csv(os.path.join(config.out_dir, "tuv_rows.csv"),
                ["family", "scale", "raw", "normalized"], rows)
     return worst

@@ -18,10 +18,10 @@ Mode conventions (hbar = 1):
     L3 = a+a- - b+b-
 
 Matrices are stored dense, and products cost O(dim^3) (dim ~ 2e3 at
-Nmax 60). Of the commands only ``verify --check commutators`` builds
-them; the others run sector by sector in :mod:`landautrace.sectors`.
-The rest, :class:`AntiUnitaryRep` and :func:`flip_and_conjugation` among
-them, serves the test oracles.
+Nmax 60). No command builds them: the commands run sector by sector in
+:mod:`landautrace.sectors`, and ``verify --check commutators`` on the
+bands of the sector blocks. The dense matrices, :class:`AntiUnitaryRep`
+and :func:`flip_and_conjugation` among them, serve the test oracles.
 """
 
 from dataclasses import dataclass

@@ -31,6 +31,7 @@ point-by-point oracle of the test suite.
 """
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 from scipy.special import gammaln
@@ -41,6 +42,7 @@ from .specfun import laguerre_rows
 __all__ = [
     "Region",
     "QuadratureRule",
+    "gauss_legendre",
     "QuadratureConvergenceError",
     "psi_eval",
     "basis_matrix",
@@ -57,6 +59,15 @@ TARGET_IDENTITY = np.pi ** 2 / 2j
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when successive quadrature refinements fail to agree."""
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,7 @@ class Region:
         """Tensor Gauss-Legendre (square) or polar GL x trapezoid (disk)."""
         if order < 2:
             raise ValueError("order must be >= 2")
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = gauss_legendre(order)
         if self.shape == "square":
             half = self.size / 2.0
             xs = x * half
@@ -288,7 +299,7 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
     phase = +1j if variant == "literal" else -1j
 
     def evaluate(cut, q):
-        nodes, wts = np.polynomial.legendre.leggauss(q)
+        nodes, wts = gauss_legendre(q)
         t = nodes * cut
         w = wts * cut
         # y-vertex matrix (rows y1, columns y2): weight at x-y, phase of y^x

@@ -20,6 +20,7 @@ __all__ = [
     "TuvEstimate",
     "restricted_trace",
     "tuv_limit",
+    "dixmier_density",
     "compare_tuv_dixmier",
     "idos",
 ]
@@ -117,16 +118,13 @@ def tuv_limit(T, family=None, params=None, tolerance=1e-6, order=64):
     return TuvEstimate(float(coef[0]), samples, resid, resid <= tolerance)
 
 
-def compare_tuv_dixmier(coeffs, xi=0.0, params=None, tolerance=1e-3, family=None):
-    """Both sides of the density formula for T = sum_j t_j P_j.
+def dixmier_density(coeffs, xi, params):
+    """TrDix((Q + 2 xi)^{-1} T) / (2 pi ell^2) for T = sum_j t_j P_j.
 
-    The left side divides the singular trace of (Q + 2 xi)^{-1} T,
-    assembled by linearity from per-level zeta-residue estimates, by twice
-    the magnetic-disk area; the right side is the extrapolated trace per
-    unit volume. Returns a report dict and never raises on disagreement.
+    The singular trace is assembled by linearity from per-level
+    zeta-residue estimates. Returns (density, singular trace, the
+    singular trace's residual).
     """
-    if params is None:
-        params = ModelParams()
     coeffs = [float(t) for t in coeffs]
     per_level = [
         dixmier_via_zeta_residue(lambda s, jj=j: trace_Q_power_proj(s, xi, jj))
@@ -135,7 +133,19 @@ def compare_tuv_dixmier(coeffs, xi=0.0, params=None, tolerance=1e-3, family=None
     dix = sum(t * est.value for t, est in zip(coeffs, per_level))
     dix_resid = sum(abs(t) * est.residual for t, est in zip(coeffs, per_level))
     omega = np.pi * params.ell_B ** 2
-    lhs = dix / (2.0 * omega)
+    return dix / (2.0 * omega), dix, dix_resid
+
+
+def compare_tuv_dixmier(coeffs, xi=0.0, params=None, tolerance=1e-3, family=None):
+    """Both sides of the density formula for T = sum_j t_j P_j.
+
+    The left side is :func:`dixmier_density`; the right side is the
+    extrapolated trace per unit volume, which does not depend on xi.
+    Returns a report dict and never raises on disagreement.
+    """
+    if params is None:
+        params = ModelParams()
+    lhs, dix, dix_resid = dixmier_density(coeffs, xi, params)
     rhs = tuv_limit(LandauCombination(coeffs), family, params)
     diff = abs(lhs - rhs.value)
     return {

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dense_oracle import dense_commutator_residual, dense_commutator_residuals
 from landautrace import fock, sectors, tuv
 from landautrace.cli import (
     _MODELS,
@@ -16,6 +17,7 @@ from landautrace.cli import (
     EXIT_NOCONV,
     EXIT_OK,
     ConfigError,
+    _commutator_residuals,
     main,
     parse_config_text,
 )
@@ -351,15 +353,42 @@ class TestVerify:
             raise AssertionError("dense OperatorMatrix built")
 
         monkeypatch.setattr(fock.OperatorMatrix, "__init__", refuse)
-        for check in ("curvature", "symmetries"):
-            rc = main(["--check", check, "--out", str(tmp_path), "verify"])
-            assert rc == EXIT_OK, check
-            assert read_csv(tmp_path / "verify.csv")[1][3] == "pass"
+        rc = main(["--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        rows = read_csv(tmp_path / "verify.csv")[1:]
+        assert len(rows) == 8 and all(row[3] == "pass" for row in rows)
         monkeypatch.setenv("LANDAU_LEVELS", "0,3")
         rc = main(["--model", "landau", "--nmax", "60", "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_OK
         reports = json.loads((tmp_path / "invariants.json").read_text())
         assert all("curvature_identity" in r["identity_residuals"] for r in reports)
+
+    @pytest.mark.parametrize("nmax", range(2, 25))
+    def test_commutators_match_dense_oracle(self, nmax):
+        # ladder, cross and Theta entries are single products or exact sums on
+        # both routes; the [K1,K2] and [G1,G2] diagonals are two-term sums of
+        # squares up to nmax/2, which zgemm rounds with or without FMA by the
+        # entry's place in its blocking, the band route without
+        sector = _commutator_residuals(nmax)
+        dense = dense_commutator_residuals(nmax, fock.ModelParams())
+        assert sector.keys() == dense.keys()
+        for name, residual in sector.items():
+            if name in ("[K1,K2] + i", "[G1,G2] + i"):
+                assert abs(residual - dense[name]) <= 16 * np.finfo(float).eps, name
+            else:
+                assert residual == dense[name], name
+
+    def test_commutators_at_the_old_cap_equal_the_dense_check(self, tmp_path):
+        rc = main(["--check", "commutators", "--nmax", "24", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        residual = float(read_csv(tmp_path / "verify.csv")[1][1])
+        assert residual == dense_commutator_residual(24, fock.ModelParams()) == 7.105427357601002e-15
+
+    def test_commutators_at_large_truncation(self, tmp_path):
+        # the dense check stopped at Nmax 24; the bands take every sector
+        rc = main(["--check", "commutators", "--nmax", "300", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-12
 
     @pytest.mark.parametrize("eps_b", ["2e7", "1e12"])
     def test_symmetries_at_large_energy_scale(self, tmp_path, monkeypatch, eps_b):
@@ -409,7 +438,7 @@ class TestVerify:
         assert outputs[0] == outputs[1]
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):
-        # invariants of all three models and spectrum, each run at 1 and 2 BLAS threads
+        # invariants of all three models, spectrum and the full verify, each run at 1 and 2 BLAS threads
         couplings = ("params.c_b = 0.25495087244304415\nparams.r0 = -0.41817164447055993\n"
                      "params.r1 = 0.49869878352203106\nparams.r2 = 0.759231189476851\n")
         jobs = {
@@ -418,6 +447,7 @@ class TestVerify:
             "inv-quaternionic": ("invariants", "model = quaternionic\nnmax = 60\nfermi_energy = 1\n"),
         }
         jobs.update({f"spectrum-{m}": ("spectrum", f"model = {m}\nnmax = 40\n") for m in _MODELS})
+        jobs["verify"] = ("verify", "")
         runs = []
         for name, (command, text) in jobs.items():
             (tmp_path / f"{name}.cfg").write_text(text + couplings)
@@ -437,7 +467,7 @@ class TestVerify:
             assert proc.returncode == EXIT_OK, proc.stderr
             files = sorted((tmp_path / threads).rglob("*.*"))
             outputs.append({f.relative_to(tmp_path / threads): f.read_bytes() for f in files})
-        assert len(outputs[0]) == 3 + 2 * 3
+        assert len(outputs[0]) == 3 + 2 * 3 + 2
         assert outputs[0] == outputs[1]
 
     def test_tuv_bridge_non_convergence_is_reported(self, tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from landautrace.kernels import (
     TARGET_IDENTITY,
     basis_matrix,
     deriv_kernel,
+    gauss_legendre,
     integrate_kernel_diagonal,
     landau_kernel,
     matrix_diagonal_values,
@@ -234,6 +235,32 @@ class TestRegions:
         dk = Region.disk(1.0).rule(16)
         val = np.sum(dk.weights * (dk.points[:, 0] ** 2 + dk.points[:, 1] ** 2))
         assert val == pytest.approx(np.pi / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [2, 12, 64, 96, 128])
+    def test_gauss_legendre_is_leggauss_read_only(self, order):
+        x, w = gauss_legendre(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert gauss_legendre(order)[0] is x  # computed once per order
+
+    @pytest.mark.parametrize("order", [12, 64])
+    def test_rules_byte_identical_to_leggauss(self, order):
+        # square_rule and the disk rule below take their nodes from numpy directly
+        sq = Region.square(6.0).rule(order)
+        pts, w = square_rule(3.0, order)
+        assert sq.points.tobytes() == pts.tobytes() and sq.weights.tobytes() == w.tobytes()
+        x, w = np.polynomial.legendre.leggauss(order)
+        r = (x + 1.0) * (2.0 / 2.0)
+        theta = np.arange(2 * order + 1) * (2 * np.pi / (2 * order + 1))
+        R, T = np.meshgrid(r, theta, indexing="ij")
+        W = np.outer(w * (2.0 / 2.0) * r, np.full(2 * order + 1, 2 * np.pi / (2 * order + 1)))
+        dk = Region.disk(2.0).rule(order)
+        assert dk.points.tobytes() == np.column_stack(
+            [(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()]).tobytes()
+        assert dk.weights.tobytes() == W.ravel().tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
