@@ -12,11 +12,18 @@ dense problems instead of one dim ~ 7e3 dense one.
 Shell bookkeeping: the state (n1, b) sits in shell l = n1 + b of the
 harmonic regulator, so sector results accumulate into shells at offset b.
 
-Projections leave this module in one format, per-sector columns
-[(b, V_b)] with P = (+)_b V_b V_b^dagger: the rows of V_b are the states
-n1 = 0..s_b - 1, spin fastest, and its columns are orthonormal. Two loops
-consume them for all three models, :func:`shell_sums` and
-:func:`symmetry_residual`; no other module reads the rows.
+Projections leave this module in one format, a list of sector stacks
+(b0, n0, V) with P = (+)_b V_b V_b^dagger. V has shape (B, L spin, r): V[i]
+holds the levels n1 = n0..n0 + L - 1 (spin fastest) of the sector
+b = b0 + i, with orthonormal columns. Rows past a sector's top level
+Nmax - b are zero, and a+ is masked there. A stack holds the window of
+levels where its columns live, so a level projection is one stack over all
+its sectors, one level wider than its support on each side
+(:func:`landau_stacks`, :func:`jc_stacks`), and the quaternionic Fermi
+projection is one stack of B = 1 per sector, the eigensolver's columns
+(:func:`fermi_stacks`). Two loops over stacks consume them for all three
+models, :func:`shell_sums` and :func:`symmetry_residual`, each sector's
+rows computed on their own; no other module reads the rows.
 
 Each spin-1/2 model is one :class:`SpinHalfModel` record (:data:`JC`,
 :data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2) and its spin
@@ -59,9 +66,10 @@ Curvature in factored form (:func:`_curvature`): every projection here
 is P = V V^dagger with orthonormal columns V of low rank r per sector (one
 for a level, two per Landau level below the Fermi energy for the
 quaternionic model), so R = i P [d1 P, d2 P] = V K V^dagger with an
-r x r core K from row shifts of V. The truncated ladders carry the edge
-row of a- a+ - a+ a- (-(s-1), not 1) exactly, and diag(R) costs O(s r^2)
-per sector instead of the O(s^3) of dense products.
+r x r core K from row shifts of V, batched over the sectors of a stack.
+The truncated ladders carry the edge row of a- a+ - a+ a- (-(s-1), not 1)
+exactly, and diag(R) costs O(L r^2) per sector instead of the O(s^3) of
+dense products.
 
 The Landau curvature identities are checked per sector too
 (:func:`landau_identity_residuals`): all their nonzero entries sit on the
@@ -83,8 +91,8 @@ __all__ = [
     "symmetry_label",
     "lowering_block",
     "landau_identity_residuals",
-    "landau_columns",
-    "jc_columns",
+    "landau_stacks",
+    "jc_stacks",
     "shell_sums",
     "symmetry_residual",
     "block_symmetry_residual",
@@ -94,6 +102,7 @@ __all__ = [
     "jc_sector_eigensystem",
     "quaternionic_sector_eigensystem",
     "quaternionic_shell_sums",
+    "fermi_stacks",
 ]
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -165,9 +174,21 @@ def lowering_block(size):
     return m
 
 
-def _curvature(V, spin):
-    """r x r core K of the curvature density R = i P [d1 P, d2 P] = V K V^dagger.
+def _shells(stack, spin):
+    """Shell l = n1 + b of every level of a stack (b0, n0, V), shape (B, L)."""
+    b0, n0, V = stack
+    return np.arange(n0, n0 + V.shape[1] // spin) + np.arange(b0, b0 + len(V))[:, None]
 
+
+def _adjoint(Z):
+    """Conjugate transposes of a stack of matrices."""
+    return Z.conj().swapaxes(1, 2)
+
+
+def _curvature(nmax, stack, spin):
+    """r x r cores K, shape (B, r, r), of the curvature density R = i P [d1 P, d2 P] = V K V^dagger.
+
+    ``stack`` is one sector stack (b0, n0, V) (module docstring); per sector
     V holds orthonormal columns (spin fastest) with P = V V^dagger; ell_B = 1,
     the magnetic length cancels against the 1/ell^2 of the Chern formula.
     The ladder-side derivations are d1 = -(1/sqrt2)([a+,P] - [a-,P]) and
@@ -179,65 +200,84 @@ def _curvature(V, spin):
 
     and P = V V^dagger with (V^dagger a+ V)^dagger = V^dagger a- V gives
     K = V^dagger (a- a+ - a+ a-) V + [V^dagger a+ V, V^dagger a- V].
+    The ladders act on the window: a+ into a shell past Nmax (a level past
+    the sector's top) is masked, and the levels just outside the window are
+    left out, which is exact when V vanishes on the window's outer levels
+    or the window reaches level 0 and the sector's top.
     """
-    root = np.repeat(np.sqrt(np.arange(1.0, V.shape[0] // spin)), spin)[:, None]
+    _b0, n0, V = stack
+    shells = _shells(stack, spin)
+    level = np.arange(n0 + 1, n0 + shells.shape[1])
+    root = np.repeat(np.where(shells[:, 1:] <= nmax, np.sqrt(level), 0.0), spin, axis=1)[..., None]
     up = np.zeros_like(V)  # a+ V
-    up[spin:] = root * V[:-spin]
+    up[:, spin:] = root * V[:, :-spin]
     down = np.zeros_like(V)  # a- V
-    down[:-spin] = root * V[spin:]
-    raise_core = V.conj().T @ up  # V^dagger a+ V; its adjoint is V^dagger a- V
+    down[:, :-spin] = root * V[:, spin:]
+    raise_core = _adjoint(V) @ up  # V^dagger a+ V; its adjoint is V^dagger a- V
     return (
-        up.conj().T @ up - down.conj().T @ down
-        + raise_core @ raise_core.conj().T - raise_core.conj().T @ raise_core
+        _adjoint(up) @ up - _adjoint(down) @ down
+        + raise_core @ _adjoint(raise_core) - _adjoint(raise_core) @ raise_core
     )
 
 
-def landau_columns(nmax, j):
-    """Per-sector columns (b, V_b) of the level-j projection: the unit vector at n1 = j."""
-    return [(b, np.eye(nmax + 1 - b, 1, -j, dtype=complex)) for b in range(nmax + 1 - j)]
+def landau_stacks(nmax, j):
+    """Sector stacks of the level-j projection, the unit vector at n1 = j per sector.
+
+    One stack over the levels max(j - 1, 0)..j + 1 of the sectors
+    b = 0..Nmax - j, the sectors that hold level j.
+    """
+    n0 = max(j - 1, 0)
+    V = np.zeros((max(nmax + 1 - j, 0), j + 2 - n0, 1), dtype=complex)
+    V[:, j - n0] = 1.0
+    return [(0, n0, V)]
 
 
-def shell_sums(nmax, columns, spin, xi):
-    """Shell sums of (Q^-1 P, i/ell^2 Q^-1 R) for the per-sector columns (b, V_b) of P.
+def shell_sums(nmax, stacks, spin, xi):
+    """Shell sums of (Q^-1 P, i/ell^2 Q^-1 R) for the sector stacks (b0, n0, V) of P.
 
     Each row is weighted by 1/(l + 2 + 2 xi), l = n1 + b, before the spin
-    components of its shell are summed.
+    components of its shell are summed; shells take their sectors in
+    ascending b. Rows past a sector's top fall on shells past Nmax and are
+    dropped.
     """
     rank = np.zeros(nmax + 1)
     chern = np.zeros(nmax + 1)
-    for b, V in columns:
-        if not V.shape[1]:
+    for stack in stacks:
+        V = stack[2]
+        if not V.shape[2]:
             continue
-        s = V.shape[0] // spin
-        weights = 1.0 / (np.repeat(np.arange(s), spin) + b + 2.0 + 2.0 * xi)
-        K = _curvature(V, spin)
-        for sums, diag in ((rank, np.einsum("kp,kp->k", V, V.conj())),
-                           (chern, np.einsum("kp,pq,kq->k", V, K, V.conj()))):
-            sums[b:b + s] += (diag.real * weights).reshape(s, spin).sum(axis=1)
+        shells = _shells(stack, spin)
+        weights = 1.0 / (np.repeat(shells, spin, axis=1) + 2.0 + 2.0 * xi)
+        K = _curvature(nmax, stack, spin)
+        for sums, diag in ((rank, np.einsum("bkp,bkp->bk", V, V.conj())),
+                           (chern, np.einsum("bkp,bpq,bkq->bk", V, K, V.conj()))):
+            per_shell = (diag.real * weights).reshape(shells.shape + (spin,)).sum(axis=2)
+            sums += np.bincount(shells.ravel(), per_shell.ravel(), minlength=nmax + 1)[:nmax + 1]
     return rank, chern
 
 
-def _twist(Z, b, twist):
-    """U conj(Z) on the rows of sector b: U = diag(i^(n1 + b)) x twist, entries exact."""
-    spin = len(twist)
-    s = Z.shape[0] // spin
+def _twist(stack, twist):
+    """U conj(Z) on the rows of a stack (b0, n0, Z): U = diag(i^(n1 + b)) x twist, entries exact."""
+    Z = stack[2]
+    shells = _shells(stack, len(twist))
     return np.einsum(
-        "n,ab,nbr->nar", _i_power(np.arange(s) + b), twist, Z.conj().reshape(s, spin, -1)
-    ).reshape(spin * s, -1)
+        "xn,ab,xnbr->xnar", _i_power(shells), twist, Z.conj().reshape(*shells.shape, len(twist), -1)
+    ).reshape(Z.shape)
 
 
-def symmetry_residual(columns, twist):
-    """max |U conj(P) U^dagger - P| for the per-sector columns (b, V_b) of P.
+def symmetry_residual(stacks, twist):
+    """max |U conj(P) U^dagger - P| for the sector stacks (b0, n0, V) of P.
 
     Per sector U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger, and both
-    sides vanish off the rows where V or U conj(V) is nonzero.
+    sides vanish off the rows where V or U conj(V) is nonzero in some sector
+    of the stack.
     """
     worst = 0.0
-    for b, V in columns:
-        UV = _twist(V, b, twist)
-        rows = (V != 0).any(axis=1) | (UV != 0).any(axis=1)
-        UV, V = UV[rows], V[rows]
-        worst = max(worst, float(np.abs(UV @ UV.conj().T - V @ V.conj().T).max(initial=0.0)))
+    for stack in stacks:
+        V, UV = stack[2], _twist(stack, twist)
+        rows = (V != 0).any(axis=(0, 2)) | (UV != 0).any(axis=(0, 2))
+        UV, V = UV[:, rows], V[:, rows]
+        worst = max(worst, float(np.abs(UV @ _adjoint(UV) - V @ _adjoint(V)).max(initial=0.0)))
     return worst
 
 
@@ -247,12 +287,13 @@ def block_symmetry_residual(H, twist):
     Every other sector block is a leading principal submatrix of the b = 0
     block H with U off by the global phase i^b, so H has the largest residual.
     """
-    return float(np.abs(_twist(_twist(H, 0, twist).T, 0, twist) - H).max())
+    TH = _twist((0, 0, H[None]), twist)
+    return float(np.abs(_twist((0, 0, TH.swapaxes(1, 2)), twist)[0] - H).max())
 
 
 def landau_shell_sums(nmax, j, xi):
     """Shell sums of (Q^-1 P_j, i/ell^2 Q^-1 R_j) for the scalar model."""
-    return shell_sums(nmax, landau_columns(nmax, j), 1, xi)
+    return shell_sums(nmax, landau_stacks(nmax, j), 1, xi)
 
 
 def _landau_curvature_window(j, ell_B):
@@ -308,17 +349,18 @@ def landau_identity_residuals(nmax, j, ell_B):
     return float(res_a), float(res_b)
 
 
-def _jc_sector_vector(s, j, theta):
-    """Eigenvector column (spin fastest) of the level-(j, theta) pair state."""
-    v = np.zeros(2 * s, dtype=complex)
-    v[2 * (j - 1) + 0] = np.sin(theta)
-    v[2 * j + 1] = 1j * np.cos(theta)
-    return v
+def jc_stacks(nmax, j, theta):
+    """Sector stacks of the spin-orbit pair projection P_j^theta, j >= 1.
 
-
-def jc_columns(nmax, j, theta):
-    """Per-sector columns (b, V_b) of the spin-orbit pair projection P_j^theta."""
-    return [(b, _jc_sector_vector(nmax + 1 - b, j, theta)[:, None]) for b in range(nmax + 1 - j)]
+    Its column in every sector holding it is sin(theta) on (j - 1, up) and
+    i cos(theta) on (j, down): one stack over the levels max(j - 2, 0)..j + 1
+    of the sectors b = 0..Nmax - j.
+    """
+    n0 = max(j - 2, 0)
+    V = np.zeros((max(nmax + 1 - j, 0), 2 * (j + 2 - n0), 1), dtype=complex)
+    V[:, 2 * (j - 1 - n0)] = np.sin(theta)
+    V[:, 2 * (j - n0) + 1] = 1j * np.cos(theta)
+    return [(0, n0, V)]
 
 
 def jc_shell_sums(nmax, j, theta, xi):
@@ -332,16 +374,15 @@ def jc_shell_sums(nmax, j, theta, xi):
     """
     if j < 1:
         raise ValueError("pair levels start at j = 1")
-    columns = jc_columns(nmax, j, theta)
-    rank, chern = shell_sums(nmax, columns, 2, xi)
-    if not columns:
+    stacks = jc_stacks(nmax, j, theta)
+    rank, chern = shell_sums(nmax, stacks, 2, xi)
+    _, n0, V = stacks[0]
+    if not len(V):
         return rank, chern, 0.0
-    V = columns[0][1]
     level = np.array([j - 1, j])
-    Rspin = np.einsum(
-        "iar,jar->ij",
-        (V @ _curvature(V, 2)).reshape(-1, 2, 1)[level], V.conj().reshape(-1, 2, 1)[level],
-    ) / 1j
+    V = V[:1]  # the b = 0 sector
+    rows = (V[0] @ _curvature(nmax, (0, n0, V), 2)[0]).reshape(-1, 2, 1)[level - n0]
+    Rspin = np.einsum("iar,jar->ij", rows, V[0].conj().reshape(-1, 2, 1)[level - n0]) / 1j
     target = np.diag([-1j * np.sin(theta) ** 2, -1j * np.cos(theta) ** 2])
     inner = level <= nmax - LEVEL_MARGIN
     closed_resid = np.abs(Rspin - target)[np.ix_(inner, inner)].max(initial=0.0)
@@ -363,7 +404,7 @@ def _sector_eigensystem(nmax, block, columns=None):
     for b in range(nmax + 1):
         s = nmax + 1 - b
         w, v = np.linalg.eigh(block(s))
-        flags = _edge_mass(v, s, b, nmax) < INTERIOR_MASS
+        flags = _edge_mass(v, s) < INTERIOR_MASS
         secs.append((b, w, None if columns is None else columns(w, v), flags))
     ev = np.concatenate([w for _, w, _, _ in secs])
     fl = np.concatenate([flags for _, _, _, flags in secs])
@@ -393,14 +434,14 @@ def jc_sector_eigensystem(nmax, params):
     return evs, flags
 
 
-def _edge_mass(vectors, s, b, nmax):
-    """Probability mass of each eigencolumn on the outer EDGE_SHELLS shells."""
-    prob = np.abs(vectors) ** 2
-    spatial = prob.reshape(s, -1, vectors.shape[1]).sum(axis=1)
-    n1_edge = np.arange(s) + b > nmax - EDGE_SHELLS
-    if not n1_edge.any():
-        return np.zeros(vectors.shape[1])
-    return spatial[n1_edge].sum(axis=0)
+def _edge_mass(vectors, s):
+    """Probability mass of each eigencolumn of a size-s sector on the outer EDGE_SHELLS shells.
+
+    Those are its top levels n1 >= s - EDGE_SHELLS (shells n1 + b > Nmax - EDGE_SHELLS).
+    """
+    spin = len(vectors) // s
+    edge = vectors[spin * max(s - EDGE_SHELLS, 0):]
+    return (np.abs(edge) ** 2).reshape(-1, spin, vectors.shape[1]).sum(axis=1).sum(axis=0)
 
 
 def quaternionic_sector_eigensystem(nmax, params, energy=None):
@@ -417,22 +458,28 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     lam, W = np.linalg.eigh(params.r[1] * SIGMA1 + params.r[2] * SIGMA3)
     mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger M W = diag(mu)
     shift = params.c_b * np.linalg.norm(params.r)  # c_b |mu_k| = c_b |r| for both k
-
-    def block(s):
-        n = np.arange(s)
-        T = np.diag(params.eps_B * (n + 0.5 + shift ** 2))
-        off = params.eps_B * shift * np.sqrt(n[1:])
-        T[n[1:], n[:-1]] = off
-        T[n[:-1], n[1:]] = off
-        return T
+    # the b = 0 block and its gauge phases; sector b takes the leading s x s part
+    n = np.arange(nmax + 1)
+    T = np.diag(params.eps_B * (n + 0.5 + shift ** 2))
+    off = params.eps_B * shift * np.sqrt(n[1:])
+    T[n[1:], n[:-1]] = off
+    T[n[:-1], n[1:]] = off
+    phases = np.exp(1j * np.outer(n, np.angle(mu)))
 
     def columns(w, u):
-        phases = np.exp(1j * np.outer(np.arange(len(w)), np.angle(mu)))
-        return np.einsum("nk,nc,ak->nakc", phases, u[:, w <= energy], W).reshape(2 * len(w), -1)
+        s = len(w)
+        return np.einsum("nk,nc,ak->nakc", phases[:s], u[:, w <= energy], W).reshape(2 * s, -1)
 
-    secs, evs, flags = _sector_eigensystem(nmax, block, None if energy is None else columns)
+    secs, evs, flags = _sector_eigensystem(
+        nmax, lambda s: T[:s, :s], None if energy is None else columns
+    )
     secs = [(b, np.repeat(w, 2), V, np.repeat(fl, 2)) for b, w, V, fl in secs]
     return secs, np.repeat(evs, 2), np.repeat(flags, 2)
+
+
+def fermi_stacks(sectors):
+    """One stack (b, 0, V) per sector of :func:`quaternionic_sector_eigensystem` at an energy."""
+    return [(b, 0, V[None]) for b, _w, V, _flags in sectors]
 
 
 def quaternionic_shell_sums(nmax, params, sectors):
@@ -441,4 +488,5 @@ def quaternionic_shell_sums(nmax, params, sectors):
     ``sectors`` is the output of :func:`quaternionic_sector_eigensystem`
     at the Fermi energy.
     """
-    return shell_sums(nmax, [(b, V) for b, _w, V, _flags in sectors], 2, params.xi)
+    return shell_sums(nmax, fermi_stacks(sectors), 2, params.xi)
+

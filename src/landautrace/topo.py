@@ -13,9 +13,10 @@ is validated independently in :mod:`landautrace.kernels`.
 
 The invariants and the curvature-identity check conserve the second
 mode number n2 and run sector by sector in :mod:`landautrace.sectors`:
-the curvature shell sums in factored form, O(s r^2) per sector, and the
+the curvature shell sums in factored form, batched over the sectors of
+each stack at O(L r^2) per sector for a window of L levels, and the
 Landau curvature identities on one window of at most 3 x 3, whatever
-Nmax. Projections come from there as per-sector columns, which this
+Nmax. Projections come from there as sector stacks (b0, n0, V), which this
 module passes on without reading their rows: to ``sectors.shell_sums``
 and to ``sectors.symmetry_residual`` with the spin twist of each symmetry
 (``sectors.THETA_TWIST`` for Theta, the model record's twist for Xi and
@@ -154,7 +155,7 @@ def verify_curvature_identity(j, nmax, params):
 
 def _theta_projection_residual(nmax, j):
     """Residual of Theta P_j Theta^{-1} = P_j, sector by sector."""
-    return sectors.symmetry_residual(sectors.landau_columns(nmax, j), sectors.THETA_TWIST)
+    return sectors.symmetry_residual(sectors.landau_stacks(nmax, j), sectors.THETA_TWIST)
 
 
 def invariants_landau(j, nmax, params):
@@ -206,7 +207,7 @@ def invariants_jc(j, sign, nmax, params):
 
 def _jc_symmetry_residual(nmax, j, theta):
     """Residual of Xi P Xi^{-1} = P, sector by sector, with the spin-orbit record's twist."""
-    return sectors.symmetry_residual(sectors.jc_columns(nmax, j, theta), sectors.JC.twist)
+    return sectors.symmetry_residual(sectors.jc_stacks(nmax, j, theta), sectors.JC.twist)
 
 
 def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
@@ -240,7 +241,7 @@ def _quaternionic_symmetry_residual(secs):
     ``secs`` is :func:`sectors.quaternionic_sector_eigensystem` at the
     Fermi energy, whose columns V span P_E = V V^dagger per sector.
     """
-    return sectors.symmetry_residual([(b, V) for b, _w, V, _fl in secs], sectors.QUATERNIONIC.twist)
+    return sectors.symmetry_residual(sectors.fermi_stacks(secs), sectors.QUATERNIONIC.twist)
 
 
 def _kramers_residual(levels):

@@ -5,7 +5,8 @@ The dense forms are the reference implementations: the spectra from
 curvature density i P [d1 P, d2 P] from full 2s x 2s ladder products,
 and the symmetry residuals from U conj(P) U^dagger with U as a matrix.
 The rotated quaternionic solver is checked against a complex ``eigh`` of
-the dense 2s x 2s sector blocks.
+the dense 2s x 2s sector blocks. The sector stacks are checked bit for
+bit against the per-sector loops they replace, kept here as oracles.
 """
 
 import dataclasses
@@ -94,6 +95,156 @@ def random_columns(rng, n, rank):
     return U[:, rng.choice(n, rank, replace=False)]
 
 
+def loop_curvature(V, spin):
+    """The per-sector curvature core on a whole sector of size V.shape[0] // spin."""
+    root = np.repeat(np.sqrt(np.arange(1.0, V.shape[0] // spin)), spin)[:, None]
+    up = np.zeros_like(V)
+    up[spin:] = root * V[:-spin]
+    down = np.zeros_like(V)
+    down[:-spin] = root * V[spin:]
+    raise_core = V.conj().T @ up
+    return (
+        up.conj().T @ up - down.conj().T @ down
+        + raise_core @ raise_core.conj().T - raise_core.conj().T @ raise_core
+    )
+
+
+def loop_shell_sums(nmax, columns, spin, xi):
+    """Shell sums sector by sector from per-sector columns (b, V_b)."""
+    rank = np.zeros(nmax + 1)
+    chern = np.zeros(nmax + 1)
+    for b, V in columns:
+        if not V.shape[1]:
+            continue
+        s = V.shape[0] // spin
+        weights = 1.0 / (np.repeat(np.arange(s), spin) + b + 2.0 + 2.0 * xi)
+        K = loop_curvature(V, spin)
+        for sums, diag in ((rank, np.einsum("kp,kp->k", V, V.conj())),
+                           (chern, np.einsum("kp,pq,kq->k", V, K, V.conj()))):
+            sums[b:b + s] += (diag.real * weights).reshape(s, spin).sum(axis=1)
+    return rank, chern
+
+
+def loop_twist(Z, b, twist):
+    spin = len(twist)
+    s = Z.shape[0] // spin
+    return np.einsum(
+        "n,ab,nbr->nar", sectors._i_power(np.arange(s) + b), twist, Z.conj().reshape(s, spin, -1)
+    ).reshape(spin * s, -1)
+
+
+def loop_symmetry_residual(columns, twist):
+    """max |U conj(P) U^dagger - P| sector by sector from per-sector columns (b, V_b)."""
+    worst = 0.0
+    for b, V in columns:
+        UV = loop_twist(V, b, twist)
+        rows = (V != 0).any(axis=1) | (UV != 0).any(axis=1)
+        UV, V = UV[rows], V[rows]
+        worst = max(worst, float(np.abs(UV @ UV.conj().T - V @ V.conj().T).max(initial=0.0)))
+    return worst
+
+
+def landau_columns(nmax, j):
+    """Per-sector columns (b, V_b) of the level-j projection: the unit vector at n1 = j."""
+    return [(b, np.eye(nmax + 1 - b, 1, -j, dtype=complex)) for b in range(nmax + 1 - j)]
+
+
+def jc_sector_vector(s, j, theta):
+    """Eigenvector column (spin fastest) of the level-(j, theta) pair state."""
+    v = np.zeros(2 * s, dtype=complex)
+    v[2 * (j - 1) + 0] = np.sin(theta)
+    v[2 * j + 1] = 1j * np.cos(theta)
+    return v
+
+
+def jc_columns(nmax, j, theta):
+    """Per-sector columns (b, V_b) of the spin-orbit pair projection P_j^theta."""
+    return [(b, jc_sector_vector(nmax + 1 - b, j, theta)[:, None]) for b in range(nmax + 1 - j)]
+
+
+def loop_jc_closed_form(nmax, j, theta):
+    """The spin-trace closed-form residual on the b = 0 sector's whole column."""
+    V = jc_columns(nmax, j, theta)[0][1]
+    level = np.array([j - 1, j])
+    Rspin = np.einsum(
+        "iar,jar->ij",
+        (V @ loop_curvature(V, 2)).reshape(-1, 2, 1)[level], V.conj().reshape(-1, 2, 1)[level],
+    ) / 1j
+    target = np.diag([-1j * np.sin(theta) ** 2, -1j * np.cos(theta) ** 2])
+    inner = level <= nmax - sectors.LEVEL_MARGIN
+    return float(np.abs(Rspin - target)[np.ix_(inner, inner)].max(initial=0.0))
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("nmax", [12, 13, 40, 140, 300])
+def test_stacks_match_the_sector_loop_bit_for_bit(nmax):
+    # j = 0, 1 clip the window at n0 = 0, j = Nmax - 3 puts it near the top
+    # sectors, and every stack holds sectors whose top cuts the window
+    for j in (0, 1, 2, nmax - 3):
+        for xi in (0.0, 0.5, 1.0):
+            new = sectors.landau_shell_sums(nmax, j, xi)
+            old = loop_shell_sums(nmax, landau_columns(nmax, j), 1, xi)
+            assert all(map(same_bytes, new, old)), (j, xi)
+        assert same_bytes(topo._theta_projection_residual(nmax, j),
+                          loop_symmetry_residual(landau_columns(nmax, j), sectors.THETA_TWIST))
+        if j < 1:
+            continue
+        for theta in jc_angles(j, 0.4):
+            for xi in (0.0, 0.5, 1.0):
+                new = sectors.jc_shell_sums(nmax, j, theta, xi)
+                old = loop_shell_sums(nmax, jc_columns(nmax, j, theta), 2, xi)
+                assert all(map(same_bytes, new[:2], old)), (j, theta, xi)
+                assert same_bytes(new[2], loop_jc_closed_form(nmax, j, theta))
+            assert same_bytes(topo._jc_symmetry_residual(nmax, j, theta),
+                              loop_symmetry_residual(jc_columns(nmax, j, theta), sectors.JC.twist))
+
+
+@pytest.mark.parametrize("spin", [1, 2])
+@pytest.mark.parametrize("nmax", [12, 40])
+def test_padded_stack_matches_the_sector_loop_bit_for_bit(nmax, spin):
+    # rank-2 columns on every row of every sector, zero past each top: each
+    # shell sums many sectors, in ascending b as the loop does
+    rng = np.random.default_rng(nmax + spin)
+    V = np.zeros((nmax + 1, spin * (nmax + 1), 2), dtype=complex)
+    for b in range(nmax + 1):
+        n = spin * (nmax + 1 - b)
+        V[b, :n] = random_columns(rng, n, min(2, n))
+    columns = [(b, V[b, :spin * (nmax + 1 - b)]) for b in range(nmax + 1)]
+    new = sectors.shell_sums(nmax, [(0, 0, V)], spin, XI)
+    assert all(map(same_bytes, new, loop_shell_sums(nmax, columns, spin, XI)))
+
+
+@pytest.mark.parametrize("energy", [1.0, 2.0])
+def test_fermi_stacks_match_the_sector_loop_bit_for_bit(energy):
+    for params in QUAT_CASES:
+        secs, _, _ = sectors.quaternionic_sector_eigensystem(40, params, energy)
+        columns = [(b, V) for b, _, V, _ in secs]
+        new = sectors.quaternionic_shell_sums(40, params, secs)
+        assert all(map(same_bytes, new, loop_shell_sums(40, columns, 2, params.xi)))
+        assert same_bytes(topo._quaternionic_symmetry_residual(secs),
+                          loop_symmetry_residual(columns, sectors.QUATERNIONIC.twist))
+
+
+def test_curvature_calls_do_not_grow_with_nmax(monkeypatch):
+    # the level projections go through one stack, not one call per sector
+    calls = []
+    curvature = sectors._curvature
+    monkeypatch.setattr(sectors, "_curvature", lambda *args: calls.append(1) or curvature(*args))
+    params = ModelParams(c_b=0.4)
+    counts = {}
+    for nmax in (40, 300):
+        for name, run in (("landau", lambda: topo.invariants_landau(1, nmax, params)),
+                          ("jc", lambda: topo.invariants_jc(1, "+", nmax, params))):
+            calls.clear()
+            run()
+            counts[name, nmax] = len(calls)
+    assert counts["landau", 40] == counts["landau", 300] > 0
+    assert counts["jc", 40] == counts["jc", 300] > 0
+
+
 def dense_shell_sums(nmax, columns, spin, xi):
     """Shell sums from dense P = V V^dagger and dense curvature, sector by sector."""
     rank = np.zeros(nmax + 1)
@@ -116,7 +267,7 @@ def test_factored_curvature_matches_dense(spin, rank, s):
     V = random_columns(rng, s * spin, rank)
     assert np.abs(V[-spin:]).max() > 1e-3  # weight on the truncation edge j = s - 1
     R = dense_curvature(V @ V.conj().T, *dense_ladders(s, spin))
-    K = sectors._curvature(V, spin)
+    K = sectors._curvature(s - 1, (0, 0, V[None]), spin)[0]
     assert np.abs(V @ K @ V.conj().T - R).max() <= 1e-12
     diag = np.einsum("kp,pq,kq->k", V, K, V.conj())
     assert np.abs(diag - np.diag(R)).max() <= 1e-12
@@ -129,7 +280,7 @@ def test_edge_row_of_ladder_commutator(spin):
     V = np.zeros((s * spin, 1), dtype=complex)
     V[-1, 0] = 1.0
     R = dense_curvature(V @ V.conj().T, *dense_ladders(s, spin))
-    K = sectors._curvature(V, spin)
+    K = sectors._curvature(s - 1, (0, 0, V[None]), spin)[0]
     assert K[0, 0] == pytest.approx(-(s - 1), abs=1e-12)
     assert np.abs(V @ K @ V.conj().T - R).max() <= 1e-12
 
@@ -158,7 +309,7 @@ def test_jc_shell_sums_match_dense(j, branch):
         s = NMAX + 1 - b
         if j >= s:
             continue
-        V = sectors._jc_sector_vector(s, j, theta)[:, None]
+        V = jc_sector_vector(s, j, theta)[:, None]
         columns.append((b, V))
         interior = s if b + s - 1 <= NMAX - 3 else max(0, NMAX - 2 - b)
         if interior > 0:
@@ -176,30 +327,35 @@ def test_jc_shell_sums_match_dense(j, branch):
     assert closed_resid <= 1e-12
 
 
-def dense_jc_symmetry_residual(nmax, j, theta):
+def dense_jc_symmetry_residual(nmax, j, vector):
+    """The Xi residual with U as a matrix, from the column vector(s) of each sector holding j."""
     worst = 0.0
     for b in range(nmax + 1):
         s = nmax + 1 - b
         if j >= s:
             continue
-        v = sectors._jc_sector_vector(s, j, theta)
+        v = vector(s)
         P = np.outer(v, v.conj())
         U = np.diag(np.kron((1j) ** (np.arange(s) + b), np.array([1.0, 1j])))
         worst = max(worst, np.abs(U @ P.conj() @ U.conj().T - P).max())
     return worst
 
 
-def test_jc_symmetry_residual_matches_dense(monkeypatch):
+def test_jc_symmetry_residual_matches_dense():
     theta = jc_angles(2, 0.4)[0]
     res = topo._jc_symmetry_residual(NMAX, 2, theta)
-    assert res == pytest.approx(dense_jc_symmetry_residual(NMAX, 2, theta), abs=1e-13)
+    ref = dense_jc_symmetry_residual(NMAX, 2, lambda s: jc_sector_vector(s, 2, theta))
+    assert res == pytest.approx(ref, abs=1e-13)
     assert res <= topo.SYMMETRY_TOL
-    # vectors that break the symmetry: both forms give the same O(1) residual
+    # a stack of random dense rows per sector breaks the symmetry: both forms
+    # give the same O(1) residual; rows past each sector's top stay zero
     rng = np.random.default_rng(5)
     vectors = {s: rng.normal(size=2 * s) + 1j * rng.normal(size=2 * s) for s in range(1, NMAX + 2)}
-    monkeypatch.setattr(sectors, "_jc_sector_vector", lambda s, j, theta: vectors[s])
-    res = topo._jc_symmetry_residual(NMAX, 2, theta)
-    ref = dense_jc_symmetry_residual(NMAX, 2, theta)
+    V = np.zeros((NMAX - 1, 2 * (NMAX + 1), 1), dtype=complex)  # sectors b = 0..NMAX - 2
+    for b in range(len(V)):
+        V[b, :2 * (NMAX + 1 - b), 0] = vectors[NMAX + 1 - b]
+    res = sectors.symmetry_residual([(0, 0, V)], sectors.JC.twist)
+    ref = dense_jc_symmetry_residual(NMAX, 2, vectors.get)
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)
 
@@ -261,14 +417,14 @@ def test_symmetry_residual_matches_dense(name):
         # zero rows: the supports of V and U conj(V) differ (sigma2 swaps the spins)
         V[rng.random(n) < 0.5] = 0.0
         columns.append((b, V))
-    res = sectors.symmetry_residual(columns, twist)
+    res = sectors.symmetry_residual([(b, 0, V[None]) for b, V in columns], twist)
     assert res > 1e-1
     assert res == pytest.approx(dense_symmetry_residual(columns, twist), rel=1e-12)
     # one spin component alone breaks Xi', which moves it to the other spin
     e = np.zeros((2 * spin, 1), dtype=complex)
     e[0] = 1.0
     expected = 1.0 if name == "Xi-prime" else 0.0
-    assert sectors.symmetry_residual([(3, e)], twist) == expected
+    assert sectors.symmetry_residual([(3, 0, e[None])], twist) == expected
 
 
 def _unit(v):
