@@ -234,11 +234,8 @@ def diagonalize_and_gaps(H, gap_threshold):
 
 
 def _gaps_from_levels(levels, threshold):
-    gaps = []
-    for a, b in zip(levels[:-1], levels[1:]):
-        if b - a > threshold:
-            gaps.append(GapRecord(float(a), float(b)))
-    return gaps
+    gap = np.diff(levels) > threshold
+    return [GapRecord(a, b) for a, b in zip(levels[:-1][gap].tolist(), levels[1:][gap].tolist())]
 
 
 def fermi_projection(H, energy, gap_threshold=0.05):

@@ -321,6 +321,23 @@ class TestQuaternionic:
             i = k
 
 
+def loop_gaps(levels, threshold):
+    """The gap scan one neighbor pair at a time: the reference of the masked form."""
+    return [(float(a), float(b)) for a, b in zip(levels[:-1], levels[1:]) if b - a > threshold]
+
+
+@pytest.mark.parametrize("levels, threshold", [
+    (np.array([]), 0.05),
+    (np.array([0.5]), 0.05),
+    (np.array([0.0, 0.05, 0.1 + 1e-17, 1.0, np.nan, 3.0, 3.0]), 0.05),
+    (np.repeat(np.arange(141) + 0.5, 2) + 1e-9 * np.sin(np.arange(282)), 0.5),
+])
+def test_gaps_from_levels_match_the_pair_loop(levels, threshold):
+    gaps = models._gaps_from_levels(levels, threshold)
+    assert [(g.lower, g.upper) for g in gaps] == loop_gaps(levels, threshold)
+    assert all(type(g.lower) is float and type(g.upper) is float for g in gaps)
+
+
 class TestFermiAndRiesz:
     def test_fermi_zero_coupling(self, basis):
         p = ModelParams(c_b=0.0, r=(0.0, 1.0, 0.0))

@@ -6,15 +6,22 @@ curvature density i P [d1 P, d2 P] from full 2s x 2s ladder products,
 and the symmetry residuals from U conj(P) U^dagger with U as a matrix.
 The rotated quaternionic solver is checked against a complex ``eigh`` of
 the dense 2s x 2s sector blocks. The sector stacks are checked bit for
-bit against the per-sector loops they replace, kept here as oracles.
+bit against the per-sector loops they replace, kept here as oracles, and
+so are the pooled sector eigensystems against a serial loop that builds
+every sector block on its own.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 
-from landautrace import models, sectors, topo
+from landautrace import cli, models, sectors, topo
 from landautrace.fock import ModelParams, build_basis, derived_operator, flip_and_conjugation
 from landautrace.models import jc_angles
 
@@ -69,6 +76,194 @@ def test_jc_interior_count(nmax):
     # other sectors and certifies fewer (23 of 25 at nmax 6, c_b 0.7).
     _, flags = sectors.jc_sector_eigensystem(nmax, ModelParams(c_b=0.7))
     assert flags.sum() == (nmax - 1) ** 2
+
+
+def serial_sector_eigensystem(nmax, block, columns=None):
+    """The serial loop over the sectors, the block of each built on its own by ``block(s)``."""
+    secs = []
+    for b in range(nmax + 1):
+        s = nmax + 1 - b
+        w, v = np.linalg.eigh(block(s))
+        flags = sectors._edge_mass(v, s) < sectors.INTERIOR_MASS
+        secs.append((b, w, None if columns is None else columns(w, v), flags))
+    ev = np.concatenate([w for _, w, _, _ in secs])
+    fl = np.concatenate([flags for _, _, _, flags in secs])
+    order = np.argsort(ev)
+    return secs, ev[order], fl[order]
+
+
+def quaternionic_tridiagonal(s, params):
+    """The rotated quaternionic sector block of size s, built for that size alone."""
+    shift = params.c_b * np.linalg.norm(params.r)
+    n = np.arange(s)
+    T = np.diag(params.eps_B * (n + 0.5 + shift ** 2))
+    off = params.eps_B * shift * np.sqrt(n[1:])
+    T[n[1:], n[:-1]] = off
+    T[n[:-1], n[1:]] = off
+    return T
+
+
+#: name -> (the eigensystem, the block of one sector of size s built on its own)
+EIGENSYSTEMS = {
+    "landau": (sectors.landau_sector_eigensystem,
+               lambda s, p: np.diag(p.eps_B * (np.arange(s) + 0.5))),
+    "jc": (sectors.jc_sector_eigensystem,
+           lambda s, p: sectors.JC.hamiltonian(sectors.lowering_block(s), np.arange(s), p)),
+    "quaternionic": (sectors.quaternionic_sector_eigensystem, quaternionic_tridiagonal),
+    "quaternionic-E2": (lambda nmax, p: sectors.quaternionic_sector_eigensystem(nmax, p, 2.0),
+                        quaternionic_tridiagonal),
+}
+
+
+def flat_bytes(out):
+    """Every array, None and sector index of an eigensystem's output, as bytes."""
+    if isinstance(out, (tuple, list)):
+        return [x for item in out for x in flat_bytes(item)]
+    return [None if out is None else np.asarray(out).tobytes()]
+
+
+@pytest.mark.parametrize("workers", [1, 3, None])
+@pytest.mark.parametrize("name", EIGENSYSTEMS)
+@pytest.mark.parametrize("nmax", [0, 1, 2, 13, 40, 140])
+def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, workers, monkeypatch):
+    # blocks sliced from b = 0 and solved on the pool, with one worker, with more
+    # workers than sectors divide evenly into, and with one per usable CPU
+    run, block = EIGENSYSTEMS[name]
+    params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
+    if workers is not None:
+        monkeypatch.setattr(sectors, "_workers", lambda tasks: min(workers, tasks))
+    new = run(nmax, params)
+    calls = []
+    monkeypatch.setattr(sectors, "_sector_eigensystem", lambda nmax, H0, columns=None: calls.append(1)
+                        or serial_sector_eigensystem(nmax, lambda s: block(s, params), columns))
+    old = run(nmax, params)
+    assert calls == [1]
+    assert flat_bytes(new) == flat_bytes(old)
+
+
+def fake_openblas(threads):
+    """A stand-in for numpy's OpenBLAS that reports ``threads()`` BLAS threads."""
+    return types.SimpleNamespace(scipy_openblas_get_num_threads64_=threads)
+
+
+def test_workers_leave_the_blas_threads_their_cpus(monkeypatch):
+    blas = [1]
+    monkeypatch.setattr(sectors, "_numpy_openblas", lambda: fake_openblas(lambda: blas[0]))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
+    assert [sectors._workers(n) for n in (1, 2, 3, 141)] == [1, 2, 3, 4]
+    # w workers each running eigh on the BLAS threads fit into the usable CPUs
+    assert [blas.__setitem__(0, t) or sectors._workers(141) for t in (2, 3, 4, 8)] == [2, 1, 1, 1]
+    monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
+    assert sectors._workers(141) == 1  # a BLAS whose thread count cannot be read: serial
+    monkeypatch.setattr(sectors, "_numpy_openblas", lambda: fake_openblas(lambda: 1))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [sectors._workers(n) for n in (1, 141)] == [1, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sectors._workers(141) == 1
+
+
+def test_blas_thread_count_is_numpys():
+    # a child with one BLAS thread per call gets one worker per usable CPU, and
+    # one with the default count (every CPU) gets one worker
+    if sectors._numpy_openblas() is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS of its wheels")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sectors.__file__)))
+    script = ("import os\nfrom landautrace import sectors\n"
+              "print(sectors._numpy_openblas().scipy_openblas_get_num_threads64_(), sectors._workers(141),"
+              " len(os.sched_getaffinity(0)))")
+    counts = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]),
+                   **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts.append([int(x) for x in proc.stdout.split()])
+    (blas, workers, cpus), (blas_default, workers_default, _) = counts
+    assert (blas, workers) == (1, min(cpus, 141))
+    assert blas_default == cpus and workers_default == 1
+
+
+def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
+    # LAPACK giving up on one sector size, in a worker, reaches the caller and
+    # ends the command in exit 3
+    eigh = np.linalg.eigh
+
+    def failing(a, *args, **kwargs):
+        if len(a) == 14:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    tridiagonal = sectors._tridiagonal_eigh
+
+    def failing_tridiagonal(lib, d, e):
+        if len(d) == 14:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return tridiagonal(lib, d, e)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(sectors, "_tridiagonal_eigh", failing_tridiagonal)
+    monkeypatch.setattr(sectors, "_workers", lambda tasks: min(3, tasks))
+    params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
+    for run in (lambda: sectors.landau_sector_eigensystem(20, params),
+                lambda: sectors.jc_sector_eigensystem(20, params),
+                lambda: sectors.quaternionic_sector_eigensystem(20, params, 2.0)):
+        with pytest.raises(np.linalg.LinAlgError):
+            run()
+    for model, command in (("jaynes_cummings", "spectrum"), ("quaternionic", "invariants")):
+        cfg = tmp_path / f"{model}.cfg"
+        cfg.write_text(f"model = {model}\nnmax = 20\nfermi_energy = 2\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == cli.EXIT_NOCONV
+        assert "non-convergence: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["landau", "quaternionic-E2"])
+def test_eigh_fallback_matches_the_serial_loop_bit_for_bit(name, monkeypatch):
+    # without numpy's OpenBLAS the tridiagonal blocks go to eigh, on one worker
+    run, block = EIGENSYSTEMS[name]
+    params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
+    monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
+    monkeypatch.setattr(sectors, "_tridiagonal_eigh", None)
+    for nmax in (0, 13, 140):
+        new = run(nmax, params)
+        with monkeypatch.context() as m:
+            m.setattr(sectors, "_sector_eigensystem", lambda nmax, H0, columns=None:
+                      serial_sector_eigensystem(nmax, lambda s: block(s, params), columns))
+            assert flat_bytes(new) == flat_bytes(run(nmax, params))
+
+
+def test_complex_tridiagonal_block_goes_to_eigh():
+    # dstevd is real: a Hermitian tridiagonal block with complex entries stays with eigh
+    H0 = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    H0[[1, 2, 3], [0, 1, 2]] = [0.5j, 0.25 + 0.5j, -0.5j]
+    H0 += np.tril(H0, -1).conj().T
+    new = sectors._sector_eigensystem(3, H0)
+    assert flat_bytes(new) == flat_bytes(serial_sector_eigensystem(3, lambda s: H0[:s, :s]))
+
+
+def test_tridiagonal_eigh_reports_lapack_failure():
+    lib = sectors._numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy's LAPACK is not the OpenBLAS of its wheels")
+    w, v = sectors._tridiagonal_eigh(lib, np.array([2.0]), np.array([]))
+    assert (w.tolist(), v.tolist()) == ([2.0], [[1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        sectors._tridiagonal_eigh(lib, np.array([1.0, np.nan, 0.0]), np.array([0.5, 0.5]))
+
+
+def test_jc_block_built_once_on_the_calling_thread(monkeypatch):
+    # the b = 0 block is built once per call; no traced function runs in a worker
+    threads = []
+    lowering = sectors.lowering_block
+    monkeypatch.setattr(sectors, "lowering_block",
+                        lambda size: threads.append(threading.current_thread()) or lowering(size))
+    monkeypatch.setattr(sectors, "_workers", lambda tasks: min(3, tasks))
+    for nmax in (0, 13, 140):
+        threads.clear()
+        sectors.jc_sector_eigensystem(nmax, ModelParams(c_b=0.6))
+        assert threads == [threading.current_thread()]
 
 
 def dense_curvature(P, ap, am):
@@ -226,6 +421,30 @@ def test_fermi_stacks_match_the_sector_loop_bit_for_bit(energy):
         assert all(map(same_bytes, new, loop_shell_sums(40, columns, 2, params.xi)))
         assert same_bytes(topo._quaternionic_symmetry_residual(secs),
                           loop_symmetry_residual(columns, sectors.QUATERNIONIC.twist))
+
+
+@pytest.mark.parametrize("energy", [1.0, 2.0])
+@pytest.mark.parametrize("nmax", [40, 140])
+def test_trimmed_fermi_stacks_match_whole_columns_bit_for_bit(nmax, energy):
+    # the columns are cut after their last nonzero level and one zero level;
+    # a sector with no column (r = 0: eps_B 1.3 puts its one level above E = 1)
+    # keeps V whole
+    trimmed = empty = 0
+    for params in QUAT_CASES:
+        secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+        whole = [(b, 0, V[None]) for b, _, V, _ in secs]
+        stacks = sectors.fermi_stacks(secs)
+        for (_, _, V), (_, _, W) in zip(stacks, whole):
+            assert V.shape[1] % 2 == 0 and not W[:, V.shape[1]:].any()
+            trimmed += V.shape[1] < W.shape[1]
+            empty += W.shape[2] == 0 and V.shape == W.shape
+        assert all(map(same_bytes, sectors.shell_sums(nmax, stacks, 2, params.xi),
+                       sectors.shell_sums(nmax, whole, 2, params.xi)))
+        twist = sectors.QUATERNIONIC.twist
+        assert same_bytes(sectors.symmetry_residual(stacks, twist),
+                          sectors.symmetry_residual(whole, twist))
+    assert trimmed > 0
+    assert empty > 0 or energy == 2.0
 
 
 def test_curvature_calls_do_not_grow_with_nmax(monkeypatch):
