@@ -131,9 +131,9 @@ class RunConfig:
         self.fermi_energy = _get(cfg, "fermi_energy", None, _finite)
         self.gap_threshold = _get(cfg, "gap_threshold", None, _positive)
         self.tol = _get(cfg, "tol", None, _positive)
-        self.jmax = _get(cfg, "jmax", 5, int)
-        if self.jmax < 0:
-            raise ConfigError("jmax must be nonnegative")
+        self.jmax = _get(cfg, "jmax", min(5, self.nmax), int)
+        if not 0 <= self.jmax <= self.nmax:
+            raise ConfigError(f"jmax must be in 0..nmax = {self.nmax}, got {self.jmax}")
         self.check = _get(cfg, "check", None)
         self.out_dir = _get(cfg, "out", ".")
         # module preconditions checked up front

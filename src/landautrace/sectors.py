@@ -40,15 +40,21 @@ dense matrices alike.
 
 Spectra: one solver (:func:`_sector_eigensystem`) diagonalizes the sector
 blocks of all three Hamiltonians and flags the interior eigenvalues; the
-``spectrum`` command and the quaternionic Fermi projections use it. Each
-Hamiltonian builds its b = 0 block once, every sector block is sliced
-from it as a leading principal submatrix, and the independent sector
-solves run on a thread pool, one worker per usable CPU when numpy's BLAS
-runs one thread per call and one worker otherwise. The real tridiagonal
-blocks (Landau, quaternionic) go to LAPACK's tridiagonal solver dstevd in
-numpy's own library, which gives the bits of ``eigh`` on them at about
-half the cost; the JC blocks go to ``eigh``. So the results are
-bit-identical to a serial ``eigh`` loop over the sectors.
+``spectrum`` command and the quaternionic Fermi projections use it. It
+takes the bands of a real tridiagonal b = 0 block, whose leading principal
+submatrices are the other sector blocks, and solves the sectors on a
+thread pool (:func:`_workers`) by LAPACK dstevd from numpy's own library,
+or by ``eigh`` of the band matrix without it, bit for bit as a serial
+``eigh`` loop. Landau's block is diagonal. The spin-1/2 blocks become
+real tridiagonal under a unitary within each level, which moves no
+probability between levels, so the interior flags come from the real
+eigenvectors directly. For JC, M = [[0, 0], [i sqrt2, 0]] and G = 1
+couple (n, up) only to (n + 1, down), by i eps_B c_b sqrt(2 (n + 1)), over
+the diagonal eps_B (n + 1/2 + c_b^2) of both spins; with each level
+ordered (n down, n up) and the down states multiplied by i, a sector of s
+levels is the direct sum of the real pairs (j - 1, up), (j, down), with
+the levels E_j^+- of :func:`models.jc_spectrum`, and the ends (0, down)
+at E_0 and (s - 1, up) at eps_B (s - 1/2 + c_b^2).
 
 The quaternionic blocks are solved in a rotated basis, an independent
 route to the same spectrum. The record's gauge matrix
@@ -63,9 +69,7 @@ diagonal eps_B (n + 1/2 + c_b^2 |mu_k|^2) and off-diagonal
 eps_B c_b |mu_k| sqrt(n). Since lambda(S) = +-sqrt(r1^2 + r2^2), both
 channels have |mu_k| = |r|: they share one tridiagonal matrix, so every
 sector eigenvalue is doubled (the Kramers pairs of the odd symmetry) and
-the interior ones are eps_B (n + 1/2), as for Landau x C^2. Neither W nor
-the diagonal phases move probability between spatial levels, so the
-interior flags come from the real eigenvectors directly; only the
+the interior ones are eps_B (n + 1/2), as for Landau x C^2. Only the
 columns of a Fermi projection are mapped back to the spin-fastest basis.
 The gauge covariance of the trace per unit volume behind this
 equivalence is that of Bellissard, van Elst and Schulz-Baldes,
@@ -455,38 +459,35 @@ def _tridiagonal_eigh(lib, d, e):
     return w, v
 
 
-def _sector_eigensystem(nmax, H0, columns=None):
-    """Per-sector eigendecomposition of the leading blocks H0[:spin s, :spin s], s = Nmax + 1 - b.
+def _sector_eigensystem(nmax, d, e, columns=None):
+    """Per-sector eigendecomposition of the real tridiagonal b = 0 block with diagonal d, subdiagonal e.
 
-    ``H0`` is the b = 0 block, spin fastest; every other sector block is
-    its leading principal submatrix (:func:`block_symmetry_residual`).
-    The sectors share no state, so their solves run on w threads
-    (:func:`_workers`; LAPACK releases the interpreter lock): worker k
-    takes b = k, k + w, .... A real tridiagonal ``H0`` (Landau,
-    quaternionic) is solved by :func:`_tridiagonal_eigh`, any other by
-    ``eigh``. Each solve gives the bits of ``eigh`` on the same block in a
-    serial loop, so the results are bit-identical to that loop. An
-    eigenvector is interior when less than
-    INTERIOR_MASS of its probability sits on the outer EDGE_SHELLS shells;
-    with no state shared, the flags do not depend on the basis LAPACK
-    picks inside eigenspaces that several sectors share. ``columns(w, v)``
-    returns the eigenvectors a caller keeps of a sector, in the worker;
-    without it none are kept. Returns a list of (b, eigenvalues, kept
-    eigenvectors or None, interior flags) in ascending b and the globally
-    sorted (eigenvalues, interior flags).
+    The block is spin fastest, and sector b takes its leading part
+    (d[:spin s], e[:spin s - 1]), s = Nmax + 1 - b. The sectors share no
+    state, so their solves run on w threads (:func:`_workers`; LAPACK
+    releases the interpreter lock): worker k takes b = k, k + w, ....
+    Each solve is :func:`_tridiagonal_eigh`, or ``eigh`` of the band matrix
+    without numpy's OpenBLAS: the bits of a serial ``eigh`` loop. An
+    eigenvector is interior when less than INTERIOR_MASS of its probability
+    sits on the outer EDGE_SHELLS shells; with no state shared, the flags
+    do not depend on the basis LAPACK picks inside eigenspaces that several
+    sectors share. ``columns(w, v)`` returns the eigenvectors a caller
+    keeps of a sector, in the worker; without it none are kept. Returns a
+    list of (b, eigenvalues, kept eigenvectors or None, interior flags) in
+    ascending b and the globally sorted (eigenvalues, interior flags).
     """
-    spin = len(H0) // (nmax + 1)
+    spin = len(d) // (nmax + 1)
     lib = _numpy_openblas()
-    # eigh reads the lower triangle: a real one with nothing below the subdiagonal goes to dstevd
-    tridiagonal = lib is not None and H0.dtype == np.float64 and not np.tril(H0, -2).any()
-    d, e = np.diag(H0), np.diag(H0, -1)
 
     def solve(sector_ids):
         out = []
         for b in sector_ids:
             s = nmax + 1 - b
             k = spin * s
-            w, v = _tridiagonal_eigh(lib, d[:k], e[:k - 1]) if tridiagonal else np.linalg.eigh(H0[:k, :k])
+            if lib is None:  # eigh reads the lower triangle
+                w, v = np.linalg.eigh(np.diag(d[:k]) + np.diag(e[:k - 1], -1))
+            else:
+                w, v = _tridiagonal_eigh(lib, d[:k], e[:k - 1])
             flags = _edge_mass(v, s) < INTERIOR_MASS
             out.append((b, w, None if columns is None else columns(w, v), flags))
         return out
@@ -507,17 +508,16 @@ def landau_sector_eigensystem(nmax, params):
 
     Returns (eigenvalues, interior flags) over all sectors combined.
     """
-    _, evs, flags = _sector_eigensystem(nmax, np.diag(params.eps_B * (np.arange(nmax + 1) + 0.5)))
+    _, evs, flags = _sector_eigensystem(nmax, params.eps_B * (np.arange(nmax + 1) + 0.5), np.zeros(nmax))
     return evs, flags
 
 
 def jc_sector_eigensystem(nmax, params):
-    """Eigenvalues of the truncated spin-orbit Hamiltonian, sector by sector.
-
-    Returns (eigenvalues, interior flags) over all sectors combined.
-    """
-    H0 = JC.hamiltonian(lowering_block(nmax + 1), np.arange(nmax + 1), params)
-    _, evs, flags = _sector_eigensystem(nmax, H0)
+    """(eigenvalues, interior flags) of the truncated spin-orbit Hamiltonian, all sectors, from its real bands."""
+    n = np.arange(nmax + 1)
+    e = np.zeros(2 * nmax + 1)
+    e[1::2] = params.eps_B * params.c_b * np.sqrt(2.0 * n[1:])
+    _, evs, flags = _sector_eigensystem(nmax, np.repeat(params.eps_B * (n + 0.5 + params.c_b ** 2), 2), e)
     return evs, flags
 
 
@@ -545,19 +545,17 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     lam, W = np.linalg.eigh(params.r[1] * SIGMA1 + params.r[2] * SIGMA3)
     mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger M W = diag(mu)
     shift = params.c_b * np.linalg.norm(params.r)  # c_b |mu_k| = c_b |r| for both k
-    # the b = 0 block and its gauge phases; sector b takes the leading s x s part
+    # the bands of the b = 0 block and its gauge phases; sector b takes the leading s x s part
     n = np.arange(nmax + 1)
-    T = np.diag(params.eps_B * (n + 0.5 + shift ** 2))
-    off = params.eps_B * shift * np.sqrt(n[1:])
-    T[n[1:], n[:-1]] = off
-    T[n[:-1], n[1:]] = off
+    d = params.eps_B * (n + 0.5 + shift ** 2)
+    e = params.eps_B * shift * np.sqrt(n[1:])
     phases = np.exp(1j * np.outer(n, np.angle(mu)))
 
     def columns(w, u):
         s = len(w)
         return np.einsum("nk,nc,ak->nakc", phases[:s], u[:, w <= energy], W).reshape(2 * s, -1)
 
-    secs, evs, flags = _sector_eigensystem(nmax, T, None if energy is None else columns)
+    secs, evs, flags = _sector_eigensystem(nmax, d, e, None if energy is None else columns)
     secs = [(b, np.repeat(w, 2), V, np.repeat(fl, 2)) for b, w, V, fl in secs]
     return secs, np.repeat(evs, 2), np.repeat(flags, 2)
 

@@ -180,6 +180,13 @@ class TestSpectrum:
         rows = read_csv(tmp_path / "spectrum.csv")
         assert len(rows) == 2  # header + single level
 
+    def test_default_jmax_stops_at_nmax(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for nmax, labels in ((3, ["E_0", "E_1", "E_2", "E_3"]), (8, [f"E_{j}" for j in range(6)])):
+            cfg.write_text(f"model = landau\nnmax = {nmax}\n")
+            main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
+            assert [r[0] for r in read_csv(tmp_path / "spectrum.csv")[1:]] == labels
+
     def test_gap_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = landau\njmax = 2\nnmax = 16\n")

@@ -99,9 +99,9 @@ def test_every_input_ends_in_a_documented_status(run):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, keys, status", [
-    # eigh gives up on the overflowing sector blocks: non-convergence
+    # the sector bands overflow: the tridiagonal solver returns NaN eigenvalues, and NaN rows fail
     ("spectrum", {"model": "jaynes_cummings", "nmax": 13, "params.eps_b": 1.7e308,
-                  "params.c_b": 1.0}, EXIT_NOCONV),
+                  "params.c_b": 1.0}, EXIT_ASSERT),
     # the pair angles stay finite, but Nmax 13 is too short for a certified estimate
     ("invariants", {"model": "jaynes_cummings", "nmax": 13, "params.c_b": 1e154}, EXIT_NOCONV),
     # the areas of the Folner regions overflow: the check fails
@@ -112,3 +112,11 @@ def test_every_input_ends_in_a_documented_status(run):
 def test_overflow_inside_the_engines(command, keys, status):
     # inputs whose derived scales pass ModelParams but overflow further in
     assert run_cli(command, keys) == status
+
+
+@pytest.mark.parametrize("keys", [
+    {"nmax": 20, "jmax": 10 ** 18},  # the closed-form Landau table would hold 10^18 levels
+    {"model": "jaynes_cummings", "nmax": 20, "jmax": 10 ** 9},  # 10^9 closed-form pairs
+])
+def test_jmax_past_nmax_is_a_config_error(keys):
+    assert run_cli("spectrum", keys) == EXIT_CONFIG

@@ -5,17 +5,17 @@ The dense forms are the reference implementations: the spectra from
 curvature density i P [d1 P, d2 P] from full 2s x 2s ladder products,
 and the symmetry residuals from U conj(P) U^dagger with U as a matrix.
 The rotated quaternionic solver is checked against a complex ``eigh`` of
-the dense 2s x 2s sector blocks. The sector stacks are checked bit for
-bit against the per-sector loops they replace, kept here as oracles, and
-so are the pooled sector eigensystems against a serial loop that builds
-every sector block on its own.
+the dense 2s x 2s sector blocks, and the JC bands against the record's
+sector blocks, reordered and phase-gauged. The sector stacks are checked
+bit for bit against the per-sector loops they replace, kept here as
+oracles, and so are the pooled sector eigensystems against a serial loop
+that builds every sector block on its own.
 """
 
 import dataclasses
 import os
 import subprocess
 import sys
-import threading
 import types
 
 import numpy as np
@@ -92,23 +92,31 @@ def serial_sector_eigensystem(nmax, block, columns=None):
     return secs, ev[order], fl[order]
 
 
+def band_matrix(d, e):
+    """The real symmetric tridiagonal matrix with diagonal d and subdiagonal e."""
+    return np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+
+
+def jc_band(s, params):
+    """The JC sector block of size s, levels ordered (n down, n up), i on down, built for that size alone."""
+    n = np.arange(s)
+    e = np.zeros(2 * s - 1)
+    e[1::2] = params.eps_B * params.c_b * np.sqrt(2.0 * n[1:])
+    return band_matrix(np.repeat(params.eps_B * (n + 0.5 + params.c_b ** 2), 2), e)
+
+
 def quaternionic_tridiagonal(s, params):
     """The rotated quaternionic sector block of size s, built for that size alone."""
     shift = params.c_b * np.linalg.norm(params.r)
     n = np.arange(s)
-    T = np.diag(params.eps_B * (n + 0.5 + shift ** 2))
-    off = params.eps_B * shift * np.sqrt(n[1:])
-    T[n[1:], n[:-1]] = off
-    T[n[:-1], n[1:]] = off
-    return T
+    return band_matrix(params.eps_B * (n + 0.5 + shift ** 2), params.eps_B * shift * np.sqrt(n[1:]))
 
 
 #: name -> (the eigensystem, the block of one sector of size s built on its own)
 EIGENSYSTEMS = {
     "landau": (sectors.landau_sector_eigensystem,
                lambda s, p: np.diag(p.eps_B * (np.arange(s) + 0.5))),
-    "jc": (sectors.jc_sector_eigensystem,
-           lambda s, p: sectors.JC.hamiltonian(sectors.lowering_block(s), np.arange(s), p)),
+    "jc": (sectors.jc_sector_eigensystem, jc_band),
     "quaternionic": (sectors.quaternionic_sector_eigensystem, quaternionic_tridiagonal),
     "quaternionic-E2": (lambda nmax, p: sectors.quaternionic_sector_eigensystem(nmax, p, 2.0),
                         quaternionic_tridiagonal),
@@ -134,7 +142,7 @@ def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, worke
         monkeypatch.setattr(sectors, "_workers", lambda tasks: min(workers, tasks))
     new = run(nmax, params)
     calls = []
-    monkeypatch.setattr(sectors, "_sector_eigensystem", lambda nmax, H0, columns=None: calls.append(1)
+    monkeypatch.setattr(sectors, "_sector_eigensystem", lambda nmax, d, e, columns=None: calls.append(1)
                         or serial_sector_eigensystem(nmax, lambda s: block(s, params), columns))
     old = run(nmax, params)
     assert calls == [1]
@@ -219,9 +227,9 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
         assert "non-convergence: Eigenvalues did not converge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["landau", "quaternionic-E2"])
+@pytest.mark.parametrize("name", ["landau", "jc", "quaternionic-E2"])
 def test_eigh_fallback_matches_the_serial_loop_bit_for_bit(name, monkeypatch):
-    # without numpy's OpenBLAS the tridiagonal blocks go to eigh, on one worker
+    # without numpy's OpenBLAS the band matrices go to eigh, on one worker
     run, block = EIGENSYSTEMS[name]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
@@ -229,18 +237,9 @@ def test_eigh_fallback_matches_the_serial_loop_bit_for_bit(name, monkeypatch):
     for nmax in (0, 13, 140):
         new = run(nmax, params)
         with monkeypatch.context() as m:
-            m.setattr(sectors, "_sector_eigensystem", lambda nmax, H0, columns=None:
+            m.setattr(sectors, "_sector_eigensystem", lambda nmax, d, e, columns=None:
                       serial_sector_eigensystem(nmax, lambda s: block(s, params), columns))
             assert flat_bytes(new) == flat_bytes(run(nmax, params))
-
-
-def test_complex_tridiagonal_block_goes_to_eigh():
-    # dstevd is real: a Hermitian tridiagonal block with complex entries stays with eigh
-    H0 = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    H0[[1, 2, 3], [0, 1, 2]] = [0.5j, 0.25 + 0.5j, -0.5j]
-    H0 += np.tril(H0, -1).conj().T
-    new = sectors._sector_eigensystem(3, H0)
-    assert flat_bytes(new) == flat_bytes(serial_sector_eigensystem(3, lambda s: H0[:s, :s]))
 
 
 def test_tridiagonal_eigh_reports_lapack_failure():
@@ -253,17 +252,69 @@ def test_tridiagonal_eigh_reports_lapack_failure():
         sectors._tridiagonal_eigh(lib, np.array([1.0, np.nan, 0.0]), np.array([0.5, 0.5]))
 
 
-def test_jc_block_built_once_on_the_calling_thread(monkeypatch):
-    # the b = 0 block is built once per call; no traced function runs in a worker
-    threads = []
-    lowering = sectors.lowering_block
-    monkeypatch.setattr(sectors, "lowering_block",
-                        lambda size: threads.append(threading.current_thread()) or lowering(size))
-    monkeypatch.setattr(sectors, "_workers", lambda tasks: min(3, tasks))
-    for nmax in (0, 13, 140):
-        threads.clear()
-        sectors.jc_sector_eigensystem(nmax, ModelParams(c_b=0.6))
-        assert threads == [threading.current_thread()]
+def spy_solver(monkeypatch):
+    """(d, e, per-sector results) of every call of the sector solver, in call order."""
+    calls = []
+    solver = sectors._sector_eigensystem
+
+    def spy(nmax, d, e, columns=None):
+        out = solver(nmax, d, e, columns)
+        calls.append((d, e, out[0]))
+        return out
+
+    monkeypatch.setattr(sectors, "_sector_eigensystem", spy)
+    return calls
+
+
+@pytest.mark.parametrize("params", SPECTRUM_PARAMS)
+@pytest.mark.parametrize("nmax", [6, 20])
+def test_jc_bands_are_the_gauged_sector_blocks(nmax, params, monkeypatch):
+    # each level reordered to (n down, n up) and the down states multiplied by i
+    # turn the record's sector block into the band matrix the solver is given
+    calls = spy_solver(monkeypatch)
+    sectors.jc_sector_eigensystem(nmax, params)
+    (d, e, _), = calls
+    for s in range(1, nmax + 2):
+        block = sectors.JC.hamiltonian(sectors.lowering_block(s), np.arange(s), params)
+        order = np.arange(2 * s).reshape(s, 2)[:, ::-1].ravel()
+        gauge = np.tile([1j, 1.0], s)
+        gauged = gauge.conj()[:, None] * block[np.ix_(order, order)] * gauge
+        assert np.abs(gauged - band_matrix(d[:2 * s], e[:2 * s - 1])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("model", ["landau", "jaynes_cummings", "quaternionic"])
+def test_spectrum_solves_no_sector_block_with_eigh(model, tmp_path, monkeypatch):
+    # with numpy's OpenBLAS every sector goes to dstevd; the one eigh left is
+    # the quaternionic record's fixed 2 x 2 spin rotation
+    if sectors._numpy_openblas() is None:
+        pytest.skip("numpy's LAPACK is not the OpenBLAS of its wheels")
+    eigh, shapes = np.linalg.eigh, []
+
+    def refuse(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        if np.shape(a) != (2, 2):
+            raise AssertionError(f"eigh of a {np.shape(a)} matrix")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    argv = ["--model", model, "--nmax", "40", "--out", str(tmp_path), "spectrum"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert shapes == ([(2, 2)] if model == "quaternionic" else [])
+
+
+@pytest.mark.parametrize("params", SPECTRUM_PARAMS)
+def test_jc_sector_eigenvalues_match_their_closed_form(params, monkeypatch):
+    # sector s: E_0, the pairs E_j+- for j = 1..s-1 and the unpaired top (s - 1, up)
+    calls = spy_solver(monkeypatch)
+    nmax = 140
+    sectors.jc_sector_eigensystem(nmax, params)
+    (_, _, secs), = calls
+    assert [b for b, _, _, _ in secs] == list(range(nmax + 1))
+    for b, w, _, _ in secs:
+        s = nmax + 1 - b
+        top = params.eps_B * (s - 0.5 + params.c_b ** 2)
+        closed = np.sort(np.append(models.jc_spectrum(params, s - 1).eigenvalues, top))
+        np.testing.assert_allclose(w, closed, rtol=1e-12, atol=0)
 
 
 def dense_curvature(P, ap, am):
