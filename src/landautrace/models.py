@@ -3,7 +3,7 @@
 Both spin-1/2 models are H = eps_B (K1^2 + K2^2)/2 with non-Abelian
 kinetic momenta K_i = K_i x 1 - c_b 1 x gamma_i, each one record of
 :mod:`landautrace.sectors` (``sectors.JC``, ``sectors.QUATERNIONIC``)
-whose builder gives the dense Hamiltonians here and the sector blocks:
+whose builder gives the dense Hamiltonians here:
 
 * Jaynes-Cummings: gamma = (-sigma_2, sigma_1) (Rashba type); exactly
   solvable, levels E_0 = eps_B(1/2 + c_b^2) and

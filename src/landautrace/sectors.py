@@ -29,14 +29,18 @@ no other module reads the rows.
 Each spin-1/2 model is one :class:`SpinHalfModel` record (:data:`JC`,
 :data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2) and its spin
 twist, which decides the symmetry label (:func:`symmetry_label`; Theta's
-twist is :data:`THETA_TWIST`). With K_i x 1 - c_b 1 x gamma_i and
-M = -(gamma_1 - i gamma_2)/sqrt2, eps_B (K_1^2 + K_2^2)/2 is
+twist is :data:`THETA_TWIST`). Theta = F C maps K_1 to -K_2 and K_2 to
+-K_1, so (F x twist) C commutes with H = eps_B (K_1^2 + K_2^2)/2,
+K_i x 1 - c_b 1 x gamma_i, and its sector blocks when the twist maps
+conj(gamma_1) to -gamma_2 and conj(gamma_2) to -gamma_1, whatever Nmax,
+eps_B and c_b (:meth:`SpinHalfModel.twist_residual`). With
+M = -(gamma_1 - i gamma_2)/sqrt2, H is
 
     eps_B (n x 1 + c_b (a+ x M + a x M^dagger) + 1 x (c_b^2 G + 1/2)),
     G = M^dagger M + (i/2)[gamma_1, gamma_2] = (gamma_1^2 + gamma_2^2)/2,
 
-one builder (:meth:`SpinHalfModel.hamiltonian`) for sector blocks and
-dense matrices alike.
+which :meth:`SpinHalfModel.hamiltonian` builds for the dense test oracles
+of :mod:`landautrace.models`.
 
 Spectra: one solver (:func:`_sector_eigensystem`) diagonalizes the sector
 blocks of all three Hamiltonians and flags the interior eigenvalues; the
@@ -112,7 +116,6 @@ __all__ = [
     "jc_stacks",
     "shell_sums",
     "symmetry_residual",
-    "block_symmetry_residual",
     "landau_shell_sums",
     "jc_shell_sums",
     "landau_sector_eigensystem",
@@ -152,6 +155,12 @@ class SpinHalfModel:
         h = hop + hop.conj().T + np.kron(np.eye(len(occupations)), onsite)
         h[np.diag_indices_from(h)] += np.repeat(occupations, 2)
         return params.eps_B * h
+
+    def twist_residual(self, params):
+        """max |twist conj(gamma_i) twist^dagger + gamma_j|, (i, j) = (1, 2), (2, 1); 0 for a symmetry."""
+        gamma1, gamma2 = self.gammas(params)
+        return float(max(np.abs(self.twist @ g.conj() @ self.twist.conj().T + other).max()
+                         for g, other in ((gamma1, gamma2), (gamma2, gamma1))))
 
     def symmetry_unitary(self, shell):
         """diag(i^shell) x twist, the unitary part of the symmetry (F x twist) C."""
@@ -296,16 +305,6 @@ def symmetry_residual(stacks, twist):
         UV, V = UV[:, rows], V[:, rows]
         worst = max(worst, float(np.abs(UV @ _adjoint(UV) - V @ _adjoint(V)).max(initial=0.0)))
     return worst
-
-
-def block_symmetry_residual(H, twist):
-    """max |U conj(H) U^dagger - H| = max |T(T(H)^T) - H|, T = :func:`_twist`, H Hermitian.
-
-    Every other sector block is a leading principal submatrix of the b = 0
-    block H with U off by the global phase i^b, so H has the largest residual.
-    """
-    TH = _twist((0, 0, H[None]), twist)
-    return float(np.abs(_twist((0, 0, TH.swapaxes(1, 2)), twist)[0] - H).max())
 
 
 def landau_shell_sums(nmax, j, xi):

@@ -266,8 +266,8 @@ def classify_symmetry(H, candidates, tol=SYMMETRY_TOL, margin=2):
 
     Returns (label, residual) with label "Real", "Quaternionic" or "none";
     the residual is measured on the margin-restricted interior block. H
-    must be hermitian to 1e-10 relative to its largest entry. The dense
-    oracle of ``sectors.block_symmetry_residual``, which ``verify --check
+    must be hermitian to 1e-10 relative to its largest entry. A test oracle
+    of ``sectors.SpinHalfModel.twist_residual``, which ``verify --check
     symmetries`` uses.
     """
     from .fock import interior_block

@@ -355,11 +355,14 @@ class TestVerify:
         assert rc == EXIT_OK
 
     def test_curvature_and_landau_invariants_build_no_dense_matrix(self, tmp_path, monkeypatch):
-        # these run per n2 sector and must not fall back to dense OperatorMatrix algebra
+        # these run per n2 sector and must not fall back to dense OperatorMatrix
+        # algebra, nor build a Hamiltonian block
         def refuse(*args, **kwargs):
-            raise AssertionError("dense OperatorMatrix built")
+            raise AssertionError("dense OperatorMatrix or Hamiltonian block built")
 
         monkeypatch.setattr(fock.OperatorMatrix, "__init__", refuse)
+        monkeypatch.setattr(sectors.SpinHalfModel, "hamiltonian", refuse)
+        monkeypatch.setattr(sectors, "lowering_block", refuse)
         rc = main(["--out", str(tmp_path), "verify"])
         assert rc == EXIT_OK
         rows = read_csv(tmp_path / "verify.csv")[1:]
@@ -399,15 +402,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("eps_b", ["2e7", "1e12"])
     def test_symmetries_at_large_energy_scale(self, tmp_path, monkeypatch, eps_b):
-        # the rounding of H grows with eps_B; residual and tolerance are in its units
+        # the twist relation does not involve eps_B, so no rounding grows with it
         monkeypatch.setenv("LANDAU_PARAMS__EPS_B", eps_b)
         rc = main(["--check", "symmetries", "--nmax", "20", "--out", str(tmp_path), "verify"])
         assert rc == EXIT_OK
         assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-8
 
-    def test_symmetries_at_large_truncation(self, tmp_path):
-        # the dense check stopped at Nmax 20; the b = 0 block takes every row
-        rc = main(["--check", "symmetries", "--nmax", "300", "--out", str(tmp_path), "verify"])
+    @pytest.mark.parametrize("nmax", ["300", "1000000"])
+    def test_symmetries_at_large_truncation(self, tmp_path, nmax):
+        # the twist relation does not involve Nmax, so neither cost nor memory grows with it
+        rc = main(["--check", "symmetries", "--nmax", nmax, "--out", str(tmp_path), "verify"])
         assert rc == EXIT_OK
         assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-8
 

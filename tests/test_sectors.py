@@ -3,7 +3,9 @@
 The dense forms are the reference implementations: the spectra from
 ``eigvalsh`` of the Hamiltonians on the whole truncated basis, the
 curvature density i P [d1 P, d2 P] from full 2s x 2s ladder products,
-and the symmetry residuals from U conj(P) U^dagger with U as a matrix.
+the symmetry residuals from U conj(P) U^dagger with U as a matrix, and
+the twist relation of each spin-1/2 record from the dense symmetry
+classification of its Hamiltonian.
 The rotated quaternionic solver is checked against a complex ``eigh`` of
 the dense 2s x 2s sector blocks, and the JC bands against the record's
 sector blocks, reordered and phase-gauged. The sector stacks are checked
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from landautrace import cli, models, sectors, topo
-from landautrace.fock import ModelParams, build_basis, derived_operator, flip_and_conjugation
+from landautrace.fock import ModelParams, build_basis, derived_operator
 from landautrace.models import jc_angles
 
 NMAX = 20
@@ -791,27 +793,57 @@ def test_quaternionic_symmetry_residual_matches_dense(energy):
     assert res == pytest.approx(ref, rel=1e-12)
 
 
+#: each spin-1/2 record's dense oracle (Hamiltonian, symmetry, class) and a twist that breaks it
+DENSE_SYMMETRIES = {
+    "JC": (models.jc_hamiltonian, models.jc_trs, "Real", np.diag([1, -1j])),
+    "QUATERNIONIC": (models.quaternionic_hamiltonian, models.quaternionic_trs, "Quaternionic",
+                     np.diag([1, 1j])),
+}
+
+
 @pytest.mark.parametrize("eps_B", [1.0, 2e7])
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
 @pytest.mark.parametrize("nmax", [6, 12, 20])
-def test_block_symmetry_residual_matches_dense(nmax, params, eps_B):
-    # the b = 0 block, every row, gives the residual of classify_symmetry on the
-    # dense H and its margin-2 interior bit for bit, and the same class
+def test_block_symmetry_residual_matches_dense(nmax, params, eps_B, monkeypatch):
+    # the symmetry of every block, read off the record's twist relation, against
+    # classify_symmetry on the dense H: the relation holds exactly where the dense
+    # route finds the class, and a wrong twist fails both routes while c_b > 0 (but
+    # where S = 0 makes both gammas scalar, every diagonal twist is a symmetry); at
+    # c_b = 0 a wrong twist still commutes with H, and only the relation flags it
     p = dataclasses.replace(params, eps_B=eps_B)
     basis = build_basis(nmax)
-    lowering, occupations = sectors.lowering_block(nmax + 1), np.arange(nmax + 1)
-    for H, rep, model, twist in (
-        (derived_operator(basis, "H_B", p), flip_and_conjugation(basis)[2], None,
-         sectors.THETA_TWIST),
-        (models.jc_hamiltonian(basis, p), models.jc_trs(basis), sectors.JC, sectors.JC.twist),
-        (models.quaternionic_hamiltonian(basis, p), models.quaternionic_trs(basis),
-         sectors.QUATERNIONIC, sectors.QUATERNIONIC.twist),
+    tol = topo.SYMMETRY_TOL * max(1.0, eps_B)
+    for name, (hamiltonian, trs, label, wrong_twist) in DENSE_SYMMETRIES.items():
+        H = hamiltonian(basis, p)
+        model = getattr(sectors, name)
+        assert model.twist_residual(p) == 0.0
+        assert topo.classify_symmetry(H, [trs(basis)], tol=tol)[0] == label
+        with monkeypatch.context() as m:  # the dense symmetry reads its twist from the record
+            m.setattr(sectors, name, dataclasses.replace(model, twist=wrong_twist))
+            broken = getattr(sectors, name).twist_residual(p) > topo.SYMMETRY_TOL
+            found, _ = topo.classify_symmetry(H, [trs(basis)], tol=tol)
+        assert broken == (name == "JC" or any(p.r[1:]))
+        assert (found == "none") == (broken and p.c_b > 0)
+
+
+def test_twist_residual_agrees_with_projection_residual():
+    # at c_b 0.5 a twist satisfies the record's relation exactly when it leaves a
+    # computed projection invariant: JC level 2+ and the quaternionic Fermi
+    # projection at E = 2, where r1 = 0 makes sigma_1 a symmetry too
+    nmax = 40
+    p = ModelParams(xi=XI, c_b=0.5, r=(0.6, 0.0, -0.8))
+    secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, p, 2.0)
+    for model, stacks, twists in (
+        (sectors.JC, sectors.jc_stacks(nmax, 2, jc_angles(2, p.c_b)[0]),
+         [(sectors.JC.twist, True), (np.diag([1, -1j]), False)]),
+        (sectors.QUATERNIONIC, sectors.fermi_stacks(secs),
+         [(sectors.SIGMA2, True), (sectors.SIGMA1, True), (sectors.SIGMA3, False),
+          (np.diag([1, 1j]), False)]),
     ):
-        block = (np.diag(p.eps_B * (occupations + 0.5)) if model is None
-                 else model.hamiltonian(lowering, occupations, p))
-        label, ref = topo.classify_symmetry(H, [rep], tol=np.inf)
-        assert sectors.block_symmetry_residual(block, twist) == ref
-        assert sectors.symmetry_label(twist).startswith(label)
+        for twist, symmetric in twists:
+            relation = dataclasses.replace(model, twist=twist).twist_residual(p)
+            projection = sectors.symmetry_residual(stacks, twist)
+            assert (relation <= topo.SYMMETRY_TOL) == (projection <= topo.SYMMETRY_TOL) == symmetric
 
 
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
