@@ -181,7 +181,7 @@ def invariants_landau(j, nmax, params):
         max(zeta_est.residual, spread),
     )
     _, chern_sums = sectors.landau_shell_sums(nmax, j, xi)
-    chern_est = dixmier_from_shell_sums(chern_sums)
+    chern_est = dixmier_from_shell_sums(chern_sums, xi)
     residuals = verify_curvature_identity(j, nmax, params)
     sym_res = _theta_projection_residual(nmax, j)
     return _report(rank_est, chern_est, sectors.THETA_TWIST, sym_res,
@@ -198,8 +198,8 @@ def invariants_jc(j, sign, nmax, params):
         raise ValueError(f"need 1 <= j and j + 1 <= Nmax - {LEVEL_MARGIN}")
     theta = jc_angles(j, params.c_b)[0 if sign in ("+", 1) else 1]
     rank_sums, chern_sums, closed_resid = sectors.jc_shell_sums(nmax, j, theta, params.xi)
-    rank_est = dixmier_from_shell_sums(rank_sums)
-    chern_est = dixmier_from_shell_sums(chern_sums)
+    rank_est = dixmier_from_shell_sums(rank_sums, params.xi)
+    chern_est = dixmier_from_shell_sums(chern_sums, params.xi)
     sym_res = _jc_symmetry_residual(nmax, j, theta)
     return _report(rank_est, chern_est, sectors.JC.twist, sym_res,
                    {"spin_trace_closed_form": closed_resid})
@@ -225,10 +225,8 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     if not any(g.contains(energy) for g in gaps):
         raise NoGapError(f"no certified gap around E = {energy}")
     rank_sums, chern_sums = sectors.quaternionic_shell_sums(nmax, params, secs)
-    # spin-doubled densities double the extrapolation spread; 0.1 is the
-    # documented certification budget for the quaternionic invariants
-    rank_est = dixmier_from_shell_sums(rank_sums, tolerance=1e-1)
-    chern_est = dixmier_from_shell_sums(chern_sums, tolerance=1e-1)
+    rank_est = dixmier_from_shell_sums(rank_sums, params.xi)
+    chern_est = dixmier_from_shell_sums(chern_sums, params.xi)
     sym_res = _quaternionic_symmetry_residual(secs)
     kramers = _kramers_residual(evs[flags])
     return _report(rank_est, chern_est, sectors.QUATERNIONIC.twist, sym_res,

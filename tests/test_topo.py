@@ -281,6 +281,53 @@ class TestQuaternionicInvariants:
             invariants_quaternionic(0.5, 60, p)  # energy sits on a level
 
 
+class TestHarmonicColumnFit:
+    """The graded estimate is the slope of the cumulated shell sums against H_l.
+
+    Where the n2 sectors have converged the cumulated sum is exactly
+    T H_l + C, so levels that converge from the first shell come out at
+    rounding level, and a truncation too short to settle never certifies.
+    """
+
+    @pytest.mark.parametrize("nmax", [14, 40])
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_converged_levels_are_exact(self, nmax, xi):
+        estimates = [invariants_landau(j, nmax, ModelParams(xi=xi)).chern_estimate
+                     for j in (0, 3)]
+        for c_b in (0.3, 0.8):
+            for sign in "+-":
+                rep = invariants_jc(1, sign, nmax, ModelParams(xi=xi, c_b=c_b))
+                estimates += [rep.rank_estimate, rep.chern_estimate]
+        for est in estimates:
+            assert abs(est.value - 1.0) <= 1e-12
+            assert 0.0 < est.residual <= 1e-12 and est.converged
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_dense_diagonal_is_exact(self, xi):
+        est = dixmier_graded(landau_projection(build_basis(30), 1), xi)
+        assert abs(est.value - 1.0) <= 1e-12
+        assert 0.0 < est.residual <= 1e-12
+
+    def test_short_quaternionic_truncations_certify_no_wrong_integer(self):
+        # closed form: each Landau level below E contributes a Kramers pair
+        skipped = 0
+        for nmax in range(13, 32):
+            for c_b in (0.5, 0.8):
+                for energy in (2, 3):
+                    expect = 2 * sum(n + 0.5 < energy for n in range(energy))
+                    for xi in (0.0, 0.5, 1.0):
+                        p = ModelParams(c_b=c_b, xi=xi, r=(0.6, 0.0, -0.8))
+                        try:
+                            rep = invariants_quaternionic(float(energy), nmax, p)
+                        except NoGapError:
+                            skipped += 1
+                            continue
+                        case = (nmax, c_b, energy, xi)
+                        assert not rep.rank_certified or rep.rank_rounded == expect, case
+                        assert not rep.chern_certified or rep.chern_rounded == expect, case
+        assert skipped == 12
+
+
 def test_kramers_residual():
     # clusters split where a gap exceeds tol = 1e-8
     assert _kramers_residual(np.array([])) == 0.0
