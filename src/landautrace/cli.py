@@ -1,9 +1,10 @@
 """Command-line front end: spectra, invariants, and the verification suite.
 
 Configuration is a flat ``key = value`` file with dotted section names
-(``model.params.c_b = 0.4``); any key can be overridden by an environment
+(``params.c_b = 0.4``); any key can be overridden by an environment
 variable with prefix ``LANDAU_`` (dots become double underscores, e.g.
-``LANDAU_MODEL__PARAMS__C_B``) and by command-line flags, which win.
+``LANDAU_PARAMS__C_B``) and by command-line flags, which win. A key that
+no setting reads is a config error.
 
 Exit status: 0 ok, 2 config error, 3 non-convergence (including a missing
 spectral gap and an eigensolver that gives up), 4 assertion failure
@@ -107,37 +108,45 @@ class RunConfig:
     """
 
     def __init__(self, cfg, command):
-        self.model = _get(cfg, "model", "landau")
+        read = set()
+
+        def get(key, default=None, cast=str):
+            read.add(key)
+            return _get(cfg, key, default, cast)
+
+        self.model = get("model", "landau")
         if self.model not in _MODELS:
             where = cfg.get("model", ("", "<default>"))[1]
             raise ConfigError(f"{where}: unknown model {self.model!r} (pick from {_MODELS})")
-        self.nmax = _get(cfg, "nmax", 40, int)
+        self.nmax = get("nmax", 40, int)
         if self.nmax < 0:
             raise ConfigError("nmax must be nonnegative")
         try:
             self.params = ModelParams(
-                ell_B=_get(cfg, "params.ell_b", 1.0, float),
-                eps_B=_get(cfg, "params.eps_b", 1.0, float),
-                xi=_get(cfg, "params.xi", 0.0, float),
-                c_b=_get(cfg, "params.c_b", 0.0, float),
+                ell_B=get("params.ell_b", 1.0, float),
+                eps_B=get("params.eps_b", 1.0, float),
+                xi=get("params.xi", 0.0, float),
+                c_b=get("params.c_b", 0.0, float),
                 r=(
-                    _get(cfg, "params.r0", 0.0, float),
-                    _get(cfg, "params.r1", 1.0, float),
-                    _get(cfg, "params.r2", 0.0, float),
+                    get("params.r0", 0.0, float),
+                    get("params.r1", 1.0, float),
+                    get("params.r2", 0.0, float),
                 ),
             )
         except ValueError as exc:
             raise ConfigError(f"invalid params: {exc}") from exc
-        raw_levels = _get(cfg, "levels", "")
-        self.levels = self._parse_levels(raw_levels)
-        self.fermi_energy = _get(cfg, "fermi_energy", None, _finite)
-        self.gap_threshold = _get(cfg, "gap_threshold", None, _positive)
-        self.tol = _get(cfg, "tol", None, _positive)
-        self.jmax = _get(cfg, "jmax", min(5, self.nmax), int)
+        self.levels = self._parse_levels(get("levels", ""))
+        self.fermi_energy = get("fermi_energy", None, _finite)
+        self.gap_threshold = get("gap_threshold", None, _positive)
+        self.tol = get("tol", None, _positive)
+        self.jmax = get("jmax", min(5, self.nmax), int)
+        self.check = get("check", None)
+        self.out_dir = get("out", ".")
+        unknown = [key for key in cfg if key not in read]
+        if unknown:  # e.g. a misspelled key, which would otherwise run on its default
+            raise ConfigError(f"{cfg[unknown[0]][1]}: unknown key {unknown[0]!r}")
         if not 0 <= self.jmax <= self.nmax:
             raise ConfigError(f"jmax must be in 0..nmax = {self.nmax}, got {self.jmax}")
-        self.check = _get(cfg, "check", None)
-        self.out_dir = _get(cfg, "out", ".")
         # module preconditions checked up front
         if self.model == "quaternionic" and self.levels:
             raise ConfigError("quaternionic runs select a fermi_energy, not levels")
@@ -383,22 +392,23 @@ def _tridiagonal_commutator(x, y, rows):
 
 
 def _commutator_residuals(nmax):
-    """Residual of each canonical commutator and of Theta, on the n2 sector blocks.
+    """Residual of each canonical commutator and of Theta, on the bands of sector b = 0.
 
-    Sector b (n2 = b) holds n1 = 0..nmax - b. The first mode acts inside
-    each sector by the leading block of one tridiagonal matrix, given by
-    its (sub, sup) bands c+ sqrt(n) and c- sqrt(n), n = 1, 2, ..., for
-    c+ a+ + c- a-. The second mode maps sector b to b - 1 by sqrt(b) on
-    their common n1 range, so its operators are the same bands along the
-    sector index. No block is formed: every entry compared is a sum of
-    products of two band entries.
+    Sector b (n2 = b) holds n1 = 0..nmax - b. The first mode acts in it by
+    the leading block of one tridiagonal matrix with (sub, sup) bands
+    c+ sqrt(n), c- sqrt(n), n = 1, 2, ..., for c+ a+ + c- a-; the second
+    mode maps it to sector b - 1 by the same bands along the sector index.
+    No block is formed: every entry compared is a sum of products of two
+    band entries, on the margin-1 interior, the first nmax - b rows of b.
 
-    Commutators are compared on the margin-1 interior, the first nmax - b
-    rows of sector b (n1 + b <= nmax - 1): first-mode ones per sector,
-    second-mode ones along the sector index, and [K, G] between sectors b
-    and b + 1, each entry one band entry of K times their coupling, in
-    either order. Theta, the phase i^(n1 + b) with complex conjugation,
-    conjugates K1 and K2 on every row.
+    Second-mode commutators run along the sector index. Every other row
+    is evaluated on sector 0 alone, which holds its largest residual over
+    all sectors. First-mode commutators of sector b compare a prefix of
+    sector 0's entries. Theta, the phase i^(n1 + b) with complex
+    conjugation, enters by the ratio of neighbouring phases, the exact
+    unit i in every sector. Each entry of [K, G] between sectors b and
+    b + 1 is one band entry of K times their coupling in either order;
+    floating-point multiplication commutes, so it is 0 for every coupling.
     """
     root = np.sqrt(np.arange(1, nmax + 1, dtype=float))
     c, ci = 1 / np.sqrt(2), 1 / (1j * np.sqrt(2))
@@ -408,33 +418,30 @@ def _commutator_residuals(nmax):
 
     lowering, raising = mode(0.0, 1.0), mode(1.0, 0.0)
     k1, k2, g1, g2 = mode(c, c), mode(ci, -ci), mode(-c, -c), mode(-ci, ci)
-    names = ("[a-,a+] - 1", "[b-,b+] - 1", "[K1,K2] + i", "[G1,G2] + i",
-             "[K1,G1]", "[K2,G2]", "Theta K1 Theta^-1 + K2", "Theta K2 Theta^-1 + K1")
-    worst = dict.fromkeys(names, 0.0)
+    phase = sectors._i_power(np.arange(nmax + 1))
 
-    def record(name, *parts):
-        worst[name] = max(worst[name], *(float(np.abs(p).max(initial=0.0)) for p in parts))
+    def residual(*parts):
+        return max(0.0, *(float(np.abs(p).max(initial=0.0)) for p in parts))
 
-    def commutator(name, x, y, rows, target):
-        diag, *bands = _tridiagonal_commutator(x, y, rows)
-        record(name, diag - target, *bands)
+    def commutator(x, y, target):
+        diag, *bands = _tridiagonal_commutator(x, y, nmax)
+        return residual(diag - target, *bands)
 
-    # second mode: along the sector index, over every sector with interior rows
-    commutator("[b-,b+] - 1", lowering, raising, nmax, 1.0)
-    commutator("[G1,G2] + i", g1, g2, nmax, -1j)
-    for b in range(nmax):
-        rows = nmax - b
-        commutator("[a-,a+] - 1", lowering, raising, rows, 1.0)
-        commutator("[K1,K2] + i", k1, k2, rows, -1j)
-        for name, x, g in (("[K1,G1]", k1, g1), ("[K2,G2]", k2, g2)):
-            record(name, *(band[:rows - 1] * g[i][b] - g[i][b] * band[:rows - 1]
-                           for band in x for i in (0, 1)))
-        phase = sectors._i_power(np.arange(rows + 1) + b)
-        for name, x, y in (("Theta K1 Theta^-1 + K2", k1, k2), ("Theta K2 Theta^-1 + K1", k2, k1)):
-            sub = phase[1:] * x[0][:rows].conj() * phase[:-1].conj()
-            sup = phase[:-1] * x[1][:rows].conj() * phase[1:].conj()
-            record(name, sub + y[0][:rows], sup + y[1][:rows])
-    return worst
+    def cross(x, g):  # [X, G] between sectors 0 and 1
+        return residual(*(band[:-1] * g[i][0] - g[i][0] * band[:-1] for band in x for i in (0, 1)))
+
+    def theta(x, y):  # Theta X Theta^-1 + Y
+        sub = phase[1:] * x[0].conj() * phase[:-1].conj()
+        sup = phase[:-1] * x[1].conj() * phase[1:].conj()
+        return residual(sub + y[0], sup + y[1])
+
+    return {
+        "[a-,a+] - 1": commutator(lowering, raising, 1.0),
+        "[b-,b+] - 1": commutator(lowering, raising, 1.0),
+        "[K1,K2] + i": commutator(k1, k2, -1j), "[G1,G2] + i": commutator(g1, g2, -1j),
+        "[K1,G1]": cross(k1, g1), "[K2,G2]": cross(k2, g2),
+        "Theta K1 Theta^-1 + K2": theta(k1, k2), "Theta K2 Theta^-1 + K1": theta(k2, k1),
+    }
 
 
 def _check_commutators(config, tol):

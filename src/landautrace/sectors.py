@@ -576,11 +576,7 @@ def fermi_stacks(sectors):
     return stacks
 
 
-def quaternionic_shell_sums(nmax, params, sectors):
-    """Shell sums of rank and Chern densities of the Fermi projection.
-
-    ``sectors`` is the output of :func:`quaternionic_sector_eigensystem`
-    at the Fermi energy.
-    """
-    return shell_sums(nmax, fermi_stacks(sectors), 2, params.xi)
+def quaternionic_shell_sums(nmax, params, stacks):
+    """Rank and Chern shell sums of the Fermi projection, from its :func:`fermi_stacks`."""
+    return shell_sums(nmax, stacks, 2, params.xi)
 

@@ -252,20 +252,15 @@ def cesaro_tau(seq, lam, lam0):
     """
     if not (lam > lam0 > np.e):
         raise ValueError("need lam > lam0 > e")
-    n_lo = int(np.floor(lam0))
-    n_hi = int(np.ceil(lam))
-    ns = np.arange(n_lo, n_hi, dtype=np.int64)
+    ns = np.arange(int(np.floor(lam0)), int(np.ceil(lam)), dtype=np.int64)
     mu_n = seq.mu(ns)          # slope on [n, n+1]
     sig_n = seq.sigma(ns)      # value at the left endpoint
-    a = np.maximum(ns.astype(float), lam0)
-    b = np.minimum(ns.astype(float) + 1.0, lam)
-    good = b > a
-    a, b = a[good], b[good]
-    mu_g, sig_g, n_g = mu_n[good], sig_n[good], ns[good].astype(float)
+    # segment n is [max(n, lam0), min(n + 1, lam)], so the nodes are lam0, ns[1:] and lam;
+    # each antiderivative is evaluated once per node
+    log_nodes = np.log(np.concatenate([[lam0], ns[1:].astype(float), [lam]]))
     # int sigma_s/(s log s) ds = (sigma_n - n mu_n) loglog s + mu_n li(s)
-    const = sig_g - n_g * mu_g
-    part = const * (np.log(np.log(b)) - np.log(np.log(a)))
-    part += mu_g * (expi(np.log(b)) - expi(np.log(a)))
+    part = (sig_n - ns.astype(float) * mu_n) * np.diff(np.log(log_nodes))
+    part += mu_n * np.diff(expi(log_nodes))
     return float(np.sum(part) / np.log(lam))
 
 

@@ -224,22 +224,22 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     gaps = _gaps_from_levels(evs[flags], gap_threshold)
     if not any(g.contains(energy) for g in gaps):
         raise NoGapError(f"no certified gap around E = {energy}")
-    rank_sums, chern_sums = sectors.quaternionic_shell_sums(nmax, params, secs)
+    stacks = sectors.fermi_stacks(secs)
+    rank_sums, chern_sums = sectors.quaternionic_shell_sums(nmax, params, stacks)
     rank_est = dixmier_from_shell_sums(rank_sums, params.xi)
     chern_est = dixmier_from_shell_sums(chern_sums, params.xi)
-    sym_res = _quaternionic_symmetry_residual(secs)
+    sym_res = _quaternionic_symmetry_residual(stacks)
     kramers = _kramers_residual(evs[flags])
     return _report(rank_est, chern_est, sectors.QUATERNIONIC.twist, sym_res,
                    {"kramers_pairing": kramers, "n_gaps": float(len(gaps))}, parity=True)
 
 
-def _quaternionic_symmetry_residual(secs):
+def _quaternionic_symmetry_residual(stacks):
     """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector, with the quaternionic record's twist.
 
-    ``secs`` is :func:`sectors.quaternionic_sector_eigensystem` at the
-    Fermi energy, whose columns V span P_E = V V^dagger per sector.
+    ``stacks`` are the :func:`sectors.fermi_stacks` of P_E.
     """
-    return sectors.symmetry_residual(sectors.fermi_stacks(secs), sectors.QUATERNIONIC.twist)
+    return sectors.symmetry_residual(stacks, sectors.QUATERNIONIC.twist)
 
 
 def _kramers_residual(levels):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_commutator_residual, dense_commutator_residuals
-from landautrace import fock, sectors, tuv
+from landautrace import cli, fock, sectors, tuv
 from landautrace.cli import (
     _MODELS,
     EXIT_ASSERT,
@@ -18,6 +18,7 @@ from landautrace.cli import (
     EXIT_OK,
     ConfigError,
     _commutator_residuals,
+    _tridiagonal_commutator,
     main,
     parse_config_text,
 )
@@ -27,6 +28,45 @@ from landautrace.singtrace import GRADED_MARGIN
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def per_sector_commutator_residuals(nmax):
+    """The commutators check as a loop over every n2 sector b with interior rows."""
+    root = np.sqrt(np.arange(1, nmax + 1, dtype=float))
+    c, ci = 1 / np.sqrt(2), 1 / (1j * np.sqrt(2))
+
+    def mode(c_raise, c_lower):
+        return c_raise * root, c_lower * root
+
+    lowering, raising = mode(0.0, 1.0), mode(1.0, 0.0)
+    k1, k2, g1, g2 = mode(c, c), mode(ci, -ci), mode(-c, -c), mode(-ci, ci)
+    names = ("[a-,a+] - 1", "[b-,b+] - 1", "[K1,K2] + i", "[G1,G2] + i",
+             "[K1,G1]", "[K2,G2]", "Theta K1 Theta^-1 + K2", "Theta K2 Theta^-1 + K1")
+    worst = dict.fromkeys(names, 0.0)
+
+    def record(name, *parts):
+        worst[name] = max(worst[name], *(float(np.abs(p).max(initial=0.0)) for p in parts))
+
+    def commutator(name, x, y, rows, target):
+        diag, *bands = _tridiagonal_commutator(x, y, rows)
+        record(name, diag - target, *bands)
+
+    # second mode: along the sector index, over every sector with interior rows
+    commutator("[b-,b+] - 1", lowering, raising, nmax, 1.0)
+    commutator("[G1,G2] + i", g1, g2, nmax, -1j)
+    for b in range(nmax):
+        rows = nmax - b
+        commutator("[a-,a+] - 1", lowering, raising, rows, 1.0)
+        commutator("[K1,K2] + i", k1, k2, rows, -1j)
+        for name, x, g in (("[K1,G1]", k1, g1), ("[K2,G2]", k2, g2)):
+            record(name, *(band[:rows - 1] * g[i][b] - g[i][b] * band[:rows - 1]
+                           for band in x for i in (0, 1)))
+        phase = sectors._i_power(np.arange(rows + 1) + b)
+        for name, x, y in (("Theta K1 Theta^-1 + K2", k1, k2), ("Theta K2 Theta^-1 + K1", k2, k1)):
+            sub = phase[1:] * x[0][:rows].conj() * phase[:-1].conj()
+            sup = phase[:-1] * x[1][:rows].conj() * phase[1:].conj()
+            record(name, sub + y[0][:rows], sup + y[1][:rows])
+    return worst
 
 
 class TestConfigParsing:
@@ -51,6 +91,22 @@ class TestConfigParsing:
         cfg.write_text("model = hydrogen\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
         assert rc == EXIT_CONFIG
+
+    def test_unknown_key_in_file_rejected(self, tmp_path, capsys):
+        # a misspelled nmax used to run at the default nmax 40
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = landau\nnmx = 60\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
+        assert rc == EXIT_CONFIG
+        assert f"{cfg}:2: unknown key 'nmx'" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_unknown_key_in_env_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LANDAU_NMX", "3")
+        rc = main(["--out", str(tmp_path), "spectrum"])
+        assert rc == EXIT_CONFIG
+        assert "env:LANDAU_NMX: unknown key 'nmx'" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_env_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -396,9 +452,33 @@ class TestVerify:
 
     def test_commutators_at_large_truncation(self, tmp_path):
         # the dense check stopped at Nmax 24; the bands take every sector
-        rc = main(["--check", "commutators", "--nmax", "300", "--out", str(tmp_path), "verify"])
-        assert rc == EXIT_OK
-        assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-12
+        for nmax in ("300", "2000"):
+            rc = main(["--check", "commutators", "--nmax", nmax, "--out", str(tmp_path), "verify"])
+            assert rc == EXIT_OK
+            assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-12
+
+    @pytest.mark.parametrize("nmax", [*range(2, 61), 120, 300, 700, 2114, 2115])
+    def test_commutators_on_sector_zero_equal_every_sector(self, nmax):
+        # sector 0 holds each row's largest residual over all sectors, bit for bit
+        new = _commutator_residuals(nmax)
+        old = per_sector_commutator_residuals(nmax)
+        assert list(new) == list(old)
+        assert {k: v.hex() for k, v in new.items()} == {k: v.hex() for k, v in old.items()}
+
+    def test_commutators_cost_does_not_grow_with_sectors(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _tridiagonal_commutator(*args)
+
+        monkeypatch.setattr(cli, "_tridiagonal_commutator", counted)
+        counts = []
+        for nmax in (10, 1000):
+            calls.clear()
+            _commutator_residuals(nmax)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("eps_b", ["2e7", "1e12"])
     def test_symmetries_at_large_energy_scale(self, tmp_path, monkeypatch, eps_b):

@@ -470,9 +470,10 @@ def test_fermi_stacks_match_the_sector_loop_bit_for_bit(energy):
     for params in QUAT_CASES:
         secs, _, _ = sectors.quaternionic_sector_eigensystem(40, params, energy)
         columns = [(b, V) for b, _, V, _ in secs]
-        new = sectors.quaternionic_shell_sums(40, params, secs)
+        stacks = sectors.fermi_stacks(secs)
+        new = sectors.quaternionic_shell_sums(40, params, stacks)
         assert all(map(same_bytes, new, loop_shell_sums(40, columns, 2, params.xi)))
-        assert same_bytes(topo._quaternionic_symmetry_residual(secs),
+        assert same_bytes(topo._quaternionic_symmetry_residual(stacks),
                           loop_symmetry_residual(columns, sectors.QUATERNIONIC.twist))
 
 
@@ -771,7 +772,7 @@ def rotated_and_dense_columns(energy):
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 def test_quaternionic_shell_sums_match_dense(energy):
     for nmax, params, secs, columns in rotated_and_dense_columns(energy):
-        rank, chern = sectors.quaternionic_shell_sums(nmax, params, secs)
+        rank, chern = sectors.quaternionic_shell_sums(nmax, params, sectors.fermi_stacks(secs))
         ref_rank, ref_chern = dense_shell_sums(nmax, columns, 2, params.xi)
         np.testing.assert_allclose(rank, ref_rank, rtol=0, atol=1e-12)
         np.testing.assert_allclose(chern, ref_chern, rtol=0, atol=1e-12)
@@ -780,14 +781,14 @@ def test_quaternionic_shell_sums_match_dense(energy):
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 def test_quaternionic_symmetry_residual_matches_dense(energy):
     for _, _, secs, columns in rotated_and_dense_columns(energy):
-        res = topo._quaternionic_symmetry_residual(secs)
+        res = topo._quaternionic_symmetry_residual(sectors.fermi_stacks(secs))
         assert res == pytest.approx(dense_quaternionic_symmetry_residual(columns), abs=1e-13)
         assert res <= topo.SYMMETRY_TOL
     # random orthonormal columns break the symmetry; both forms must still agree
     rng = np.random.default_rng(int(energy))
     secs, _, _ = sectors.quaternionic_sector_eigensystem(NMAX, QUAT_CASES[0], energy)
     broken = [(b, w, random_columns(rng, V.shape[0], V.shape[1]), fl) for b, w, V, fl in secs]
-    res = topo._quaternionic_symmetry_residual(broken)
+    res = topo._quaternionic_symmetry_residual(sectors.fermi_stacks(broken))
     ref = dense_quaternionic_symmetry_residual([(b, V) for b, _, V, _ in broken])
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expi
 
 from landautrace.fock import ModelParams, build_basis, landau_projection, tensor_with_spin
 from landautrace.singtrace import (
@@ -120,7 +121,26 @@ def brute_cesaro(mu_of_n, lam, lam0, pts_per_unit=64):
     return np.trapezoid(y, s) / np.log(lam)
 
 
+def per_segment_cesaro(seq, lam, lam0):
+    """cesaro_tau with both antiderivatives evaluated at the two ends of every unit segment."""
+    ns = np.arange(int(np.floor(lam0)), int(np.ceil(lam)), dtype=np.int64)
+    mu_n, sig_n = seq.mu(ns), seq.sigma(ns)
+    a = np.maximum(ns.astype(float), lam0)
+    b = np.minimum(ns.astype(float) + 1.0, lam)
+    const = sig_n - ns.astype(float) * mu_n
+    part = const * (np.log(np.log(b)) - np.log(np.log(a)))
+    part += mu_n * (expi(np.log(b)) - expi(np.log(a)))
+    return float(np.sum(part) / np.log(lam))
+
+
 class TestCesaro:
+    @pytest.mark.parametrize("lam, lam0", [(1e3, 3.0), (1e5, 3.0), (5e4, 5.0), (10.5, 3.2), (3.9, 3.2)])
+    def test_node_grid_matches_per_segment_form_bit_for_bit(self, lam, lam0):
+        for seq in (q_level_sequence(0.0, 1),
+                    SingularSequence.from_shells(lambda j: 2.0 ** (-j.astype(float)),
+                                                 lambda j: np.ones_like(j))):
+            assert cesaro_tau(seq, lam, lam0).hex() == per_segment_cesaro(seq, lam, lam0).hex()
+
     def test_matches_brute_force_harmonic(self):
         seq = SingularSequence.from_shells(
             lambda j: 1.0 / (j + 1.0), lambda j: np.ones_like(j)
