@@ -46,10 +46,10 @@ Spectra: one solver (:func:`_sector_eigensystem`) diagonalizes the sector
 blocks of all three Hamiltonians and flags the interior eigenvalues; the
 ``spectrum`` command and the quaternionic Fermi projections use it. It
 takes the bands of a real tridiagonal b = 0 block, whose leading principal
-submatrices are the other sector blocks, and solves the sectors on a
-thread pool (:func:`_workers`) by LAPACK dstevd from numpy's own library,
-or by ``eigh`` of the band matrix without it, bit for bit as a serial
-``eigh`` loop. Landau's block is diagonal. The spin-1/2 blocks become
+submatrices are the other sector blocks, and solves the sectors in turn
+by LAPACK dstevd from numpy's own library, or by ``eigh`` of the band
+matrix without it, bit for bit as ``eigh`` of each sector block.
+Landau's block is diagonal. The spin-1/2 blocks become
 real tridiagonal under a unitary within each level, which moves no
 probability between levels, so the interior flags come from the real
 eigenvectors directly. For JC, M = [[0, 0], [i sqrt2, 0]] and G = 1
@@ -94,7 +94,6 @@ levels j-1..j+1, the same 3 x 3 window in every sector that reaches them,
 so the largest sector alone gives the largest residual.
 """
 
-from concurrent import futures
 import ctypes
 from dataclasses import dataclass
 import functools
@@ -412,31 +411,13 @@ def _numpy_openblas():
     for name in sorted(os.listdir(libs)) if os.path.isdir(libs) else ():
         if name.startswith("libscipy_openblas64_"):
             lib = ctypes.CDLL(os.path.join(libs, name))
-            if hasattr(lib, "scipy_openblas_get_num_threads64_") and hasattr(lib, "scipy_LAPACKE_dstevd64_"):
+            if hasattr(lib, "scipy_LAPACKE_dstevd64_"):
                 lib.scipy_LAPACKE_dstevd64_.restype = ctypes.c_int64
                 lib.scipy_LAPACKE_dstevd64_.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_int64,
                                                         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                                         ctypes.c_int64)
                 return lib
     return None
-
-
-def _workers(tasks):
-    """Threads for ``tasks`` independent solves: the usable CPUs left over by numpy's BLAS.
-
-    Every solve may itself run on all BLAS threads, so w workers ask for
-    w times as many. With one BLAS thread per call (``OPENBLAS_NUM_THREADS=1``)
-    there is one worker per usable CPU; where the BLAS threads already fill
-    the CPUs, as by default, or their count cannot be read, there is one
-    worker and the solves run in order, as a serial loop.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    lib = _numpy_openblas()
-    blas = cpus if lib is None else max(lib.scipy_openblas_get_num_threads64_(), 1)
-    return max(1, min(cpus // blas, tasks))
 
 
 def _tridiagonal_eigh(lib, d, e):
@@ -462,40 +443,30 @@ def _sector_eigensystem(nmax, d, e, columns=None):
     """Per-sector eigendecomposition of the real tridiagonal b = 0 block with diagonal d, subdiagonal e.
 
     The block is spin fastest, and sector b takes its leading part
-    (d[:spin s], e[:spin s - 1]), s = Nmax + 1 - b. The sectors share no
-    state, so their solves run on w threads (:func:`_workers`; LAPACK
-    releases the interpreter lock): worker k takes b = k, k + w, ....
-    Each solve is :func:`_tridiagonal_eigh`, or ``eigh`` of the band matrix
-    without numpy's OpenBLAS: the bits of a serial ``eigh`` loop. An
+    (d[:spin s], e[:spin s - 1]), s = Nmax + 1 - b. Each solve is
+    :func:`_tridiagonal_eigh`, or ``eigh`` of the band matrix without
+    numpy's OpenBLAS: the bits of ``eigh`` of the sector block. An
     eigenvector is interior when less than INTERIOR_MASS of its probability
-    sits on the outer EDGE_SHELLS shells; with no state shared, the flags
-    do not depend on the basis LAPACK picks inside eigenspaces that several
-    sectors share. ``columns(w, v)`` returns the eigenvectors a caller
-    keeps of a sector, in the worker; without it none are kept. Returns a
-    list of (b, eigenvalues, kept eigenvectors or None, interior flags) in
-    ascending b and the globally sorted (eigenvalues, interior flags).
+    sits on the outer EDGE_SHELLS shells; each sector is solved on its own,
+    so the flags do not depend on the basis LAPACK picks inside eigenspaces
+    that several sectors share. ``columns(w, v)`` returns the eigenvectors
+    a caller keeps of a sector, so no sector's whole eigenbasis outlives its
+    solve; without it none are kept. Returns a list of (b, eigenvalues, kept
+    eigenvectors or None, interior flags) in ascending b and the globally
+    sorted (eigenvalues, interior flags).
     """
     spin = len(d) // (nmax + 1)
     lib = _numpy_openblas()
-
-    def solve(sector_ids):
-        out = []
-        for b in sector_ids:
-            s = nmax + 1 - b
-            k = spin * s
-            if lib is None:  # eigh reads the lower triangle
-                w, v = np.linalg.eigh(np.diag(d[:k]) + np.diag(e[:k - 1], -1))
-            else:
-                w, v = _tridiagonal_eigh(lib, d[:k], e[:k - 1])
-            flags = _edge_mass(v, s) < INTERIOR_MASS
-            out.append((b, w, None if columns is None else columns(w, v), flags))
-        return out
-
-    workers = _workers(nmax + 1)
-    secs = [None] * (nmax + 1)
-    with futures.ThreadPoolExecutor(workers) as pool:
-        for k, part in enumerate(pool.map(solve, [range(k, nmax + 1, workers) for k in range(workers)])):
-            secs[k::workers] = part
+    secs = []
+    for b in range(nmax + 1):
+        s = nmax + 1 - b
+        k = spin * s
+        if lib is None:  # eigh reads the lower triangle
+            w, v = np.linalg.eigh(np.diag(d[:k]) + np.diag(e[:k - 1], -1))
+        else:
+            w, v = _tridiagonal_eigh(lib, d[:k], e[:k - 1])
+        flags = _edge_mass(v, s) < INTERIOR_MASS
+        secs.append((b, w, None if columns is None else columns(w, v), flags))
     ev = np.concatenate([w for _, w, _, _ in secs])
     fl = np.concatenate([flags for _, _, _, flags in secs])
     order = np.argsort(ev)

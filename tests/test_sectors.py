@@ -10,15 +10,12 @@ The rotated quaternionic solver is checked against a complex ``eigh`` of
 the dense 2s x 2s sector blocks, and the JC bands against the record's
 sector blocks, reordered and phase-gauged. The sector stacks are checked
 bit for bit against the per-sector loops they replace, kept here as
-oracles, and so are the pooled sector eigensystems against a serial loop
-that builds every sector block on its own.
+oracles, and so are the sector eigensystems, sliced from the b = 0 bands,
+against a serial loop that builds every sector block on its own.
 """
 
 import dataclasses
-import os
-import subprocess
-import sys
-import types
+import threading
 
 import numpy as np
 import pytest
@@ -132,16 +129,12 @@ def flat_bytes(out):
     return [None if out is None else np.asarray(out).tobytes()]
 
 
-@pytest.mark.parametrize("workers", [1, 3, None])
 @pytest.mark.parametrize("name", EIGENSYSTEMS)
 @pytest.mark.parametrize("nmax", [0, 1, 2, 13, 40, 140])
-def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, workers, monkeypatch):
-    # blocks sliced from b = 0 and solved on the pool, with one worker, with more
-    # workers than sectors divide evenly into, and with one per usable CPU
+def test_sector_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, monkeypatch):
+    # blocks sliced from b = 0 against blocks built for each size on their own
     run, block = EIGENSYSTEMS[name]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
-    if workers is not None:
-        monkeypatch.setattr(sectors, "_workers", lambda tasks: min(workers, tasks))
     new = run(nmax, params)
     calls = []
     monkeypatch.setattr(sectors, "_sector_eigensystem", lambda nmax, d, e, columns=None: calls.append(1)
@@ -151,54 +144,28 @@ def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, worke
     assert flat_bytes(new) == flat_bytes(old)
 
 
-def fake_openblas(threads):
-    """A stand-in for numpy's OpenBLAS that reports ``threads()`` BLAS threads."""
-    return types.SimpleNamespace(scipy_openblas_get_num_threads64_=threads)
+def test_sector_commands_start_no_thread(tmp_path, monkeypatch):
+    # spectrum of every model and the quaternionic invariants solve their
+    # sectors in the calling thread
+    started = []
 
+    def refuse(thread):
+        started.append(thread.name)
+        raise RuntimeError("a sector command started a thread")
 
-def test_workers_leave_the_blas_threads_their_cpus(monkeypatch):
-    blas = [1]
-    monkeypatch.setattr(sectors, "_numpy_openblas", lambda: fake_openblas(lambda: blas[0]))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
-    assert [sectors._workers(n) for n in (1, 2, 3, 141)] == [1, 2, 3, 4]
-    # w workers each running eigh on the BLAS threads fit into the usable CPUs
-    assert [blas.__setitem__(0, t) or sectors._workers(141) for t in (2, 3, 4, 8)] == [2, 1, 1, 1]
-    monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
-    assert sectors._workers(141) == 1  # a BLAS whose thread count cannot be read: serial
-    monkeypatch.setattr(sectors, "_numpy_openblas", lambda: fake_openblas(lambda: 1))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert [sectors._workers(n) for n in (1, 141)] == [1, 4]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert sectors._workers(141) == 1
-
-
-def test_blas_thread_count_is_numpys():
-    # a child with one BLAS thread per call gets one worker per usable CPU, and
-    # one with the default count (every CPU) gets one worker
-    if sectors._numpy_openblas() is None:
-        pytest.skip("numpy's BLAS is not the OpenBLAS of its wheels")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sectors.__file__)))
-    script = ("import os\nfrom landautrace import sectors\n"
-              "print(sectors._numpy_openblas().scipy_openblas_get_num_threads64_(), sectors._workers(141),"
-              " len(os.sched_getaffinity(0)))")
-    counts = []
-    for threads in ("1", None):
-        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env.update(PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]),
-                   **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        counts.append([int(x) for x in proc.stdout.split()])
-    (blas, workers, cpus), (blas_default, workers_default, _) = counts
-    assert (blas, workers) == (1, min(cpus, 141))
-    assert blas_default == cpus and workers_default == 1
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for model in ("landau", "jaynes_cummings", "quaternionic"):
+        argv = ["--model", model, "--nmax", "40", "--out", str(tmp_path / model), "spectrum"]
+        assert cli.main(argv) == cli.EXIT_OK, model
+    cfg = tmp_path / "quaternionic.cfg"
+    cfg.write_text("model = quaternionic\nnmax = 40\nfermi_energy = 2\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "invariants"), "invariants"]) == cli.EXIT_OK
+    assert started == []
 
 
 def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
-    # LAPACK giving up on one sector size, in a worker, reaches the caller and
-    # ends the command in exit 3
+    # LAPACK giving up on one sector size reaches the caller and ends the
+    # command in exit 3
     eigh = np.linalg.eigh
 
     def failing(a, *args, **kwargs):
@@ -215,7 +182,6 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     monkeypatch.setattr(sectors, "_tridiagonal_eigh", failing_tridiagonal)
-    monkeypatch.setattr(sectors, "_workers", lambda tasks: min(3, tasks))
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     for run in (lambda: sectors.landau_sector_eigensystem(20, params),
                 lambda: sectors.jc_sector_eigensystem(20, params),
@@ -231,7 +197,7 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["landau", "jc", "quaternionic-E2"])
 def test_eigh_fallback_matches_the_serial_loop_bit_for_bit(name, monkeypatch):
-    # without numpy's OpenBLAS the band matrices go to eigh, on one worker
+    # without numpy's OpenBLAS the band matrices go to eigh
     run, block = EIGENSYSTEMS[name]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
