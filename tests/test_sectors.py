@@ -14,6 +14,7 @@ oracles, and so are the sector eigensystems, sliced from the b = 0 bands,
 against a serial loop that builds every sector block on its own.
 """
 
+import contextlib
 import dataclasses
 import threading
 
@@ -129,13 +130,31 @@ def flat_bytes(out):
     return [None if out is None else np.asarray(out).tobytes()]
 
 
+@contextlib.contextmanager
+def blas_on(threads):
+    """numpy's OpenBLAS on ``threads`` threads inside the block (None: its default count)."""
+    lib = sectors._numpy_openblas()
+    if threads is None or lib is None:
+        yield
+        return
+    default = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(threads)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(default)
+
+
+@pytest.mark.parametrize("blas_threads", [1, 3, None])
 @pytest.mark.parametrize("name", EIGENSYSTEMS)
 @pytest.mark.parametrize("nmax", [0, 1, 2, 13, 40, 140])
-def test_sector_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, monkeypatch):
-    # blocks sliced from b = 0 against blocks built for each size on their own
+def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, blas_threads, monkeypatch):
+    # blocks sliced from b = 0 and solved with the BLAS on one thread, on three
+    # and on its default count, against blocks built for each size on their own
     run, block = EIGENSYSTEMS[name]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
-    new = run(nmax, params)
+    with blas_on(blas_threads):
+        new = run(nmax, params)
     calls = []
     monkeypatch.setattr(sectors, "_sector_eigensystem", lambda nmax, d, e, columns=None: calls.append(1)
                         or serial_sector_eigensystem(nmax, lambda s: block(s, params), columns))
