@@ -464,17 +464,23 @@ def _check_curvature(config, tol):
     return worst
 
 
+#: two combinations drawn once, uniform on [-1, 1]^4 (numpy's default_rng(7)), kept
+#: as literals so that no command imports numpy.random
+_TUV_COMBINATIONS = (
+    (0.25019093320933394, 0.794427601939151, 0.551371380490387, -0.5495856200188163),
+    (-0.39966743017754913, 0.7471068907925238, -0.9894693908688506, 0.6424568367655326),
+)
+
+
 def _check_tuv_bridge(config, tol):
     """Density formula for two random combinations at xi = 0 and 1.
 
     The trace per unit volume does not depend on xi and is integrated once
     per combination; its samples are written once per (combination, xi).
     """
-    rng = np.random.default_rng(7)
     worst = 0.0
     rows = []
-    for _ in range(2):
-        coeffs = rng.uniform(-1.0, 1.0, size=4)
+    for coeffs in _TUV_COMBINATIONS:
         rhs = tuv.tuv_limit(tuv.LandauCombination(coeffs), params=config.params)
         for xi in (0.0, 1.0):
             lhs, _, _ = tuv.dixmier_density(coeffs, xi, config.params)
@@ -575,8 +581,13 @@ def build_parser():
     return parser
 
 
+#: built once: a parser built per call looks up its messages through gettext,
+#: whose first use imports locale inside the command
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = load_config(args)
     except ConfigError as exc:

@@ -21,10 +21,8 @@ in the test suite.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
-from scipy.special import psi as _digamma
 
-from .specfun import hurwitz_zeta
+from .specfun import digamma, hurwitz_zeta
 
 __all__ = [
     "SingularSequence",
@@ -250,6 +248,8 @@ def cesaro_tau(seq, lam, lam0):
     between integer scales), so each unit segment integrates in closed
     form through log-log and logarithmic-integral antiderivatives.
     """
+    from scipy.special import expi  # no command calls this; ROADMAP item 9 moves it or gives it one
+
     if not (lam > lam0 > np.e):
         raise ValueError("need lam > lam0 > e")
     ns = np.arange(int(np.floor(lam0)), int(np.ceil(lam)), dtype=np.int64)
@@ -537,8 +537,10 @@ def q_level_sequence(xi, j):
     def mult(ks):
         return np.ones_like(ks)
 
+    psi_a = digamma(a)
+
     def sigma_exact(N):
-        return _digamma(N + a) - _digamma(a)
+        return [digamma(n + a) - psi_a for n in N]
 
     return SingularSequence.from_shells(value, mult, sigma_exact=sigma_exact,
                                         unit_multiplicity=True)

@@ -594,3 +594,38 @@ class TestVerify:
         )
         assert proc.returncode == EXIT_OK
         assert "kernels" in proc.stdout
+
+
+class TestImports:
+    def test_commands_load_no_module_and_never_scipy(self, tmp_path):
+        # import landautrace.cli in a fresh interpreter loads no scipy; every command
+        # then runs on what that import loaded, so no import cost lands in a command
+        jobs = [(f"spectrum-{m}", f"model = {m}\nnmax = 12\n", "spectrum") for m in _MODELS]
+        jobs += [
+            ("inv-landau", "model = landau\nnmax = 20\nlevels = 0,2\n", "invariants"),
+            ("inv-jc", "model = jaynes_cummings\nnmax = 20\nlevels = 1+,2-\n", "invariants"),
+            ("inv-quaternionic", "model = quaternionic\nnmax = 40\nfermi_energy = 2\n", "invariants"),
+            ("verify", "nmax = 16\n", "verify"),
+        ]
+        runs = []
+        for name, text, command in jobs:
+            (tmp_path / f"{name}.cfg").write_text(text)
+            runs.append(["--config", str(tmp_path / f"{name}.cfg"),
+                         "--out", str(tmp_path / name), command])
+        script = ("import json, sys\nfrom landautrace.cli import main\n"
+                  "before = set(sys.modules)\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
+                  "print(json.dumps({'codes': codes, "
+                  "'scipy': sorted(m for m in before if m.split('.')[0] == 'scipy'), "
+                  "'added': sorted(set(sys.modules) - before), "
+                  "'removed': sorted(before - set(sys.modules))}))")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [EXIT_OK] * len(jobs)
+        assert report["scipy"] == []
+        assert report["added"] == [] and report["removed"] == []

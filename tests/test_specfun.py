@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import psi as scipy_psi
 from scipy.special import zeta as scipy_zeta
 
-from landautrace.specfun import hurwitz_zeta, laguerre
+from landautrace.specfun import digamma, hurwitz_zeta, laguerre
 
 
 def laguerre_literal_exact(m, alpha, x):
@@ -117,7 +119,39 @@ class TestHurwitzZeta:
         for _ in range(40):
             s = float(rng.uniform(1.01, 8.0))
             q = float(rng.uniform(0.1, 20.0))
-            assert hurwitz_zeta(s, q) == pytest.approx(float(scipy_zeta(s, q)), rel=1e-11)
+            assert hurwitz_zeta(s, q) == float(scipy_zeta(s, q))
+
+    def test_bit_identical_to_scipy_at_command_call_points(self):
+        points = []
+        for xi in (0.0, 0.25, 0.5, 1.0):
+            # zeta residue: s = 1 + 2^-k on every level j; trace_Q_power at 2 s
+            for k in range(3, 13):
+                s = 1.0 + 2.0 ** -k
+                points += [(s, j + 2.0 * (1.0 + xi)) for j in range(12)]
+                points += [(2.0 * s - 1.0, 1.0 + 2.0 * xi), (2.0 * s, 1.0 + 2.0 * xi)]
+            # verify's zeta_closed_forms: trace_Q_power at s and the level sums
+            for s in (2.5, 3.0, 4.0):
+                points += [(s - 1.0, 1.0 + 2.0 * xi), (s, 1.0 + 2.0 * xi)]
+            for s in (1.5, 2.0, 3.0):
+                points += [(s, j + 2.0 + 2.0 * xi) for j in (0, 3, 7)]
+        for s, q in points:
+            assert hurwitz_zeta(s, q) == float(scipy_zeta(s, q)), (s, q)
+
+    def test_bit_identical_to_scipy_on_random_grid(self):
+        # q up to 1e9 reaches the asymptotic branch above q = 1e8
+        rng = np.random.default_rng(17)
+        ss = 1.0 + 10.0 ** rng.uniform(-6.0, 1.0, size=4000)
+        qs = 10.0 ** rng.uniform(-2.0, 9.0, size=4000)
+        assert (qs > 1e8).sum() > 100
+        got = np.array([hurwitz_zeta(s, q) for s, q in zip(ss.tolist(), qs.tolist())])
+        assert np.array_equal(got, scipy_zeta(ss, qs))
+
+    @pytest.mark.parametrize("s,q", [(1.125, 2.0), (1.0 + 2.0 ** -12, 2.5), (1.5, 7.0), (2.5, 0.1),
+                                     (3.0, 4.0), (11.0, 0.3), (1.0 + 2.0 ** -12, 1e6)])
+    def test_matches_mpmath(self, s, q):
+        with mpmath.workdps(40):
+            ref = float(mpmath.zeta(s, q))
+        assert hurwitz_zeta(s, q) == pytest.approx(ref, rel=1e-13)
 
     def test_decreasing_in_q_and_s(self):
         qs = [0.5, 1.0, 2.0, 5.0]
@@ -134,3 +168,32 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 0.0)
         with pytest.raises(ValueError):
             hurwitz_zeta(0.5, 1.0)
+
+
+class TestDigamma:
+    def test_bit_identical_to_scipy_on_partial_sum_schedule(self):
+        # q_level_sequence's sums psi(N + a) - psi(a) at a = j + 2 + 2 xi
+        shifts = [0.5 * m for m in range(1, 20)] + [j + 2.0 + 2.0 * xi for j in range(6)
+                                                     for xi in (0.25, 0.5, 1.0)]
+        for a in shifts:
+            assert digamma(a) == float(scipy_psi(a)), a
+            for e in range(10, 25):
+                assert digamma(2.0 ** e + a) == float(scipy_psi(2.0 ** e + a)), (e, a)
+
+    def test_bit_identical_to_scipy_on_random_grid(self):
+        rng = np.random.default_rng(23)
+        xs = np.concatenate([rng.uniform(0.0, 12.0, size=3000), 10.0 ** rng.uniform(-6.0, 18.0, size=3000)])
+        got = np.array([digamma(x) for x in xs.tolist()])
+        assert np.array_equal(got, scipy_psi(xs))
+
+    @pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 2.0, 2.5, 7.25, 10.0, 12.5, 2.0 ** 24 + 2.5, 1e10])
+    def test_matches_mpmath(self, x):
+        # relative accuracy holds away from the zero of psi at x = 1.4616...
+        with mpmath.workdps(40):
+            ref = float(mpmath.digamma(x))
+        assert digamma(x) == pytest.approx(ref, rel=1e-15)
+
+    def test_rejects_nonpositive_argument(self):
+        for x in (0.0, -1.0, -2.5, float("nan")):
+            with pytest.raises(ValueError):
+                digamma(x)
