@@ -3,8 +3,11 @@
 Configuration is a flat ``key = value`` file with dotted section names
 (``params.c_b = 0.4``); any key can be overridden by an environment
 variable with prefix ``LANDAU_`` (dots become double underscores, e.g.
-``LANDAU_PARAMS__C_B``) and by command-line flags, which win. A key that
-no setting reads is a config error.
+``LANDAU_PARAMS__C_B``) and by command-line flags, which win. Each command
+reads only its own keys (``RunConfig``); any other key, misspelled or read
+by another command only, is a config error that names where it was set and
+the command. Jaynes-Cummings level 0, the unpaired ground state, is not a
+pair level and is a config error too.
 
 Exit status: 0 ok, 2 config error, 3 non-convergence (including a missing
 spectral gap and an eigensolver that gives up), 4 assertion failure
@@ -101,10 +104,15 @@ def _positive(v):
 
 
 class RunConfig:
-    """Validated run configuration shared by all subcommands.
+    """Validated configuration of one subcommand, holding only the keys it reads.
 
-    ``command`` (spectrum, invariants or verify) adds the preconditions of
-    that subcommand's engine.
+    Every command reads ``nmax``, ``out`` and the ``params.*`` record;
+    ``spectrum`` adds ``model``, ``jmax`` and ``gap_threshold``;
+    ``invariants`` adds ``model`` and then ``levels`` (landau,
+    jaynes_cummings) or ``fermi_energy`` and ``gap_threshold``
+    (quaternionic); ``verify`` adds ``tol`` and ``check``. Any other key
+    is a config error that names where it was set, and every config error
+    is raised here, before a command writes anything.
     """
 
     def __init__(self, cfg, command):
@@ -114,10 +122,6 @@ class RunConfig:
             read.add(key)
             return _get(cfg, key, default, cast)
 
-        self.model = get("model", "landau")
-        if self.model not in _MODELS:
-            where = cfg.get("model", ("", "<default>"))[1]
-            raise ConfigError(f"{where}: unknown model {self.model!r} (pick from {_MODELS})")
         self.nmax = get("nmax", 40, int)
         if self.nmax < 0:
             raise ConfigError("nmax must be nonnegative")
@@ -135,46 +139,65 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"invalid params: {exc}") from exc
-        self.levels = self._parse_levels(get("levels", ""))
-        self.fermi_energy = get("fermi_energy", None, _finite)
-        self.gap_threshold = get("gap_threshold", None, _positive)
-        self.tol = get("tol", None, _positive)
-        self.jmax = get("jmax", min(5, self.nmax), int)
-        self.check = get("check", None)
         self.out_dir = get("out", ".")
+        reader = command
+        if command == "verify":
+            self.tol = get("tol", None, _positive)
+            self.check = get("check", None)
+        else:
+            self.model = get("model", "landau")
+            if self.model not in _MODELS:
+                where = cfg.get("model", ("", "<default>"))[1]
+                raise ConfigError(f"{where}: unknown model {self.model!r} (pick from {_MODELS})")
+        if command == "spectrum":
+            self.jmax = get("jmax", min(5, self.nmax), int)
+            self.gap_threshold = get("gap_threshold", None, _positive)
+        elif command == "invariants":
+            reader = f"{self.model} invariants"
+            if self.model == "quaternionic":
+                self.fermi_energy = get("fermi_energy", None, _finite)
+                self.gap_threshold = get("gap_threshold", None, _positive)
+            else:
+                self.levels = self._parse_levels(get("levels", ""))
         unknown = [key for key in cfg if key not in read]
         if unknown:  # e.g. a misspelled key, which would otherwise run on its default
-            raise ConfigError(f"{cfg[unknown[0]][1]}: unknown key {unknown[0]!r}")
-        if not 0 <= self.jmax <= self.nmax:
+            raise ConfigError(f"{cfg[unknown[0]][1]}: key {unknown[0]!r} is not read by {reader}")
+        if command == "spectrum" and not 0 <= self.jmax <= self.nmax:
             raise ConfigError(f"jmax must be in 0..nmax = {self.nmax}, got {self.jmax}")
-        # module preconditions checked up front
-        if self.model == "quaternionic" and self.levels:
-            raise ConfigError("quaternionic runs select a fermi_energy, not levels")
-        for sign, j in self.levels:
-            if self.model == "landau" and sign:
-                raise ConfigError(f"landau levels take no sign (got {j}{sign})")
-            if self.model == "jaynes_cummings" and j > 0 and not sign:
-                raise ConfigError(f"pair level {j} needs a sign, e.g. {j}+")
-            if j > self.nmax:
-                raise ConfigError(f"level {j} exceeds nmax = {self.nmax}")
         if command == "invariants":
             self._check_invariants()
-        # the commutator check compares ladder commutators on the interior one
-        # shell in (the margin-1 interior), which must hold more than shell 0
-        if command == "verify" and self.nmax < 2:
-            raise ConfigError(f"verify needs nmax >= 2, got {self.nmax}")
+        if command == "verify":
+            # the commutator check compares ladder commutators on the interior one
+            # shell in (the margin-1 interior), which must hold more than shell 0
+            if self.nmax < 2:
+                raise ConfigError(f"verify needs nmax >= 2, got {self.nmax}")
+            names = [c[0] for c in CHECKS]
+            if self.check not in (None, *names):
+                raise ConfigError(f"{cfg['check'][1]}: unknown check {self.check!r} (pick from {names})")
 
     def _check_invariants(self):
         """The graded fit needs 12 + GRADED_MARGIN shells, levels an interior."""
         min_nmax = 12 + singtrace.GRADED_MARGIN - 1  # shells 0..nmax
         if self.nmax < min_nmax:
             raise ConfigError(f"invariants need nmax >= {min_nmax}, got {self.nmax}")
+        if self.model == "quaternionic":
+            if self.fermi_energy is None:
+                raise ConfigError("quaternionic invariants need fermi_energy")
+            return
         top = self.nmax - topo.LEVEL_MARGIN
         for sign, j in self.levels:
-            if self.model == "landau" and not 0 <= j <= top:
-                raise ConfigError(f"landau level {j} outside 0..nmax-{topo.LEVEL_MARGIN} = {top}")
-            # pair level 0 is the unpaired ground state and is skipped
-            if self.model == "jaynes_cummings" and (j < 0 or (j > 0 and j + 1 > top)):
+            if self.model == "landau":
+                if sign:
+                    raise ConfigError(f"landau levels take no sign (got {j}{sign})")
+                if not 0 <= j <= top:
+                    raise ConfigError(f"landau level {j} outside 0..nmax-{topo.LEVEL_MARGIN} = {top}")
+            elif j == 0:
+                raise ConfigError(
+                    f"jaynes_cummings level {j}{sign} is the unpaired ground state; pair levels start at 1"
+                )
+            elif not sign:
+                raise ConfigError(f"pair level {j} needs a sign, e.g. {j}+")
+            elif j < 0 or j + 1 > top:
                 raise ConfigError(
                     f"pair level {j}{sign} needs 1 <= j and j + 1 <= nmax-{topo.LEVEL_MARGIN} = {top}"
                 )
@@ -289,10 +312,7 @@ def cmd_invariants(config):
     if config.model == "landau":
         runs = [(f"{j}", topo.invariants_landau, (j,)) for _, j in config.levels or [("", 0)]]
     elif config.model == "jaynes_cummings":
-        runs = [(f"{j}{sign or '+'}", topo.invariants_jc, (j, sign or "+"))
-                for sign, j in config.levels or [("+", 1)] if j]
-    elif config.fermi_energy is None:
-        raise ConfigError("quaternionic invariants need fermi_energy")
+        runs = [(f"{j}{sign}", topo.invariants_jc, (j, sign)) for sign, j in config.levels or [("+", 1)]]
     else:
         run = functools.partial(topo.invariants_quaternionic, gap_threshold=config.gap_threshold)
         runs = [(f"E={config.fermi_energy}", run, (config.fermi_energy,))]
@@ -311,53 +331,32 @@ def cmd_invariants(config):
 # --- verification suite -----------------------------------------------------
 
 
-def _brute_trace_q_power(s, xi, shells=2000):
-    ell = np.arange(shells, dtype=float)
-    head = np.sum((ell + 1.0) / (ell + 2.0 + 2.0 * xi) ** s)
-    # Euler-Maclaurin tail of g(l) = (l+1) (l+2+2xi)^-s from l = shells
-    a = float(shells)
-
-    def g(l):
-        return (l + 1.0) / (l + 2.0 + 2.0 * xi) ** s
-
-    def gp(l):
-        b = l + 2.0 + 2.0 * xi
-        return b ** (-s) - s * (l + 1.0) * b ** (-s - 1.0)
-
-    def gppp(l):
-        b = l + 2.0 + 2.0 * xi
-        return (
-            -3.0 * s * (s + 1.0) * b ** (-s - 2.0)
-            + s * (s + 1.0) * (s + 2.0) * (l + 1.0) * b ** (-s - 3.0)
-        )
-
-    # exact integral int_a^inf (l+1)(l+c)^-s dl with u = l + c:
-    c = 2.0 + 2.0 * xi
-    u = a + c
-    integral = u ** (2.0 - s) / (s - 2.0) + (1.0 - c) * u ** (1.0 - s) / (s - 1.0)
-    tail = integral + 0.5 * g(a) - gp(a) / 12.0 + gppp(a) / 720.0
-    return head + tail
+def _hurwitz_direct(t, a):
+    """H(t, a) = sum_k (k + a)^-t: 100 direct terms and the Euler-Maclaurin tail to B6."""
+    terms = 100
+    u = terms + a
+    tail = (u ** (1 - t) / (t - 1) + u ** -t / 2 + t * u ** (-t - 1) / 12
+            - t * (t + 1) * (t + 2) * u ** (-t - 3) / 720
+            + t * (t + 1) * (t + 2) * (t + 3) * (t + 4) * u ** (-t - 5) / 30240)
+    return np.sum((np.arange(terms) + a) ** -t) + tail
 
 
 def _check_zeta_closed_forms(config, tol):
+    """Both closed forms against direct sums, with c = 2 + 2 xi.
+
+    Tr (Q + 2 xi)^-s = sum_l (l + 1) (l + c)^-s = H(s - 1, c) - (c - 1) H(s, c),
+    and Tr (Q + 2 xi)^-s P_j = H(s, j + c).
+    """
     worst = 0.0
-    for s in (2.5, 3.0, 4.0):
-        for xi in (0.0, 0.5, 1.0):
-            ref = _brute_trace_q_power(s, xi)
-            val = trace_Q_power(s, xi)
-            worst = max(worst, abs(val - ref) / abs(ref))
-    # one power array per (s, xi): the sum for level j is its slice from j,
-    # whose entries are those of (seq + j + 2 + 2 xi)^-s since seq + j is exact
-    terms = 200000
-    for s in (1.5, 2.0, 3.0):
-        for xi in (0.0, 0.5, 1.0):
-            powers = (np.arange(terms + 7, dtype=float) + 2.0 + 2.0 * xi) ** (-s)
+    for xi in (0.0, 0.5, 1.0):
+        c = 2.0 + 2.0 * xi
+        for s in (2.5, 3.0, 4.0):
+            ref = _hurwitz_direct(s - 1, c) - (c - 1) * _hurwitz_direct(s, c)
+            worst = max(worst, abs(trace_Q_power(s, xi) - ref) / abs(ref))
+        for s in (1.5, 2.0, 3.0):
             for j in (0, 3, 7):
-                direct = np.sum(powers[j:j + terms])
-                a = terms + j + 2.0 + 2.0 * xi
-                direct += a ** (1 - s) / (s - 1) + 0.5 * a ** (-s) + s * a ** (-s - 1) / 12.0
-                val = trace_Q_power_proj(s, xi, j)
-                worst = max(worst, abs(val - direct) / abs(direct))
+                ref = _hurwitz_direct(s, j + c)
+                worst = max(worst, abs(trace_Q_power_proj(s, xi, j) - ref) / abs(ref))
     return worst
 
 
@@ -537,9 +536,6 @@ CHECKS = (
 def cmd_verify(config):
     os.makedirs(config.out_dir, exist_ok=True)
     selected = [c for c in CHECKS if config.check in (None, c[0])]
-    if not selected:
-        raise ConfigError(f"unknown check {config.check!r} "
-                          f"(choose from {[c[0] for c in CHECKS]})")
     rows = []
     status = EXIT_OK
     for name, fn, default_tol in selected:
@@ -599,9 +595,6 @@ def main(argv=None):
         if args.command == "invariants":
             return cmd_invariants(config)
         return cmd_verify(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NoGapError as exc:
         print(f"no-gap: {exc}", file=sys.stderr)
         return EXIT_NOCONV

@@ -98,14 +98,14 @@ class TestConfigParsing:
         cfg.write_text("model = landau\nnmx = 60\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
         assert rc == EXIT_CONFIG
-        assert f"{cfg}:2: unknown key 'nmx'" in capsys.readouterr().err
+        assert f"{cfg}:2: key 'nmx' is not read by spectrum" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
     def test_unknown_key_in_env_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LANDAU_NMX", "3")
         rc = main(["--out", str(tmp_path), "spectrum"])
         assert rc == EXIT_CONFIG
-        assert "env:LANDAU_NMX: unknown key 'nmx'" in capsys.readouterr().err
+        assert "env:LANDAU_NMX: key 'nmx' is not read by spectrum" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
     def test_env_override(self, tmp_path, monkeypatch):
@@ -123,10 +123,63 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("levels", ["3", "3+", "0,1"])
     def test_quaternionic_rejects_levels(self, tmp_path, capsys, levels):
+        # a quaternionic run selects a fermi_energy and reads no levels
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"model = quaternionic\nnmax = 20\nfermi_energy = 1\nlevels = {levels}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_CONFIG
-        assert "quaternionic runs select a fermi_energy, not levels" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: key 'levels' is not read by quaternionic invariants" in err
+
+    @pytest.mark.parametrize("command, model, key, value", [
+        *[("spectrum", "landau", key, value) for key, value in (
+            ("levels", "1"), ("fermi_energy", "2"), ("tol", "1e-6"), ("check", "kernels"))],
+        *[("invariants", model, key, value)
+          for model in ("landau", "jaynes_cummings")
+          for key, value in (("jmax", "3"), ("gap_threshold", "0.1"), ("fermi_energy", "2"),
+                             ("tol", "1e-6"), ("check", "kernels"))],
+        *[("invariants", "quaternionic", key, value) for key, value in (
+            ("levels", "1"), ("jmax", "3"), ("tol", "1e-6"), ("check", "kernels"))],
+        *[("verify", None, key, value) for key, value in (
+            ("model", "landau"), ("levels", "1"), ("jmax", "3"), ("fermi_energy", "2"),
+            ("gap_threshold", "0.1"))],
+    ])
+    @pytest.mark.parametrize("where", ["file", "env"])
+    def test_key_the_command_does_not_read_rejected(self, tmp_path, monkeypatch, capsys,
+                                                    command, model, key, value, where):
+        # a valid run of the command, plus one key that another command reads
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        lines = ["nmax = 20", *([f"model = {model}"] if model else []),
+                 *(["fermi_energy = 1"] if model == "quaternionic" else [])]
+        if where == "env":
+            monkeypatch.setenv("LANDAU_" + key.upper(), value)
+            origin = f"env:LANDAU_{key.upper()}"
+        else:
+            lines.append(f"{key} = {value}")
+            origin = f"{cfg}:{len(lines)}"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        rc = main(["--config", str(cfg), "--out", str(out), command])
+        assert rc == EXIT_CONFIG
+        reader = f"{model} invariants" if command == "invariants" else command
+        assert f"{origin}: key '{key}' is not read by {reader}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, where", [
+        (["--model", "quaternionic", "--check", "kernels", "verify"], "flag: key 'model'"),
+        (["--check", "kernels", "--nmax", "20", "invariants"], "flag: key 'check'"),
+        (["--tol", "1e-6", "spectrum"], "flag: key 'tol'"),
+    ])
+    def test_flag_the_command_does_not_read_rejected(self, tmp_path, capsys, argv, where):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == EXIT_CONFIG
+        assert f"{where} is not read by" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quaternionic_needs_fermi_energy(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["--model", "quaternionic", "--nmax", "20", "--out", str(out), "invariants"])
+        assert rc == EXIT_CONFIG
+        assert "quaternionic invariants need fermi_energy" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_landau_level_sign_echoed_as_written(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -176,9 +229,11 @@ class TestConfigParsing:
         ("landau", "verify", "params.ell_b", "1e-200"),
     ])
     def test_overflowing_scales_rejected(self, tmp_path, capsys, model, command, key, value):
-        # c_b^2 overflowed in the JC angles and Hamiltonian, 1/ell_B^2 in the kernel check
+        # c_b^2 overflowed in the JC angles and Hamiltonian, 1/ell_B^2 in the kernel check;
+        # verify reads no model
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"model = {model}\nnmax = 16\n{key} = {value}\n")
+        head = "" if command == "verify" else f"model = {model}\n"
+        cfg.write_text(f"{head}nmax = 16\n{key} = {value}\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
         assert rc == EXIT_CONFIG
         assert "invalid params" in capsys.readouterr().err
@@ -197,7 +252,8 @@ class TestConfigParsing:
     def test_thresholds_and_tolerances_rejected(self, tmp_path, capsys, key, value, command):
         # tol and gap_threshold must be finite and > 0, fermi_energy finite
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"model = quaternionic\nnmax = 12\ncheck = kernels\n{key} = {value}\n")
+        head = "check = kernels\n" if command == "verify" else "model = quaternionic\n"
+        cfg.write_text(f"{head}nmax = 20\n{key} = {value}\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
         assert rc == EXIT_CONFIG
         assert f"bad value for {key}" in capsys.readouterr().err
@@ -363,11 +419,14 @@ class TestInvariants:
         assert data[0]["rank"]["certified"] and data[0]["chern"]["certified"]
         assert not data[1]["chern"]["certified"]
 
-    def test_jc_pair_level_zero_skipped(self, tmp_path):
-        cfg = self._config(tmp_path, "jaynes_cummings", "0,1+", "params.c_b = 0.3\n")
-        assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_OK
-        data = json.loads((tmp_path / "invariants.json").read_text())
-        assert [r["level"] for r in data] == ["1+"]
+    @pytest.mark.parametrize("levels", ["0", "0,1+", "0+"])
+    def test_jc_pair_level_zero_rejected(self, tmp_path, capsys, levels):
+        # level 0 once wrote [] or was dropped from the list with exit 0
+        cfg = self._config(tmp_path, "jaynes_cummings", levels, "params.c_b = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "invariants"]) == EXIT_CONFIG
+        assert "is the unpaired ground state" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def _config(tmp_path, model, levels, extra=""):
@@ -582,9 +641,12 @@ class TestVerify:
         assert rows["tuv_bridge"][1:] == ["nan", "1.0000000000000001e-30", "FAIL"]
         assert sum(r[3] == "FAIL" for r in rows.values()) > 1
 
-    def test_unknown_check_rejected(self, tmp_path):
-        rc = main(["--check", "nonsense", "--out", str(tmp_path), "verify"])
+    def test_unknown_check_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["--check", "nonsense", "--out", str(out), "verify"])
         assert rc == EXIT_CONFIG
+        assert "flag: unknown check 'nonsense'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -3,7 +3,8 @@
 Random models, commands, small truncations, levels, couplings and
 ``LANDAU_*`` environment overrides must end in exit 0 (ok), 2 (config
 error), 3 (non-convergence) or 4 (assertion failure), never in an
-exception. The examples are derandomized, so every run tests the same set.
+exception, and a key the command does not read must end in exit 2. The
+examples are derandomized, so every run tests the same set.
 """
 
 import contextlib
@@ -43,34 +44,61 @@ def level_list():
     return st.lists(level, max_size=3).map(",".join)
 
 
+#: ordinary values of the keys some commands read and others do not (None: unset)
+OPTIONAL = {
+    "model": st.sampled_from(["landau", "jaynes_cummings", "quaternionic"]),
+    "levels": st.none() | st.none() | level_list(),
+    "jmax": st.none() | st.integers(-1, 6),
+    "fermi_energy": st.none() | st.floats(0.0, 4.0) | st.floats(0.0, 4.0),
+    "gap_threshold": st.none() | st.floats(0.01, 0.5),
+    "tol": st.none() | st.floats(1e-12, 1e-2),
+    "check": st.sampled_from([c[0] for c in CHECKS]),
+}
+
+#: the optional keys each command reads, invariants by model
+READS = {
+    "spectrum": ("model", "jmax", "gap_threshold"),
+    "landau": ("model", "levels"),
+    "jaynes_cummings": ("model", "levels"),
+    "quaternionic": ("model", "fermi_energy", "gap_threshold"),
+    "verify": ("tol", "check"),
+}
+
+
 @st.composite
 def runs(draw):
-    """(command, config keys, keys moved to LANDAU_* variables).
+    """(command, config keys, keys moved to LANDAU_* variables, whether a stray key was added).
 
-    Ordinary values, with one or two floats pushed to EXTREME values.
+    Each command gets only the keys it reads, with ordinary values. Half of
+    the examples push one or two of their floats to EXTREME values, one in
+    four adds one key the command does not read, and one in four is left
+    ordinary.
     """
     command = draw(st.sampled_from(["spectrum", "invariants", "verify"]))
     r = draw(unit_vector())
     keys = {
-        "model": draw(st.sampled_from(["landau", "jaynes_cummings", "quaternionic"])),
         "nmax": draw(st.integers(13, 16) | st.integers(-1, 16)),
         "params.ell_b": draw(st.floats(0.5, 2.0)),
         "params.eps_b": draw(st.floats(0.5, 2.0)),
         "params.xi": draw(st.floats(0.0, 1.0)),
         "params.c_b": draw(st.floats(0.0, 1.0)),
         "params.r0": r[0], "params.r1": r[1], "params.r2": r[2],
-        "levels": draw(st.none() | st.none() | level_list()),
-        "jmax": draw(st.none() | st.integers(-1, 6)),
-        "fermi_energy": draw(st.none() | st.floats(0.0, 4.0) | st.floats(0.0, 4.0)),
-        "gap_threshold": draw(st.none() | st.floats(0.01, 0.5)),
-        "tol": draw(st.none() | st.floats(1e-12, 1e-2)),
-        "check": draw(st.sampled_from([c[0] for c in CHECKS])) if command == "verify" else None,
     }
-    for key in draw(st.sets(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=2)):
-        keys[key] = draw(EXTREME)
+    if command != "verify":
+        keys["model"] = draw(OPTIONAL["model"])
+    reads = READS[keys["model"] if command == "invariants" else command]
+    keys.update({key: draw(OPTIONAL[key]) for key in reads if key != "model"})
+    kind = draw(st.sampled_from(["extreme", "extreme", "ordinary", "stray"]))
+    if kind == "extreme":
+        floats = [key for key in FLOAT_KEYS if key.startswith("params.") or key in reads]
+        for key in draw(st.sets(st.sampled_from(floats), min_size=1, max_size=2)):
+            keys[key] = draw(EXTREME)
+    if kind == "stray":
+        key = draw(st.sampled_from(sorted(set(OPTIONAL) - set(reads))))
+        keys[key] = draw(OPTIONAL[key].filter(lambda v: v is not None))
     keys = {k: v for k, v in keys.items() if v is not None}
     in_env = draw(st.sets(st.sampled_from(sorted(keys))))
-    return command, keys, in_env
+    return command, keys, in_env, kind == "stray"
 
 
 def text(value):
@@ -94,7 +122,12 @@ def run_cli(command, keys, in_env=()):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(runs())
 def test_every_input_ends_in_a_documented_status(run):
-    assert run_cli(*run) in (EXIT_OK, EXIT_CONFIG, EXIT_NOCONV, EXIT_ASSERT)
+    command, keys, in_env, stray = run
+    status = run_cli(command, keys, in_env)
+    if stray:  # a key the command does not read is a config error
+        assert status == EXIT_CONFIG
+    else:
+        assert status in (EXIT_OK, EXIT_CONFIG, EXIT_NOCONV, EXIT_ASSERT)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -16,6 +16,7 @@ against a serial loop that builds every sector block on its own.
 
 import contextlib
 import dataclasses
+import os
 import threading
 
 import numpy as np
@@ -132,13 +133,19 @@ def flat_bytes(out):
 
 @contextlib.contextmanager
 def blas_on(threads):
-    """numpy's OpenBLAS on ``threads`` threads inside the block (None: its default count)."""
+    """numpy's OpenBLAS on ``threads`` threads, at most the usable CPUs, inside the block.
+
+    None keeps its default count. More threads than CPUs oversubscribe them:
+    on two CPUs a Nmax-140 quaternionic solve took 37 ms on one or two
+    threads and 3.8-5.5 s on three.
+    """
     lib = sectors._numpy_openblas()
     if threads is None or lib is None:
         yield
         return
     default = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(threads)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lib.scipy_openblas_set_num_threads64_(min(threads, usable))
     try:
         yield
     finally:
@@ -150,7 +157,8 @@ def blas_on(threads):
 @pytest.mark.parametrize("nmax", [0, 1, 2, 13, 40, 140])
 def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, blas_threads, monkeypatch):
     # blocks sliced from b = 0 and solved with the BLAS on one thread, on three
-    # and on its default count, against blocks built for each size on their own
+    # (or every usable CPU, where fewer) and on its default count, against blocks
+    # built for each size on their own
     run, block = EIGENSYSTEMS[name]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     with blas_on(blas_threads):
@@ -207,9 +215,10 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
                 lambda: sectors.quaternionic_sector_eigensystem(20, params, 2.0)):
         with pytest.raises(np.linalg.LinAlgError):
             run()
-    for model, command in (("jaynes_cummings", "spectrum"), ("quaternionic", "invariants")):
+    for model, command, extra in (("jaynes_cummings", "spectrum", ""),
+                                  ("quaternionic", "invariants", "fermi_energy = 2\n")):
         cfg = tmp_path / f"{model}.cfg"
-        cfg.write_text(f"model = {model}\nnmax = 20\nfermi_energy = 2\n")
+        cfg.write_text(f"model = {model}\nnmax = 20\n{extra}")
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == cli.EXIT_NOCONV
         assert "non-convergence: Eigenvalues did not converge" in capsys.readouterr().err
 
