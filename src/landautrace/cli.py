@@ -111,8 +111,9 @@ class RunConfig:
     ``invariants`` adds ``model`` and then ``levels`` (landau,
     jaynes_cummings) or ``fermi_energy`` and ``gap_threshold``
     (quaternionic); ``verify`` adds ``tol`` and ``check``. Any other key
-    is a config error that names where it was set, and every config error
-    is raised here, before a command writes anything.
+    is a config error. Every config error is raised here, before a command
+    writes anything, and names where the value at fault was set:
+    ``file:line``, ``env:NAME``, ``flag`` or ``<default>``.
     """
 
     def __init__(self, cfg, command):
@@ -122,9 +123,12 @@ class RunConfig:
             read.add(key)
             return _get(cfg, key, default, cast)
 
+        def where(key):
+            return cfg.get(key, (None, "<default>"))[1]
+
         self.nmax = get("nmax", 40, int)
         if self.nmax < 0:
-            raise ConfigError("nmax must be nonnegative")
+            raise ConfigError(f"{where('nmax')}: nmax must be nonnegative")
         try:
             self.params = ModelParams(
                 ell_B=get("params.ell_b", 1.0, float),
@@ -147,8 +151,7 @@ class RunConfig:
         else:
             self.model = get("model", "landau")
             if self.model not in _MODELS:
-                where = cfg.get("model", ("", "<default>"))[1]
-                raise ConfigError(f"{where}: unknown model {self.model!r} (pick from {_MODELS})")
+                raise ConfigError(f"{where('model')}: unknown model {self.model!r} (pick from {_MODELS})")
         if command == "spectrum":
             self.jmax = get("jmax", min(5, self.nmax), int)
             self.gap_threshold = get("gap_threshold", None, _positive)
@@ -158,52 +161,53 @@ class RunConfig:
                 self.fermi_energy = get("fermi_energy", None, _finite)
                 self.gap_threshold = get("gap_threshold", None, _positive)
             else:
-                self.levels = self._parse_levels(get("levels", ""))
+                self.levels = self._parse_levels(get("levels", ""), where("levels"))
         unknown = [key for key in cfg if key not in read]
         if unknown:  # e.g. a misspelled key, which would otherwise run on its default
-            raise ConfigError(f"{cfg[unknown[0]][1]}: key {unknown[0]!r} is not read by {reader}")
+            raise ConfigError(f"{where(unknown[0])}: key {unknown[0]!r} is not read by {reader}")
         if command == "spectrum" and not 0 <= self.jmax <= self.nmax:
-            raise ConfigError(f"jmax must be in 0..nmax = {self.nmax}, got {self.jmax}")
+            raise ConfigError(f"{where('jmax')}: jmax must be in 0..nmax = {self.nmax}, got {self.jmax}")
         if command == "invariants":
-            self._check_invariants()
+            self._check_invariants(where)
         if command == "verify":
             # the commutator check compares ladder commutators on the interior one
             # shell in (the margin-1 interior), which must hold more than shell 0
             if self.nmax < 2:
-                raise ConfigError(f"verify needs nmax >= 2, got {self.nmax}")
+                raise ConfigError(f"{where('nmax')}: verify needs nmax >= 2, got {self.nmax}")
             names = [c[0] for c in CHECKS]
             if self.check not in (None, *names):
-                raise ConfigError(f"{cfg['check'][1]}: unknown check {self.check!r} (pick from {names})")
+                raise ConfigError(f"{where('check')}: unknown check {self.check!r} (pick from {names})")
 
-    def _check_invariants(self):
+    def _check_invariants(self, where):
         """The graded fit needs 12 + GRADED_MARGIN shells, levels an interior."""
         min_nmax = 12 + singtrace.GRADED_MARGIN - 1  # shells 0..nmax
         if self.nmax < min_nmax:
-            raise ConfigError(f"invariants need nmax >= {min_nmax}, got {self.nmax}")
+            raise ConfigError(f"{where('nmax')}: invariants need nmax >= {min_nmax}, got {self.nmax}")
         if self.model == "quaternionic":
             if self.fermi_energy is None:
-                raise ConfigError("quaternionic invariants need fermi_energy")
+                raise ConfigError(f"{where('fermi_energy')}: quaternionic invariants need fermi_energy")
             return
         top = self.nmax - topo.LEVEL_MARGIN
+        at = where("levels")
         for sign, j in self.levels:
             if self.model == "landau":
                 if sign:
-                    raise ConfigError(f"landau levels take no sign (got {j}{sign})")
+                    raise ConfigError(f"{at}: landau levels take no sign (got {j}{sign})")
                 if not 0 <= j <= top:
-                    raise ConfigError(f"landau level {j} outside 0..nmax-{topo.LEVEL_MARGIN} = {top}")
+                    raise ConfigError(f"{at}: landau level {j} outside 0..nmax-{topo.LEVEL_MARGIN} = {top}")
             elif j == 0:
                 raise ConfigError(
-                    f"jaynes_cummings level {j}{sign} is the unpaired ground state; pair levels start at 1"
+                    f"{at}: jaynes_cummings level {j}{sign} is the unpaired ground state; pair levels start at 1"
                 )
             elif not sign:
-                raise ConfigError(f"pair level {j} needs a sign, e.g. {j}+")
+                raise ConfigError(f"{at}: pair level {j} needs a sign, e.g. {j}+")
             elif j < 0 or j + 1 > top:
                 raise ConfigError(
-                    f"pair level {j}{sign} needs 1 <= j and j + 1 <= nmax-{topo.LEVEL_MARGIN} = {top}"
+                    f"{at}: pair level {j}{sign} needs 1 <= j and j + 1 <= nmax-{topo.LEVEL_MARGIN} = {top}"
                 )
 
     @staticmethod
-    def _parse_levels(raw):
+    def _parse_levels(raw, at):
         levels = []
         for tok in str(raw).replace(";", ",").split(","):
             tok = tok.strip()
@@ -215,7 +219,7 @@ class RunConfig:
             try:
                 j = int(tok)
             except ValueError as exc:
-                raise ConfigError(f"bad level token {tok!r}") from exc
+                raise ConfigError(f"{at}: bad level token {tok!r}") from exc
             levels.append((sign, j))
         return levels
 

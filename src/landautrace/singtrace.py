@@ -338,20 +338,25 @@ def dixmier_via_zeta_residue(zeta_fn, tolerance=1e-8, k_range=range(3, 13)):
 
     Samples s = 1 + 2^-k and eliminates the power corrections of the
     analytic function eps -> eps * zeta(1 + eps) on the halving grid.
+    The residual is the last tableau step, floored by the tableau's own
+    rounding bound: the same recursion run on machine eps * |f| with
+    absolute weights (the last step alone can come out exactly 0).
     Divergence is flagged, not raised.
     """
     ks = list(k_range)
     eps = np.array([2.0 ** (-k) for k in ks])
     f = np.array([e * zeta_fn(1.0 + e) for e in eps])
     samples = [(1.0 + e, float(v)) for e, v in zip(eps, f)]
-    # Neville tableau on the halving grid
-    tab = [f.copy()]
+    # Neville tableau on the halving grid, with its rounding bound alongside
+    tab, bound = [f.copy()], np.finfo(float).eps * np.abs(f)
     for m in range(1, len(f)):
         prev = tab[-1]
         fac = 2.0 ** m
         tab.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
+        bound = (fac * bound[1:] + bound[:-1]) / (fac - 1.0)
     value = float(tab[-1][-1])
-    resid = abs(float(tab[-1][-1]) - float(tab[-2][-1])) if len(tab) > 1 else np.inf
+    step = abs(float(tab[-1][-1]) - float(tab[-2][-1])) if len(tab) > 1 else np.inf
+    resid = max(step, float(bound[-1]))
     ok = np.isfinite(value) and resid <= tolerance
     return DixmierEstimate(value, "zeta_residue", samples, bool(ok), float(resid))
 

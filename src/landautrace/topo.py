@@ -5,11 +5,15 @@ Rank and first Chern number of a projection P are computed as
     rank  = TrDix( Q_xi^{-1} P )
     chern = (i / ell^2) TrDix( Q_xi^{-1} P [d1(P), d2(P)] ),
 
-d_i(A) = -i [X_i, A], with certified nearest-integer rounding: a rounded
-value is accepted only when |estimate - integer| <= 3x the estimator
-residual. Position commutators are taken in the ladder representation
-(exact shell arithmetic); the kernel realization of the same derivations
-is validated independently in :mod:`landautrace.kernels`.
+d_i(A) = -i [X_i, A], each by one or more routes (Dixmier estimates)
+under one certification rule (:func:`_certify`): the invariant is the
+nearest integer of its first route, accepted only when every route is
+converged, rounds to it and lies within 3x its own residual of it. The
+Landau rank has two routes, the zeta residue and the gamma fit on its
+closed forms; every other invariant has one. Position commutators are
+taken in the ladder representation (exact shell arithmetic); the kernel
+realization of the same derivations is validated independently in
+:mod:`landautrace.kernels`.
 
 The invariants and the curvature-identity check conserve the second
 mode number n2 and run sector by sector in :mod:`landautrace.sectors`:
@@ -34,7 +38,6 @@ from . import sectors
 from .fock import derived_operator, tensor_with_spin
 from .models import NoGapError, jc_angles, _gaps_from_levels
 from .singtrace import (
-    DixmierEstimate,
     dixmier_from_shell_sums,
     dixmier_via_gamma_fit,
     dixmier_via_zeta_residue,
@@ -53,15 +56,13 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-8
 LEVEL_MARGIN = sectors.LEVEL_MARGIN
-#: eigenvalues closer than this belong to one Kramers cluster
-KRAMERS_CLUSTER_TOL = 1e-8
 
 
 @dataclass
 class TopologicalReport:
-    rank_estimate: DixmierEstimate
-    chern_estimate: DixmierEstimate
-    rank_rounded: int           # None when the estimate is not finite
+    rank_routes: tuple          # DixmierEstimate per route; the first is the reported estimate
+    chern_routes: tuple
+    rank_rounded: int           # None when the first route is not finite
     chern_rounded: int
     rank_certified: bool
     chern_certified: bool
@@ -77,16 +78,8 @@ class TopologicalReport:
 
     def to_dict(self):
         return {
-            "rank": {
-                "estimate": self.rank_estimate.to_dict(),
-                "rounded": self.rank_rounded,
-                "certified": self.rank_certified,
-            },
-            "chern": {
-                "estimate": self.chern_estimate.to_dict(),
-                "rounded": self.chern_rounded,
-                "certified": self.chern_certified,
-            },
+            "rank": _entry(self.rank_routes, self.rank_rounded, self.rank_certified),
+            "chern": _entry(self.chern_routes, self.chern_rounded, self.chern_certified),
             "symmetry": self.symmetry,
             "symmetry_residual": self.symmetry_residual,
             "parity_ok": self.parity_ok,
@@ -94,23 +87,35 @@ class TopologicalReport:
         }
 
 
-def _certify(estimate):
-    """(nearest integer, certified); a non-finite estimate rounds to None, uncertified."""
-    if not np.isfinite(estimate.value):
+def _entry(routes, rounded, certified):
+    """JSON form of one invariant: its first route as the estimate, the others as cross-checks."""
+    first, *rest = routes
+    return {"estimate": first.to_dict(), "cross_checks": [r.to_dict() for r in rest],
+            "rounded": rounded, "certified": certified}
+
+
+def _certify(routes):
+    """(nearest integer of the first route, certified); None, uncertified, when it is not finite.
+
+    Certified when every route is converged, rounds to that integer and
+    lies within 3x its own residual of it.
+    """
+    if not np.isfinite(routes[0].value):
         return None, False
-    rounded = int(np.rint(estimate.value))
-    ok = abs(estimate.value - rounded) <= 3.0 * estimate.residual and estimate.converged
+    rounded = int(np.rint(routes[0].value))
+    ok = all(r.converged and np.rint(r.value) == rounded
+             and abs(r.value - rounded) <= 3.0 * r.residual for r in routes)
     return rounded, bool(ok)
 
 
-def _report(rank_est, chern_est, twist, sym_res, residuals, parity=False):
-    """Certify both estimates, label the twist ("none" over SYMMETRY_TOL), check parity if asked."""
-    rank_rounded, rank_ok = _certify(rank_est)
-    chern_rounded, chern_ok = _certify(chern_est)
+def _report(rank_routes, chern_routes, twist, sym_res, residuals, parity=False):
+    """Certify both route tuples, label the twist ("none" over SYMMETRY_TOL), check parity if asked."""
+    rank_rounded, rank_ok = _certify(rank_routes)
+    chern_rounded, chern_ok = _certify(chern_routes)
     label = sectors.symmetry_label(twist) if sym_res <= SYMMETRY_TOL else "none"
     parity_ok = not parity or (rank_ok and chern_ok and rank_rounded % 2 == chern_rounded % 2 == 0)
     return TopologicalReport(
-        rank_est, chern_est, rank_rounded, chern_rounded, rank_ok, chern_ok,
+        rank_routes, chern_routes, rank_rounded, chern_rounded, rank_ok, chern_ok,
         label, sym_res, parity_ok, residuals,
     )
 
@@ -161,31 +166,21 @@ def _theta_projection_residual(nmax, j):
 def invariants_landau(j, nmax, params):
     """Rank and Chern number of the level-j projection.
 
-    The rank runs through both closed-form estimators (zeta residue and
-    gamma fit on the exact singular sequence) and reports their spread;
-    the Chern number runs through the graded-diagonal estimator on the
-    numerically assembled curvature density (sector decomposition, ladder
-    representation).
+    The rank has two routes on the closed forms, the zeta residue and the
+    gamma fit on the exact singular sequence; the Chern number runs
+    through the graded-diagonal estimator on the numerically assembled
+    curvature density (sector decomposition, ladder representation).
     """
     if j > nmax - LEVEL_MARGIN:
         raise ValueError(f"need j <= Nmax - {LEVEL_MARGIN}")
     xi = params.xi
-    zeta_est = dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, xi, j))
-    gamma_est = dixmier_via_gamma_fit(q_level_sequence(xi, j))
-    spread = abs(zeta_est.value - gamma_est.value)
-    rank_est = DixmierEstimate(
-        zeta_est.value,
-        "zeta_residue+gamma_fit",
-        zeta_est.samples,
-        zeta_est.converged and gamma_est.converged and spread <= 1e-3,
-        max(zeta_est.residual, spread),
-    )
+    rank_routes = (dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, xi, j)),
+                   dixmier_via_gamma_fit(q_level_sequence(xi, j)))
     _, chern_sums = sectors.landau_shell_sums(nmax, j, xi)
     chern_est = dixmier_from_shell_sums(chern_sums, xi)
     residuals = verify_curvature_identity(j, nmax, params)
     sym_res = _theta_projection_residual(nmax, j)
-    return _report(rank_est, chern_est, sectors.THETA_TWIST, sym_res,
-                   dict(residuals, estimator_spread=spread))
+    return _report(rank_routes, (chern_est,), sectors.THETA_TWIST, sym_res, residuals)
 
 
 def invariants_jc(j, sign, nmax, params):
@@ -201,7 +196,7 @@ def invariants_jc(j, sign, nmax, params):
     rank_est = dixmier_from_shell_sums(rank_sums, params.xi)
     chern_est = dixmier_from_shell_sums(chern_sums, params.xi)
     sym_res = _jc_symmetry_residual(nmax, j, theta)
-    return _report(rank_est, chern_est, sectors.JC.twist, sym_res,
+    return _report((rank_est,), (chern_est,), sectors.JC.twist, sym_res,
                    {"spin_trace_closed_form": closed_resid})
 
 
@@ -229,9 +224,8 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     rank_est = dixmier_from_shell_sums(rank_sums, params.xi)
     chern_est = dixmier_from_shell_sums(chern_sums, params.xi)
     sym_res = _quaternionic_symmetry_residual(stacks)
-    kramers = _kramers_residual(evs[flags])
-    return _report(rank_est, chern_est, sectors.QUATERNIONIC.twist, sym_res,
-                   {"kramers_pairing": kramers, "n_gaps": float(len(gaps))}, parity=True)
+    return _report((rank_est,), (chern_est,), sectors.QUATERNIONIC.twist, sym_res,
+                   {"n_gaps": float(len(gaps))}, parity=True)
 
 
 def _quaternionic_symmetry_residual(stacks):
@@ -240,23 +234,6 @@ def _quaternionic_symmetry_residual(stacks):
     ``stacks`` are the :func:`sectors.fermi_stacks` of P_E.
     """
     return sectors.symmetry_residual(stacks, sectors.QUATERNIONIC.twist)
-
-
-def _kramers_residual(levels):
-    """Worst odd-cluster defect: every eigenvalue cluster must have even size.
-
-    Clusters split where a gap exceeds KRAMERS_CLUSTER_TOL. An odd cluster
-    scores the gap to its nearest neighbour (inf without one). The rotated
-    quaternionic solver doubles every eigenvalue by construction, so this
-    checks that doubling.
-    """
-    levels = np.sort(levels)
-    gaps = np.diff(levels)
-    cut = np.flatnonzero(gaps > KRAMERS_CLUSTER_TOL)  # cluster k ends at index cut[k]
-    sizes = np.diff(np.concatenate(([-1], cut, [len(levels) - 1])))
-    edges = np.concatenate(([np.inf], gaps[cut], [np.inf]))  # gaps around each cluster
-    nearest = np.minimum(edges[:-1], edges[1:])
-    return float(nearest[sizes % 2 == 1].max(initial=0.0))
 
 
 def classify_symmetry(H, candidates, tol=SYMMETRY_TOL, margin=2):

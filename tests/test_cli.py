@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_commutator_residual, dense_commutator_residuals
-from landautrace import cli, fock, sectors, tuv
+from landautrace import cli, fock, sectors, topo, tuv
 from landautrace.cli import (
     _MODELS,
     EXIT_ASSERT,
@@ -22,7 +22,7 @@ from landautrace.cli import (
     main,
     parse_config_text,
 )
-from landautrace.singtrace import GRADED_MARGIN
+from landautrace.singtrace import GRADED_MARGIN, DixmierEstimate
 
 
 def read_csv(path):
@@ -115,11 +115,12 @@ class TestConfigParsing:
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
         assert rc == EXIT_CONFIG
 
-    def test_level_sign_validation(self, tmp_path):
+    def test_level_sign_validation(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = jaynes_cummings\nlevels = 2\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_CONFIG
+        assert f"{cfg}:2: pair level 2 needs a sign" in capsys.readouterr().err
 
     @pytest.mark.parametrize("levels", ["3", "3+", "0,1"])
     def test_quaternionic_rejects_levels(self, tmp_path, capsys, levels):
@@ -178,21 +179,21 @@ class TestConfigParsing:
         out = tmp_path / "out"
         rc = main(["--model", "quaternionic", "--nmax", "20", "--out", str(out), "invariants"])
         assert rc == EXIT_CONFIG
-        assert "quaternionic invariants need fermi_energy" in capsys.readouterr().err
+        assert "<default>: quaternionic invariants need fermi_energy" in capsys.readouterr().err
         assert not out.exists()
 
     def test_landau_level_sign_echoed_as_written(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = landau\nlevels = 2-\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_CONFIG
-        assert "landau levels take no sign (got 2-)" in capsys.readouterr().err
+        assert f"{cfg}:2: landau levels take no sign (got 2-)" in capsys.readouterr().err
 
     def test_invariants_need_graded_shells(self, tmp_path, capsys):
         # shells 0..nmax feed the graded fit, which needs 12 + GRADED_MARGIN of them
         fewest = 12 + GRADED_MARGIN - 1
         rc = main(["--nmax", str(fewest - 1), "--out", str(tmp_path), "invariants"])
         assert rc == EXIT_CONFIG
-        assert f"nmax >= {fewest}" in capsys.readouterr().err
+        assert f"flag: invariants need nmax >= {fewest}" in capsys.readouterr().err
         rc = main(["--nmax", str(fewest), "--out", str(tmp_path), "invariants"])
         assert rc in (EXIT_OK, EXIT_NOCONV)
         # spectrum keeps working at small truncations
@@ -207,11 +208,14 @@ class TestConfigParsing:
         ("jaynes_cummings", 20, "-1+", False),
         ("jaynes_cummings", 20, "16-", True),
     ])
-    def test_level_bounds_match_engine(self, tmp_path, model, nmax, level, ok):
+    def test_level_bounds_match_engine(self, tmp_path, capsys, model, nmax, level, ok):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"model = {model}\nparams.c_b = 0.3\nnmax = {nmax}\nlevels = {level}\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "invariants"])
         assert (rc in (EXIT_OK, EXIT_NOCONV)) if ok else rc == EXIT_CONFIG
+        if not ok:  # a short truncation is blamed on nmax (line 3), the rest on levels (line 4)
+            line = 3 if nmax < 12 + GRADED_MARGIN - 1 else 4
+            assert f"config error: {cfg}:{line}: " in capsys.readouterr().err
 
     def test_non_finite_params_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LANDAU_PARAMS__XI", "nan")
@@ -282,11 +286,12 @@ class TestSpectrum:
         labels = [r[0] for r in rows[1:]]
         assert "E_1-" in labels and "E_1+" in labels and "E_0" in labels
 
-    def test_empty_level_table(self, tmp_path):
+    def test_empty_level_table(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = landau\njmax = -1\nnmax = 10\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
         assert rc == EXIT_CONFIG  # negative jmax is a config error
+        assert f"{cfg}:2: jmax must be in 0..nmax = 10, got -1" in capsys.readouterr().err
         cfg.write_text("model = landau\njmax = 0\nnmax = 10\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
         rows = read_csv(tmp_path / "spectrum.csv")
@@ -419,13 +424,26 @@ class TestInvariants:
         assert data[0]["rank"]["certified"] and data[0]["chern"]["certified"]
         assert not data[1]["chern"]["certified"]
 
+    def test_disagreeing_rank_routes_stop_certification(self, tmp_path, monkeypatch):
+        # the zeta residue gives 1; a gamma fit sure of 2 must keep the rank uncertified
+        monkeypatch.setattr(topo, "dixmier_via_gamma_fit",
+                            lambda seq: DixmierEstimate(2.0, "gamma_fit", [], True, 1e-6))
+        cfg = self._config(tmp_path, "landau", "0")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
+        report = json.loads((tmp_path / "invariants.json").read_text())[0]
+        rank = report["rank"]
+        assert rank["estimate"]["method"] == "zeta_residue" and rank["estimate"]["residual"] > 0
+        assert [(c["method"], c["value"]) for c in rank["cross_checks"]] == [("gamma_fit", 2.0)]
+        assert rank["rounded"] == 1 and not rank["certified"]
+        assert report["chern"]["certified"] and report["chern"]["cross_checks"] == []
+
     @pytest.mark.parametrize("levels", ["0", "0,1+", "0+"])
     def test_jc_pair_level_zero_rejected(self, tmp_path, capsys, levels):
         # level 0 once wrote [] or was dropped from the list with exit 0
         cfg = self._config(tmp_path, "jaynes_cummings", levels, "params.c_b = 0.3\n")
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "invariants"]) == EXIT_CONFIG
-        assert "is the unpaired ground state" in capsys.readouterr().err
+        assert f"{cfg}:3: jaynes_cummings level 0" in capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod
@@ -465,7 +483,7 @@ class TestVerify:
         for check in ("commutators", "symmetries"):
             rc = main(["--check", check, "--nmax", str(nmax), "--out", str(tmp_path), "verify"])
             assert rc == EXIT_CONFIG
-            assert "verify needs nmax >= 2" in capsys.readouterr().err
+            assert f"flag: verify needs nmax >= 2, got {nmax}" in capsys.readouterr().err
         rc = main(["--check", "symmetries", "--nmax", "2", "--out", str(tmp_path), "verify"])
         assert rc == EXIT_OK
 

@@ -261,6 +261,13 @@ class TestZetaResidue:
         assert est.converged
         assert est.value == pytest.approx(1.0, abs=1e-8)
 
+    def test_residual_has_a_rounding_floor(self):
+        # the last tableau step of Landau level 0 at xi = 0 is exactly 0; alone it
+        # would hold a value one ulp off 1 to a bound of 0 and never certify it
+        est = dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, 0.0, 0))
+        assert 0.0 < est.residual <= 1e-14
+        assert abs(est.value - 1.0) <= est.residual
+
     def test_q_squared(self):
         est = dixmier_via_zeta_residue(lambda s: trace_Q_power(2.0 * s, 0.3), tolerance=1e-6)
         assert est.value == pytest.approx(0.5, abs=1e-6)

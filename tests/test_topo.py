@@ -28,7 +28,6 @@ from landautrace.topo import (
     SYMMETRY_TOL,
     _certify,
     _report,
-    _kramers_residual,
     classify_symmetry,
     invariants_jc,
     invariants_landau,
@@ -177,16 +176,17 @@ class TestLandauInvariants:
         # the gamma fit's 1/N column keeps its spread from the zeta residue small
         rep = invariants_landau(j, 300, ModelParams())
         assert rep.rank_rounded == 1 and rep.rank_certified
-        assert rep.rank_estimate.residual <= 1e-4
+        zeta, gamma = rep.rank_routes
+        assert max(zeta.residual, abs(zeta.value - gamma.value)) <= 1e-4
 
     def test_xi_independence(self):
         reps = [
             invariants_landau(2, 60, ModelParams(xi=xi)) for xi in (0.0, 0.5, 1.0)
         ]
-        vals = [r.chern_estimate.value for r in reps]
-        resid = sum(r.chern_estimate.residual for r in reps)
+        vals = [r.chern_routes[0].value for r in reps]
+        resid = sum(r.chern_routes[0].residual for r in reps)
         assert max(vals) - min(vals) <= resid
-        ranks = [r.rank_estimate.value for r in reps]
+        ranks = [r.rank_routes[0].value for r in reps]
         assert max(ranks) - min(ranks) <= 1e-6
 
     def test_zero_operator_gives_zero(self, basis60):
@@ -223,8 +223,8 @@ class TestJcInvariants:
     def test_zero_coupling_matches_landau(self):
         rep0 = invariants_landau(2, 60, ModelParams())
         rep = invariants_jc(2, "+", 60, ModelParams(c_b=0.0))
-        assert abs(rep.rank_estimate.value - rep0.rank_estimate.value) <= 1e-2
-        assert abs(rep.chern_estimate.value - rep0.chern_estimate.value) <= 1e-2
+        assert abs(rep.rank_routes[0].value - rep0.rank_routes[0].value) <= 1e-2
+        assert abs(rep.chern_routes[0].value - rep0.chern_routes[0].value) <= 1e-2
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -233,27 +233,30 @@ class TestJcInvariants:
     def test_huge_coupling_stays_finite(self):
         # c_b sqrt(8 j) replaces 8 c_b^2 j, which overflows near c_b = 1e154
         rep = invariants_jc(1, "+", 40, ModelParams(c_b=1e154))
-        assert np.isfinite(rep.rank_estimate.value) and np.isfinite(rep.chern_estimate.value)
+        assert np.isfinite(rep.rank_routes[0].value) and np.isfinite(rep.chern_routes[0].value)
         assert rep.rank_rounded == rep.chern_rounded == 1
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_certify_non_finite_estimate(value):
     est = DixmierEstimate(value, "graded", [], True, 0.0)
-    assert _certify(est) == (None, False)
-    assert _certify(DixmierEstimate(1.0 + 1e-9, "graded", [], True, 1e-9)) == (1, True)
+    one = DixmierEstimate(1.0 + 1e-9, "graded", [], True, 1e-9)
+    assert _certify((est,)) == (None, False)
+    assert _certify((one,)) == (1, True)
+    assert _certify((one, est)) == (1, False)  # a non-finite cross-check blocks it too
 
 
 def test_report_step():
     # labels come from the twist below SYMMETRY_TOL; parity, when asked, needs even integers
     one, two = (DixmierEstimate(v, "graded", [], True, 1e-3) for v in (1.0, 2.0))
-    rep = _report(one, one, sectors.THETA_TWIST, 0.0, {})
+    rep = _report((one,), (one,), sectors.THETA_TWIST, 0.0, {})
     assert rep.symmetry == "Real(+1)" and rep.parity_ok and rep.certified
-    rep = _report(one, one, sectors.QUATERNIONIC.twist, 0.0, {}, parity=True)
+    rep = _report((one,), (one,), sectors.QUATERNIONIC.twist, 0.0, {}, parity=True)
     assert rep.symmetry == "Quaternionic(-1)" and not rep.parity_ok and not rep.certified
-    rep = _report(two, two, sectors.QUATERNIONIC.twist, 2 * SYMMETRY_TOL, {}, parity=True)
+    rep = _report((two,), (two,), sectors.QUATERNIONIC.twist, 2 * SYMMETRY_TOL, {}, parity=True)
     assert rep.symmetry == "none" and rep.parity_ok and rep.certified
-    rep = _report(two, DixmierEstimate(np.nan, "graded", [], True, 0.0), sectors.JC.twist, 0.0, {})
+    nan = DixmierEstimate(np.nan, "graded", [], True, 0.0)
+    rep = _report((two,), (nan,), sectors.JC.twist, 0.0, {})
     assert rep.rank_certified and not rep.certified
 
 
@@ -273,7 +276,6 @@ class TestQuaternionicInvariants:
         assert rep.rank_rounded % 2 == 0
         assert rep.chern_rounded % 2 == 0
         assert rep.parity_ok
-        assert rep.identity_residuals["kramers_pairing"] <= 1e-8
 
     def test_no_gap_raises(self):
         p = ModelParams(c_b=0.0, r=(0.0, 1.0, 0.0))
@@ -292,12 +294,12 @@ class TestHarmonicColumnFit:
     @pytest.mark.parametrize("nmax", [14, 40])
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     def test_converged_levels_are_exact(self, nmax, xi):
-        estimates = [invariants_landau(j, nmax, ModelParams(xi=xi)).chern_estimate
+        estimates = [invariants_landau(j, nmax, ModelParams(xi=xi)).chern_routes[0]
                      for j in (0, 3)]
         for c_b in (0.3, 0.8):
             for sign in "+-":
                 rep = invariants_jc(1, sign, nmax, ModelParams(xi=xi, c_b=c_b))
-                estimates += [rep.rank_estimate, rep.chern_estimate]
+                estimates += [rep.rank_routes[0], rep.chern_routes[0]]
         for est in estimates:
             assert abs(est.value - 1.0) <= 1e-12
             assert 0.0 < est.residual <= 1e-12 and est.converged
@@ -326,17 +328,6 @@ class TestHarmonicColumnFit:
                         assert not rep.rank_certified or rep.rank_rounded == expect, case
                         assert not rep.chern_certified or rep.chern_rounded == expect, case
         assert skipped == 12
-
-
-def test_kramers_residual():
-    # clusters split where a gap exceeds tol = 1e-8
-    assert _kramers_residual(np.array([])) == 0.0
-    assert _kramers_residual(np.array([2.5, 0.5, 1.5, 0.5, 1.5 + 1e-10, 2.5])) == 0.0
-    # the odd cluster at 1.2 pairs with its nearest neighbour, 0.7 below
-    assert _kramers_residual(np.array([0.5, 0.5, 1.2, 2.5, 2.5])) == pytest.approx(0.7)
-    assert _kramers_residual(np.array([0.5, 0.5, 1.2, 1.2, 1.2, 1.5, 1.5])) == pytest.approx(0.3)
-    # an odd cluster with no neighbour can never pair
-    assert _kramers_residual(np.array([1.0, 1.0 + 1e-9, 1.0])) == np.inf
 
 
 class TestClassifySymmetry:
