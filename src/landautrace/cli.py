@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import models, sectors, singtrace, topo, tuv
-from .fock import ModelParams
+from .fock import ModelParams, ParamsError
 from .kernels import landau_kernel, verify_integral_identity, QuadratureConvergenceError, TARGET_IDENTITY
 from .models import NoGapError
 from .singtrace import (
@@ -141,8 +141,10 @@ class RunConfig:
                     get("params.r2", 0.0, float),
                 ),
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid params: {exc}") from exc
+        except ParamsError as exc:
+            keys = [f"params.r{i}" for i in range(3)] if exc.field == "r" else [f"params.{exc.field.lower()}"]
+            at = ", ".join(cfg[key][1] for key in keys if key in cfg) or "<default>"
+            raise ConfigError(f"{at}: invalid params: {exc}") from exc
         self.out_dir = get("out", ".")
         reader = command
         if command == "verify":
@@ -271,14 +273,13 @@ def cmd_spectrum(config):
     """Interior eigenvalues per n2 sector against the closed forms, and their gaps.
 
     Each closed-form level takes the nearest interior eigenvalue, NaN when
-    there is none; the quaternionic model lists its lowest ones. A
-    non-finite eigenvalue or a difference over 1e-6 exits 4.
+    there is none. A non-finite eigenvalue or a difference over 1e-6 exits 4.
     Gaps are wider than ``gap_threshold``, by default 0.02 eps_B for the
-    spin-orbit model and 0.05 eps_B for the other two.
+    spin-orbit model and ``models.GAP_FRACTION`` eps_B for the other two.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     params, nmax = config.params, config.nmax
-    thr = 0.05 * params.eps_B
+    thr = models.GAP_FRACTION * params.eps_B
     if config.model == "landau":
         closed = models.landau_levels(params, config.jmax)
         evs, flags = sectors.landau_sector_eigensystem(nmax, params)
@@ -286,20 +287,16 @@ def cmd_spectrum(config):
         closed = models.jc_spectrum(params, config.jmax)
         evs, flags = sectors.jc_sector_eigensystem(nmax, params)
         thr = 0.02 * params.eps_B
-    else:
-        closed = None
+    else:  # Landau x C^2 up to a spin rotation and a gauge: each Landau level twice, listed once
+        closed = models.landau_levels(params, config.jmax)
         _, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params)
     if config.gap_threshold is not None:
         thr = config.gap_threshold
     interior = evs[flags]
-    if closed is None:
-        rows = [[f"e_{k}", "", float(ev), 0.0]
-                for k, ev in enumerate(interior[: 4 * (config.jmax + 1)])]
-    else:
-        rows = []
-        for label, cv in zip(closed.labels, closed.eigenvalues):
-            dv = interior[np.abs(interior - cv).argmin()] if len(interior) else np.nan
-            rows.append([label, float(cv), float(dv), float(abs(cv - dv))])
+    rows = []
+    for label, cv in zip(closed.labels, closed.eigenvalues):
+        dv = interior[np.abs(interior - cv).argmin()] if len(interior) else np.nan
+        rows.append([label, float(cv), float(dv), float(abs(cv - dv))])
     gap_rows = [[g.lower, g.upper, g.width] for g in models._gaps_from_levels(interior, thr)]
     _write_csv(os.path.join(config.out_dir, "spectrum.csv"),
                ["label", "closed_form", "diagonalized", "abs_diff"], rows)

@@ -34,6 +34,7 @@ __all__ = [
     "OperatorMatrix",
     "AntiUnitaryRep",
     "ModelParams",
+    "ParamsError",
     "build_basis",
     "ladder",
     "derived_operator",
@@ -87,6 +88,14 @@ class TruncatedBasis:
         return slice(_shell_start(s), _shell_start(s + 1))
 
 
+class ParamsError(ValueError):
+    """An invalid ``ModelParams`` field; ``field`` names it (``"r"`` for any component of r)."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass
 class ModelParams:
     """Physical parameters shared by every model.
@@ -94,7 +103,7 @@ class ModelParams:
     ell_B, eps_B set the magnetic length and energy scales; xi >= 0 is the
     resolvent shift of the harmonic regulator; c_b is the non-Abelian
     coupling; r = (r0, r1, r2) are the quaternionic couplings, normalized
-    to r0^2 + r1^2 + r2^2 = 1.
+    to r0^2 + r1^2 + r2^2 = 1. An invalid field raises ``ParamsError``.
     """
 
     ell_B: float = 1.0
@@ -104,25 +113,27 @@ class ModelParams:
     r: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.ell_B, self.eps_B, self.xi, self.c_b, *self.r)):
-            raise ValueError("parameters must be finite")
-        if self.ell_B <= 0 or self.eps_B <= 0:
-            raise ValueError("ell_B and eps_B must be positive")
+        for field in ("ell_B", "eps_B", "xi", "c_b", "r"):
+            if not np.all(np.isfinite(getattr(self, field))):
+                raise ParamsError(field, f"{field} must be finite")
+        for field in ("ell_B", "eps_B"):
+            if getattr(self, field) <= 0:
+                raise ParamsError(field, f"{field} must be positive")
         # the derived scales the models and kernels use must neither overflow nor vanish
         ell2, cb2 = self.ell_B * self.ell_B, self.c_b * self.c_b
         if not (0 < ell2 and math.isfinite(ell2) and math.isfinite(1.0 / ell2)):
-            raise ValueError(f"ell_B^2 or 1/ell_B^2 overflows or vanishes: ell_B = {self.ell_B}")
+            raise ParamsError("ell_B", f"ell_B^2 or 1/ell_B^2 overflows or vanishes: ell_B = {self.ell_B}")
         if not math.isfinite(cb2) or (self.c_b > 0 and cb2 == 0):
-            raise ValueError(f"c_b^2 overflows or vanishes: c_b = {self.c_b}")
+            raise ParamsError("c_b", f"c_b^2 overflows or vanishes: c_b = {self.c_b}")
         if self.xi < 0:
-            raise ValueError("xi must be nonnegative")
+            raise ParamsError("xi", "xi must be nonnegative")
         if self.c_b < 0:
-            raise ValueError("c_b must be nonnegative")
+            raise ParamsError("c_b", "c_b must be nonnegative")
         if len(self.r) != 3:
-            raise ValueError("r must have three components")
+            raise ParamsError("r", "r must have three components")
         norm = sum(v * v for v in self.r)
         if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"r must be normalized: |r|^2 = {norm}")
+            raise ParamsError("r", f"r must be normalized: |r|^2 = {norm}")
 
 
 class OperatorMatrix:

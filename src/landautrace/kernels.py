@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fock import ModelParams
-from .specfun import laguerre_rows
+from .specfun import laguerre, laguerre_rows
 
 __all__ = [
     "Region",
@@ -145,13 +145,13 @@ def psi_eval(n, x, params=None):
     psi0 = np.exp(-rho / 2.0) / (ell * np.sqrt(2 * np.pi))
     if n2 >= n1:
         pref = np.exp(0.5 * (math.lgamma(n1 + 1.0) - math.lgamma(n2 + 1.0)))
-        val = psi0 * pref * w ** (n2 - n1) * laguerre_rows(n1, n2 - n1, rho)[n1]
+        val = psi0 * pref * w ** (n2 - n1) * laguerre(n1, n2 - n1, rho)
     else:
         # equivalent closed form regular at the origin:
         # L_m^(-k)(z) = (-z)^k (m-k)!/m! L_{m-k}^(k)(z) folded into the prefactor
         k = n1 - n2
         pref = np.exp(0.5 * (math.lgamma(n2 + 1.0) - math.lgamma(n1 + 1.0)))
-        val = psi0 * pref * (-1.0) ** k * np.conj(w) ** k * laguerre_rows(n2, k, rho)[n2]
+        val = psi0 * pref * (-1.0) ** k * np.conj(w) ** k * laguerre(n2, k, rho)
     if scalar:
         return complex(val[0])
     return val.reshape(x.shape[:-1])
@@ -201,7 +201,7 @@ def landau_kernel(j, x, y, params=None):
     y1, y2 = y[..., 0], y[..., 1]
     d2 = ((x1 - y1) ** 2 + (x2 - y2) ** 2) / (2 * ell ** 2)
     wedge = (x1 * y2 - x2 * y1) / (2 * ell ** 2)
-    lag = laguerre_rows(j, 0.0, np.atleast_1d(d2))[j]
+    lag = laguerre(j, 0.0, np.atleast_1d(d2))
     val = np.exp(-d2 / 2.0) * np.exp(-1j * wedge) * lag / (2 * np.pi * ell ** 2)
     if np.ndim(d2) == 0:
         return complex(val[0] if val.ndim else val)
@@ -306,7 +306,7 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
         # y-vertex matrix (rows y1, columns y2): weight at x-y, phase of y^x
         fy = np.subtract.outer(t * x2c, t * x1c)
         r2 = np.add.outer((x1c - t) ** 2, (x2c - t) ** 2)
-        gy = np.outer(w, w) * np.exp(-r2 / 2.0) * laguerre_rows(j, 0.0, r2)[j] * np.exp(phase * fy)
+        gy = np.outer(w, w) * np.exp(-r2 / 2.0) * laguerre(j, 0.0, r2) * np.exp(phase * fy)
         # edges y1-z1 and y2-z2: h_l(y1 - z1) h_{j-l}(y2 - z2)
         h_edge = _gauss_laguerre_factors(j, np.subtract.outer(t, t))
         # z vertices: w h_m(z1 - x1) and w h_{j-m}(z2 - x2)

@@ -233,6 +233,10 @@ def diagonalize_and_gaps(H, gap_threshold):
     return table, gaps
 
 
+#: default gap threshold of ``spectrum`` and the quaternionic invariants, in units of eps_B
+GAP_FRACTION = 0.05
+
+
 def _gaps_from_levels(levels, threshold):
     gap = np.diff(levels) > threshold
     return [GapRecord(a, b) for a, b in zip(levels[:-1][gap].tolist(), levels[1:][gap].tolist())]

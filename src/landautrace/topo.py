@@ -36,7 +36,7 @@ import numpy as np
 
 from . import sectors
 from .fock import derived_operator, tensor_with_spin
-from .models import NoGapError, jc_angles, _gaps_from_levels
+from .models import GAP_FRACTION, NoGapError, jc_angles, _gaps_from_levels
 from .singtrace import (
     dixmier_from_shell_sums,
     dixmier_via_gamma_fit,
@@ -214,7 +214,7 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     invariants is reported via ``parity_ok``.
     """
     if gap_threshold is None:
-        gap_threshold = 0.05 * params.eps_B
+        gap_threshold = GAP_FRACTION * params.eps_B
     secs, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
     gaps = _gaps_from_levels(evs[flags], gap_threshold)
     if not any(g.contains(energy) for g in gaps):

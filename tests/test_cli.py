@@ -240,7 +240,24 @@ class TestConfigParsing:
         cfg.write_text(f"{head}nmax = 16\n{key} = {value}\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), command])
         assert rc == EXIT_CONFIG
-        assert "invalid params" in capsys.readouterr().err
+        line = 2 if command == "verify" else 3
+        assert f"config error: {cfg}:{line}: invalid params: " in capsys.readouterr().err
+
+    def test_overflowing_scale_from_env_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LANDAU_PARAMS__C_B", "1e200")
+        rc = main(["--model", "jaynes_cummings", "--nmax", "20", "--out", str(tmp_path), "invariants"])
+        assert rc == EXIT_CONFIG
+        assert "config error: env:LANDAU_PARAMS__C_B: invalid params: c_b^2 overflows" in capsys.readouterr().err
+
+    def test_unnormalized_r_names_the_keys_that_were_set(self, tmp_path, monkeypatch, capsys):
+        # r1 keeps its default 1, so only the r keys set in the file and the environment are named
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("params.r0 = 0.5\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == EXIT_CONFIG
+        assert f"config error: {cfg}:1: invalid params: r must be normalized" in capsys.readouterr().err
+        monkeypatch.setenv("LANDAU_PARAMS__R2", "0.3")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == EXIT_CONFIG
+        assert f"config error: {cfg}:1, env:LANDAU_PARAMS__R2: invalid params: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, command", [
         ("tol", "nan", "verify"),
@@ -264,9 +281,14 @@ class TestConfigParsing:
 
 
 class TestSpectrum:
-    def test_landau_rows(self, tmp_path):
+    @pytest.mark.parametrize("model, couplings", [
+        ("landau", ""),
+        # Landau x C^2 up to a spin rotation and a gauge: each Landau level, listed once
+        ("quaternionic", "params.c_b = 0.5\nparams.r0 = 0.6\nparams.r1 = 0\nparams.r2 = -0.8\n"),
+    ], ids=["landau", "quaternionic"])
+    def test_landau_rows(self, tmp_path, model, couplings):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("model = landau\njmax = 5\nnmax = 16\n")
+        cfg.write_text(f"model = {model}\njmax = 5\nnmax = 16\n{couplings}")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"])
         assert rc == EXIT_OK
         rows = read_csv(tmp_path / "spectrum.csv")
@@ -323,7 +345,7 @@ class TestSpectrum:
         assert main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == EXIT_OK
         assert read_csv(tmp_path / "gaps.csv") == [["lower", "upper", "width"]]
 
-    @pytest.mark.parametrize("model", ["landau", "jaynes_cummings"])
+    @pytest.mark.parametrize("model", ["landau", "jaynes_cummings", "quaternionic"])
     @pytest.mark.parametrize("nmax", [0, 1])
     def test_unresolved_levels_fail(self, tmp_path, model, nmax):
         # no interior eigenvalue to match: NaN rows must not pass as exit 0
@@ -331,6 +353,20 @@ class TestSpectrum:
         assert rc == EXIT_ASSERT
         rows = read_csv(tmp_path / "spectrum.csv")
         assert any(r[3] == "nan" for r in rows[1:])
+
+    def test_shifted_quaternionic_eigenvalues_fail(self, tmp_path, monkeypatch):
+        # a detector: every eigenvalue of the sector solver moved by 1e-3 must exit 4
+        solve = sectors.quaternionic_sector_eigensystem
+
+        def shifted(*args, **kwargs):
+            secs, evs, flags = solve(*args, **kwargs)
+            return secs, evs + 1e-3, flags
+
+        monkeypatch.setattr(sectors, "quaternionic_sector_eigensystem", shifted)
+        rc = main(["--model", "quaternionic", "--nmax", "16", "--out", str(tmp_path), "spectrum"])
+        assert rc == EXIT_ASSERT
+        diffs = [float(r[3]) for r in read_csv(tmp_path / "spectrum.csv")[1:]]
+        assert diffs == pytest.approx([1e-3] * 6, abs=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_quaternionic_non_finite_rows_fail(self, tmp_path):
