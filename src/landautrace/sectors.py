@@ -43,13 +43,17 @@ which :meth:`SpinHalfModel.hamiltonian` builds for the dense test oracles
 of :mod:`landautrace.models`.
 
 Spectra: one solver (:func:`_sector_eigensystem`) diagonalizes the sector
-blocks of all three Hamiltonians and flags the interior eigenvalues; the
-``spectrum`` command and the quaternionic Fermi projections use it. It
+blocks of the spin-1/2 Hamiltonians and flags the interior eigenvalues;
+the ``spectrum`` command and the quaternionic Fermi projections use it. It
 takes the bands of a real tridiagonal b = 0 block, whose leading principal
 submatrices are the other sector blocks, and solves the sectors in turn
 by LAPACK dstevd from numpy's own library, or by ``eigh`` of the band
-matrix without it, bit for bit as ``eigh`` of each sector block.
-Landau's block is diagonal. The spin-1/2 blocks become
+matrix without it, bit for bit as ``eigh`` of each sector block. At a
+Fermi energy only the pairs the projection and its gap test read are
+solved: one Sturm pass over the b = 0 bands counts each sector's
+eigenvalues below the energy, and dstevr solves the pairs up to the first
+interior one above it. Landau's block is diagonal, so its eigenvalues and
+flags need no solver (:func:`landau_sector_eigensystem`). The spin-1/2 blocks become
 real tridiagonal under a unitary within each level, which moves no
 probability between levels, so the interior flags come from the real
 eigenvectors directly. For JC, M = [[0, 0], [i sqrt2, 0]] and G = 1
@@ -404,6 +408,18 @@ def jc_shell_sums(nmax, j, theta, xi):
     return rank, chern, float(closed_resid)
 
 
+_LAPACKE_ARGTYPES = {
+    # (layout, jobz, n, d, e, z, ldz)
+    "dstevd": (ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+               ctypes.c_void_p, ctypes.c_int64),
+    # (layout, jobz, range, n, d, e, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz)
+    "dstevr": (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+               ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+               ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+               ctypes.c_void_p),
+}
+
+
 @functools.cache
 def _numpy_openblas():
     """The OpenBLAS with LAPACK that numpy's wheels bundle in ``numpy.libs``, or None without it."""
@@ -411,75 +427,154 @@ def _numpy_openblas():
     for name in sorted(os.listdir(libs)) if os.path.isdir(libs) else ():
         if name.startswith("libscipy_openblas64_"):
             lib = ctypes.CDLL(os.path.join(libs, name))
-            if hasattr(lib, "scipy_LAPACKE_dstevd64_"):
-                lib.scipy_LAPACKE_dstevd64_.restype = ctypes.c_int64
-                lib.scipy_LAPACKE_dstevd64_.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_int64,
-                                                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                                                        ctypes.c_int64)
+            if all(hasattr(lib, f"scipy_LAPACKE_{f}64_") for f in _LAPACKE_ARGTYPES):
+                for f, argtypes in _LAPACKE_ARGTYPES.items():
+                    getattr(lib, f"scipy_LAPACKE_{f}64_").restype = ctypes.c_int64
+                    getattr(lib, f"scipy_LAPACKE_{f}64_").argtypes = argtypes
                 return lib
     return None
 
 
-def _tridiagonal_eigh(lib, d, e):
+def _tridiagonal_eigh(lib, d, e, count=None):
     """``np.linalg.eigh`` of the real symmetric tridiagonal matrix with diagonal d and subdiagonal e.
 
-    LAPACK dstevd (divide and conquer) from numpy's own library ``lib``.
-    On such a matrix eigh's dsyevd runs the same dstedc on the same (d, e):
-    its Householder reduction meets columns that are already reduced, so
-    every reflector is the identity. The results are bit-identical, at
-    about half the cost (no O(s^3) reduction and back-transformation).
+    LAPACK from numpy's own library ``lib``. The whole eigensystem is
+    dstevd (divide and conquer): on such a matrix eigh's dsyevd runs the
+    same dstedc on the same (d, e), since its Householder reduction meets
+    columns that are already reduced and every reflector is the identity.
+    The results are bit-identical, at about half the cost (no O(s^3)
+    reduction and back-transformation). With a ``count`` under the size,
+    only the lowest ``count`` pairs are solved, by dstevr with range 'I'
+    (bisection and inverse iteration), at O(s count) instead of O(s^2).
     """
     s = len(d)
     w = np.array(d, dtype=np.float64)
-    e = np.append(e, 0.0)  # dstevd reads a work array of length max(s - 1, 1)
-    v = np.empty((s, s), order="F")
-    info = lib.scipy_LAPACKE_dstevd64_(102, b"V", s, w.ctypes.data, e.ctypes.data, v.ctypes.data, s)  # column-major
+    e = np.append(e, 0.0)  # dstevd and dstevr read work arrays of length max(s - 1, 1)
+    if count is None or count >= s:
+        v = np.empty((s, s), order="F")  # column-major
+        info = lib.scipy_LAPACKE_dstevd64_(102, b"V", s, w.ctypes.data, e.ctypes.data, v.ctypes.data, s)
+        name = "dstevd"
+    else:
+        found = np.zeros(1, dtype=np.int64)
+        v = np.empty((s, count), order="F")
+        support = np.empty(2 * count, dtype=np.int64)
+        d = w.copy()  # dstevr overwrites (d, e) and returns the eigenvalues in w
+        abstol = 2 * np.finfo(float).tiny  # LAPACK's bisection tolerance for the most accurate eigenvalues
+        info = lib.scipy_LAPACKE_dstevr64_(102, b"V", b"I", s, d.ctypes.data, e.ctypes.data, 0.0, 0.0,
+                                           1, count, abstol, found.ctypes.data, w.ctypes.data,
+                                           v.ctypes.data, s, support.ctypes.data)
+        w, v = w[:found[0]], v[:, :found[0]]
+        name = "dstevr"
     if info:
-        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dstevd info {info})")
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({name} info {info})")
     return w, v
 
 
-def _sector_eigensystem(nmax, d, e, columns=None):
-    """Per-sector eigendecomposition of the real tridiagonal b = 0 block with diagonal d, subdiagonal e.
+def _sturm_counts(d, e, energy):
+    """#{w < energy} of every leading principal submatrix of the tridiagonal (d, e), by size - 1.
 
-    The block is spin fastest, and sector b takes its leading part
-    (d[:spin s], e[:spin s - 1]), s = Nmax + 1 - b. Each solve is
-    :func:`_tridiagonal_eigh`, or ``eigh`` of the band matrix without
-    numpy's OpenBLAS: the bits of ``eigh`` of the sector block. An
-    eigenvector is interior when less than INTERIOR_MASS of its probability
-    sits on the outer EDGE_SHELLS shells; each sector is solved on its own,
-    so the flags do not depend on the basis LAPACK picks inside eigenspaces
-    that several sectors share. ``columns(w, v)`` returns the eigenvectors
-    a caller keeps of a sector, so no sector's whole eigenbasis outlives its
-    solve; without it none are kept. Returns a list of (b, eigenvalues, kept
-    eigenvectors or None, interior flags) in ascending b and the globally
-    sorted (eigenvalues, interior flags).
+    One pass of the LDL^T pivots q_k = d_k - energy - e_{k-1}^2 / q_{k-1}:
+    the pivots of a leading submatrix are the leading pivots, and by
+    Sylvester's law of inertia the negative ones count its eigenvalues
+    below the energy. A pivot too small to divide by is taken as negative,
+    as LAPACK's bisection does.
     """
-    spin = len(d) // (nmax + 1)
-    lib = _numpy_openblas()
-    secs = []
-    for b in range(nmax + 1):
-        s = nmax + 1 - b
-        k = spin * s
-        if lib is None:  # eigh reads the lower triangle
-            w, v = np.linalg.eigh(np.diag(d[:k]) + np.diag(e[:k - 1], -1))
-        else:
-            w, v = _tridiagonal_eigh(lib, d[:k], e[:k - 1])
-        flags = _edge_mass(v, s) < INTERIOR_MASS
-        secs.append((b, w, None if columns is None else columns(w, v), flags))
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(np.square(e), initial=0.0)))
+    q, negative = 1.0, []
+    for dk, ek2 in zip((np.asarray(d) - energy).tolist(), np.square(np.append(0.0, e)).tolist()):
+        q = dk - ek2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        negative.append(q < 0)
+    return np.cumsum(negative)
+
+
+def _solve_sector(lib, d, e, spin, energy=None, below=None):
+    """(eigenvalues, eigenvectors, interior flags) of one sector block, bands (d, e), spin fastest.
+
+    :func:`_tridiagonal_eigh`, or ``eigh`` of the band matrix without
+    numpy's OpenBLAS (it reads the lower triangle): the bits of ``eigh`` of
+    the sector block. An eigenvector is interior when less than
+    INTERIOR_MASS of its probability sits on the outer EDGE_SHELLS shells.
+    With an energy and its count ``below`` of eigenvalues under it, only
+    the pairs up to index below + 1 are solved (``eigh`` slices them), the
+    last one the first at or above the energy. The sector is solved whole
+    when none of them above the energy is interior, or when one lies
+    within the rounding of a solve, n eps ||T||, of the energy: there the
+    windowed and the whole solve may put it on different sides.
+    """
+    window = None if energy is None else below + 1
+    if lib is None:
+        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, -1))
+        w, v = w[:window], v[:, :window]
+    else:
+        w, v = _tridiagonal_eigh(lib, d, e, window)
+    flags = _edge_mass(v, len(d) // spin) < INTERIOR_MASS
+    if len(w) < len(d):
+        rounding = len(d) * np.finfo(float).eps * (np.abs(d).max() + 2 * np.abs(e).max(initial=0.0))
+        if not (flags & (w > energy)).any() or (np.abs(w - energy) <= rounding).any():
+            return _solve_sector(lib, d, e, spin)
+    return w, v, flags
+
+
+def _sorted_levels(secs):
+    """The eigenvalues and interior flags of all (b, w, V, flags) sectors, in ascending eigenvalue."""
     ev = np.concatenate([w for _, w, _, _ in secs])
     fl = np.concatenate([flags for _, _, _, flags in secs])
     order = np.argsort(ev)
-    return secs, ev[order], fl[order]
+    return ev[order], fl[order]
+
+
+def _sector_eigensystem(nmax, d, e, energy=None, columns=None):
+    """Per-sector eigendecomposition of the real tridiagonal b = 0 block with diagonal d, subdiagonal e.
+
+    The block is spin fastest, and sector b takes its leading part
+    (d[:spin s], e[:spin s - 1]), s = Nmax + 1 - b, solved by
+    :func:`_solve_sector`. Each sector is solved on its own, so the
+    interior flags do not depend on the basis LAPACK picks inside
+    eigenspaces that several sectors share. Without an energy every
+    sector is solved whole and no eigenvectors are kept. With one, a
+    single Sturm pass over the b = 0 bands (:func:`_sturm_counts`) counts
+    every sector's eigenvalues below it, each sector solves only those
+    pairs and the next, and ``columns(u)`` maps the kept eigenvectors u,
+    those with eigenvalue <= energy and their entries of magnitude
+    <= machine epsilon set to zero, so no sector's eigenvectors outlive
+    its solve. (Inverse iteration leaves entries near 1e-49 where the
+    whole solve gives exact zeros; :func:`fermi_stacks` trims at the last
+    nonzero level.) The interior pairs next to the energy are those of the
+    whole solve, so the gap test on them is unchanged. Returns a
+    list of (b, eigenvalues, kept eigenvectors or None, interior flags) in
+    ascending b and the globally sorted (eigenvalues, interior flags).
+    """
+    spin = len(d) // (nmax + 1)
+    lib = _numpy_openblas()
+    below = None if energy is None else _sturm_counts(d, e, energy)
+    secs = []
+    for b in range(nmax + 1):
+        k = spin * (nmax + 1 - b)
+        if energy is None:
+            w, v, flags = _solve_sector(lib, d[:k], e[:k - 1], spin)
+            kept = None
+        else:
+            w, v, flags = _solve_sector(lib, d[:k], e[:k - 1], spin, energy, below[k - 1])
+            u = v[:, w <= energy]
+            u[np.abs(u) <= np.finfo(float).eps] = 0.0
+            kept = columns(u)
+        secs.append((b, w, kept, flags))
+    return (secs,) + _sorted_levels(secs)
 
 
 def landau_sector_eigensystem(nmax, params):
     """Eigenvalues of the truncated Landau Hamiltonian eps_B (n1 + 1/2), by sector.
 
-    Returns (eigenvalues, interior flags) over all sectors combined.
+    Every sector block is diagonal, so no solver runs: its eigenvalues are
+    its diagonal, each with a unit eigenvector, interior below the outer
+    EDGE_SHELLS levels. Bit for bit ``eigh`` of each block. Returns
+    (eigenvalues, interior flags) over all sectors combined.
     """
-    _, evs, flags = _sector_eigensystem(nmax, params.eps_B * (np.arange(nmax + 1) + 0.5), np.zeros(nmax))
-    return evs, flags
+    d = params.eps_B * (np.arange(nmax + 1) + 0.5)
+    secs = [(nmax + 1 - s, d[:s], None, np.arange(s) < s - EDGE_SHELLS) for s in range(nmax + 1, 0, -1)]
+    return _sorted_levels(secs)
 
 
 def jc_sector_eigensystem(nmax, params):
@@ -505,12 +600,14 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     """Per-sector eigendecomposition of the quaternionic Hamiltonian.
 
     Each sector solves the one real tridiagonal block both spin channels
-    share (module docstring), so every eigenvalue appears twice. The
-    eigenvectors with eigenvalue <= energy are mapped back to the
+    share (module docstring), so every eigenvalue appears twice. Without
+    an energy every sector is solved whole and no eigenvectors are kept.
+    With one, each sector returns only its window of eigenvalues, up to
+    its first interior one above the energy (:func:`_sector_eigensystem`),
+    and its eigenvectors with eigenvalue <= energy are mapped back to the
     spin-fastest basis, v[n, a] = e^{i n arg mu_k} u_n W[a, k] for both
-    channels k; without an energy no eigenvectors are kept. Returns a list
-    of (b, eigenvalues, those columns or None, interior flags) and the
-    globally sorted (eigenvalues, interior flags).
+    channels k. Returns a list of (b, eigenvalues, those columns or None,
+    interior flags) and the globally sorted (eigenvalues, interior flags).
     """
     lam, W = np.linalg.eigh(params.r[1] * SIGMA1 + params.r[2] * SIGMA3)
     mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger M W = diag(mu)
@@ -521,11 +618,11 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     e = params.eps_B * shift * np.sqrt(n[1:])
     phases = np.exp(1j * np.outer(n, np.angle(mu)))
 
-    def columns(w, u):
-        s = len(w)
-        return np.einsum("nk,nc,ak->nakc", phases[:s], u[:, w <= energy], W).reshape(2 * s, -1)
+    def columns(u):
+        s = len(u)
+        return np.einsum("nk,nc,ak->nakc", phases[:s], u, W).reshape(2 * s, -1)
 
-    secs, evs, flags = _sector_eigensystem(nmax, d, e, None if energy is None else columns)
+    secs, evs, flags = _sector_eigensystem(nmax, d, e, energy, columns)
     secs = [(b, np.repeat(w, 2), V, np.repeat(fl, 2)) for b, w, V, fl in secs]
     return secs, np.repeat(evs, 2), np.repeat(flags, 2)
 
@@ -533,10 +630,11 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
 def fermi_stacks(sectors):
     """One stack (b, 0, V) per sector of :func:`quaternionic_sector_eigensystem` at an energy.
 
-    V is cut one level past its last nonzero level (the columns reach
-    exact zeros well below the sector's top), and the zero level left on
-    top keeps the window exact for :func:`_curvature`. A V without a
-    nonzero row is kept whole.
+    V is cut one level past its last nonzero level: the solver sets the
+    entries of magnitude <= machine epsilon to zero, which the columns
+    reach well below the sector's top, and the zero level left on top
+    keeps the window exact for :func:`_curvature`. A V without a nonzero
+    row is kept whole.
     """
     stacks = []
     for b, _w, V, _flags in sectors:

@@ -224,8 +224,7 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     rank_est = dixmier_from_shell_sums(rank_sums, params.xi)
     chern_est = dixmier_from_shell_sums(chern_sums, params.xi)
     sym_res = _quaternionic_symmetry_residual(stacks)
-    return _report((rank_est,), (chern_est,), sectors.QUATERNIONIC.twist, sym_res,
-                   {"n_gaps": float(len(gaps))}, parity=True)
+    return _report((rank_est,), (chern_est,), sectors.QUATERNIONIC.twist, sym_res, {}, parity=True)
 
 
 def _quaternionic_symmetry_residual(stacks):

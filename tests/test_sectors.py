@@ -11,7 +11,8 @@ the dense 2s x 2s sector blocks, and the JC bands against the record's
 sector blocks, reordered and phase-gauged. The sector stacks are checked
 bit for bit against the per-sector loops they replace, kept here as
 oracles, and so are the sector eigensystems, sliced from the b = 0 bands,
-against a serial loop that builds every sector block on its own.
+against a serial loop that builds every sector block on its own. The
+windowed solve at a Fermi energy is checked against the whole solve.
 """
 
 import contextlib
@@ -79,14 +80,29 @@ def test_jc_interior_count(nmax):
     assert flags.sum() == (nmax - 1) ** 2
 
 
-def serial_sector_eigensystem(nmax, block, columns=None):
-    """The serial loop over the sectors, the block of each built on its own by ``block(s)``."""
+def serial_sector_eigensystem(nmax, block, energy=None, columns=None):
+    """The serial loop over the sectors, the block of each built on its own by ``block(s)``.
+
+    Without an energy each block goes to ``eigh``. With one, each block's
+    bands go to the windowed routine with a Sturm count of that block alone,
+    and its columns with eigenvalue <= energy, entries up to machine epsilon
+    set to zero, to ``columns``.
+    """
     secs = []
     for b in range(nmax + 1):
         s = nmax + 1 - b
-        w, v = np.linalg.eigh(block(s))
-        flags = sectors._edge_mass(v, s) < sectors.INTERIOR_MASS
-        secs.append((b, w, None if columns is None else columns(w, v), flags))
+        kept = None
+        if energy is None:
+            w, v = np.linalg.eigh(block(s))
+            flags = sectors._edge_mass(v, s) < sectors.INTERIOR_MASS
+        else:
+            d, e = np.diag(block(s)).copy(), np.diag(block(s), -1).copy()
+            below = sectors._sturm_counts(d, e, energy)[-1]
+            w, v, flags = sectors._solve_sector(sectors._numpy_openblas(), d, e, len(d) // s, energy, below)
+            u = v[:, w <= energy]
+            u[np.abs(u) <= np.finfo(float).eps] = 0.0
+            kept = columns(u)
+        secs.append((b, w, kept, flags))
     ev = np.concatenate([w for _, w, _, _ in secs])
     fl = np.concatenate([flags for _, _, _, flags in secs])
     order = np.argsort(ev)
@@ -114,6 +130,7 @@ def quaternionic_tridiagonal(s, params):
 
 
 #: name -> (the eigensystem, the block of one sector of size s built on its own)
+#: Landau's diagonal blocks go to no solver: its eigensystem is held against the serial loop itself
 EIGENSYSTEMS = {
     "landau": (sectors.landau_sector_eigensystem,
                lambda s, p: np.diag(p.eps_B * (np.arange(s) + 0.5))),
@@ -122,6 +139,24 @@ EIGENSYSTEMS = {
     "quaternionic-E2": (lambda nmax, p: sectors.quaternionic_sector_eigensystem(nmax, p, 2.0),
                         quaternionic_tridiagonal),
 }
+
+
+def serial_run(name, nmax, params, monkeypatch):
+    """The eigensystem ``name`` with :func:`serial_sector_eigensystem` in place of the pooled solver."""
+    run, block = EIGENSYSTEMS[name]
+    if name == "landau":
+        return serial_sector_eigensystem(nmax, lambda s: block(s, params))[1:]
+    calls = []
+
+    def serial(nmax, d, e, energy=None, columns=None):
+        calls.append(1)
+        return serial_sector_eigensystem(nmax, lambda s: block(s, params), energy, columns)
+
+    with monkeypatch.context() as m:
+        m.setattr(sectors, "_sector_eigensystem", serial)
+        out = run(nmax, params)
+    assert calls == [1]
+    return out
 
 
 def flat_bytes(out):
@@ -156,19 +191,14 @@ def blas_on(threads):
 @pytest.mark.parametrize("name", EIGENSYSTEMS)
 @pytest.mark.parametrize("nmax", [0, 1, 2, 13, 40, 140])
 def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, blas_threads, monkeypatch):
-    # blocks sliced from b = 0 and solved with the BLAS on one thread, on three
-    # (or every usable CPU, where fewer) and on its default count, against blocks
-    # built for each size on their own
-    run, block = EIGENSYSTEMS[name]
+    # blocks sliced from b = 0, with counts from one Sturm pass over its bands,
+    # and solved with the BLAS on one thread, on three (or every usable CPU, where
+    # fewer) and on its default count, against blocks built for each size on their own
+    run = EIGENSYSTEMS[name][0]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     with blas_on(blas_threads):
         new = run(nmax, params)
-    calls = []
-    monkeypatch.setattr(sectors, "_sector_eigensystem", lambda nmax, d, e, columns=None: calls.append(1)
-                        or serial_sector_eigensystem(nmax, lambda s: block(s, params), columns))
-    old = run(nmax, params)
-    assert calls == [1]
-    assert flat_bytes(new) == flat_bytes(old)
+    assert flat_bytes(new) == flat_bytes(serial_run(name, nmax, params, monkeypatch))
 
 
 def test_sector_commands_start_no_thread(tmp_path, monkeypatch):
@@ -191,8 +221,8 @@ def test_sector_commands_start_no_thread(tmp_path, monkeypatch):
 
 
 def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
-    # LAPACK giving up on one sector size reaches the caller and ends the
-    # command in exit 3
+    # LAPACK giving up on one sector size, on the whole or the windowed solve,
+    # reaches the caller and ends the command in exit 3
     eigh = np.linalg.eigh
 
     def failing(a, *args, **kwargs):
@@ -202,16 +232,15 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
 
     tridiagonal = sectors._tridiagonal_eigh
 
-    def failing_tridiagonal(lib, d, e):
+    def failing_tridiagonal(lib, d, e, count=None):
         if len(d) == 14:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return tridiagonal(lib, d, e)
+        return tridiagonal(lib, d, e, count)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     monkeypatch.setattr(sectors, "_tridiagonal_eigh", failing_tridiagonal)
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
-    for run in (lambda: sectors.landau_sector_eigensystem(20, params),
-                lambda: sectors.jc_sector_eigensystem(20, params),
+    for run in (lambda: sectors.jc_sector_eigensystem(20, params),
                 lambda: sectors.quaternionic_sector_eigensystem(20, params, 2.0)):
         with pytest.raises(np.linalg.LinAlgError):
             run()
@@ -225,17 +254,13 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["landau", "jc", "quaternionic-E2"])
 def test_eigh_fallback_matches_the_serial_loop_bit_for_bit(name, monkeypatch):
-    # without numpy's OpenBLAS the band matrices go to eigh
-    run, block = EIGENSYSTEMS[name]
+    # without numpy's OpenBLAS the band matrices go to eigh, windows sliced from it
+    run = EIGENSYSTEMS[name][0]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
     monkeypatch.setattr(sectors, "_tridiagonal_eigh", None)
     for nmax in (0, 13, 140):
-        new = run(nmax, params)
-        with monkeypatch.context() as m:
-            m.setattr(sectors, "_sector_eigensystem", lambda nmax, d, e, columns=None:
-                      serial_sector_eigensystem(nmax, lambda s: block(s, params), columns))
-            assert flat_bytes(new) == flat_bytes(run(nmax, params))
+        assert flat_bytes(run(nmax, params)) == flat_bytes(serial_run(name, nmax, params, monkeypatch))
 
 
 def test_tridiagonal_eigh_reports_lapack_failure():
@@ -244,8 +269,9 @@ def test_tridiagonal_eigh_reports_lapack_failure():
         pytest.skip("numpy's LAPACK is not the OpenBLAS of its wheels")
     w, v = sectors._tridiagonal_eigh(lib, np.array([2.0]), np.array([]))
     assert (w.tolist(), v.tolist()) == ([2.0], [[1.0]])
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        sectors._tridiagonal_eigh(lib, np.array([1.0, np.nan, 0.0]), np.array([0.5, 0.5]))
+    for count in (None, 1):  # dstevd and dstevr
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            sectors._tridiagonal_eigh(lib, np.array([1.0, np.nan, 0.0]), np.array([0.5, 0.5]), count)
 
 
 def spy_solver(monkeypatch):
@@ -253,8 +279,8 @@ def spy_solver(monkeypatch):
     calls = []
     solver = sectors._sector_eigensystem
 
-    def spy(nmax, d, e, columns=None):
-        out = solver(nmax, d, e, columns)
+    def spy(nmax, d, e, energy=None, columns=None):
+        out = solver(nmax, d, e, energy, columns)
         calls.append((d, e, out[0]))
         return out
 
@@ -746,6 +772,50 @@ def test_quaternionic_rotated_sectors_match_dense_blocks(nmax, params):
         assert b == db and V is None  # no energy: no eigenvectors kept
         np.testing.assert_allclose(w, dw, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(flags, dflags)
+
+
+def whole_sector_eigensystem(nmax, params, energy, monkeypatch):
+    """The quaternionic eigensystem at an energy with every sector solved whole.
+
+    A Sturm count of every eigenvalue makes each window the whole sector.
+    """
+    with monkeypatch.context() as m:
+        m.setattr(sectors, "_sturm_counts", lambda d, e, energy: np.arange(1, len(d) + 1))
+        return sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+
+
+def has_gap(energy, evs, flags, params):
+    """The gap test of the quaternionic invariants: False where they raise NoGapError."""
+    gaps = models._gaps_from_levels(evs[flags], models.GAP_FRACTION * params.eps_B)
+    return any(g.contains(energy) for g in gaps)
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+@pytest.mark.parametrize("nmax", [0, 1, 2, 13, 40, 140])
+def test_windowed_solve_matches_the_whole_solve(nmax, params, monkeypatch):
+    # below the spectrum, at an eigenvalue, and at E = 1, 2, 3: the same gap
+    # decision, the same flags and eigenvalues on the solved pairs, and the
+    # same Fermi projection in every sector
+    _, evs, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
+    for energy in (0.0, float(evs[len(evs) // 8]), 1.0, 2.0, 3.0):
+        secs, evs_w, flags_w = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+        whole, evs_f, flags_f = whole_sector_eigensystem(nmax, params, energy, monkeypatch)
+        assert has_gap(energy, evs_w, flags_w, params) == has_gap(energy, evs_f, flags_f, params)
+        for (b, w, V, fl), (bf, wf, Vf, flf) in zip(secs, whole, strict=True):
+            assert b == bf and len(w) <= len(wf)
+            np.testing.assert_array_equal(fl, flf[:len(w)])
+            assert np.abs(w - wf[:len(w)]).max() <= 1e-13 * params.eps_B
+            assert V.shape == Vf.shape
+            assert np.abs(V @ V.conj().T - Vf @ Vf.conj().T).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+def test_fermi_stacks_keep_under_half_the_sector_rows(params):
+    # inverse iteration leaves tiny entries up to each sector's top; set to zero,
+    # they no longer hold the trim there
+    secs, _, _ = sectors.quaternionic_sector_eigensystem(140, params, 2.0)
+    kept = sum(V.shape[1] for _, _, V in sectors.fermi_stacks(secs))
+    assert kept < sum(V.shape[0] for _, _, V, _ in secs) / 2
 
 
 def rotated_and_dense_columns(energy):
