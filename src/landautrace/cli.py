@@ -35,6 +35,7 @@ from .models import NoGapError
 from .singtrace import (
     dixmier_via_gamma_fit,
     dixmier_via_zeta_residue,
+    gamma_schedule,
     q_level_sequence,
     trace_Q_power,
     trace_Q_power_proj,
@@ -367,7 +368,7 @@ def _check_dixmier(config, tol):
         for j in (0, 2, 5):
             est = dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, xi, j))
             worst = max(worst, abs(est.value - 1.0))
-            fit = dixmier_via_gamma_fit(q_level_sequence(xi, j))
+            fit = dixmier_via_gamma_fit(q_level_sequence(xi, j), schedule=gamma_schedule(j + 2 + 2 * xi))
             worst = max(worst, abs(fit.value - est.value))
     est = dixmier_via_zeta_residue(lambda s: trace_Q_power(2.0 * s, 0.0), tolerance=1e-6)
     worst = max(worst, abs(est.value - 0.5))

@@ -19,12 +19,15 @@ b = b0 + i, with orthonormal columns. Rows past a sector's top level
 Nmax - b are zero, and a+ is masked there. A stack holds the window of
 levels where its columns live, so a level projection is one stack over all
 its sectors, one level wider than its support on each side
-(:func:`landau_stacks`, :func:`jc_stacks`), and the quaternionic Fermi
-projection is one stack of B = 1 per sector, the eigensolver's columns up
-to one level past their last nonzero one (:func:`fermi_stacks`). Two
-loops over stacks consume them for all three models, :func:`shell_sums`
-and :func:`symmetry_residual`, each sector's rows computed on their own;
-no other module reads the rows.
+(:func:`landau_stacks`, :func:`jc_stacks`). The quaternionic Fermi
+projection is one stack per solve of the eigensolver, its columns up to
+one level past their last nonzero one (:func:`fermi_stacks`): a shared
+stack for the run of sectors from b = 0 that one solve serves, where V
+is one array broadcast over them, and a stack of B = 1 for every other
+sector. Two loops over stacks consume them for all three models,
+:func:`shell_sums` and :func:`symmetry_residual`, which compute a shared
+stack's rows once and every other sector's on their own; no other module
+reads the rows.
 
 Each spin-1/2 model is one :class:`SpinHalfModel` record (:data:`JC`,
 :data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2) and its spin
@@ -52,8 +55,13 @@ matrix without it, bit for bit as ``eigh`` of each sector block. At a
 Fermi energy only the pairs the projection and its gap test read are
 solved: one Sturm pass over the b = 0 bands counts each sector's
 eigenvalues below the energy, and dstevr solves the pairs up to the first
-interior one above it. Landau's block is diagonal, so its eigenvalues and
-flags need no solver (:func:`landau_sector_eigensystem`). The spin-1/2 blocks become
+interior one above it. Every sector whose block has converged holds the
+same pairs (the n2 factorization), so the b = 0 window, once solved,
+serves each sector that holds it to rounding with its columns cut to the
+sector's size (:func:`_shared_run`); only the small sectors near the top
+are solved on their own, about 25 of 141 at Nmax 140. Landau's block is
+diagonal, so its eigenvalues and flags need no solver
+(:func:`landau_sector_eigensystem`). The spin-1/2 blocks become
 real tridiagonal under a unitary within each level, which moves no
 probability between levels, so the interior flags come from the real
 eigenvectors directly. For JC, M = [[0, 0], [i sqrt2, 0]] and G = 1
@@ -261,23 +269,37 @@ def landau_stacks(nmax, j):
     return [(0, n0, V)]
 
 
+def _distinct_rows(V):
+    """The sectors of a stack's V whose rows need computing: its first when all share them.
+
+    A shared stack is a broadcast view (stride 0 over the sectors) of one
+    V that stays clear of every sector's top, so its curvature core, its
+    diagonals and its twisted rows are those of its first sector; they
+    differ between its sectors only by the weights of their shells and, in
+    U conj(V), by the unit factor i^b, which cancels in
+    (U conj(V)) (U conj(V))^dagger.
+    """
+    return V[:1] if V.strides[0] == 0 else V
+
+
 def shell_sums(nmax, stacks, spin, xi):
     """Shell sums of (Q^-1 P, i/ell^2 Q^-1 R) for the sector stacks (b0, n0, V) of P.
 
     Each row is weighted by 1/(l + 2 + 2 xi), l = n1 + b, before the spin
     components of its shell are summed; shells take their sectors in
     ascending b. Rows past a sector's top fall on shells past Nmax and are
-    dropped.
+    dropped. A shared stack's rows are computed once (:func:`_distinct_rows`).
     """
     rank = np.zeros(nmax + 1)
     chern = np.zeros(nmax + 1)
     for stack in stacks:
-        V = stack[2]
+        b0, n0, V = stack
         if not V.shape[2]:
             continue
         shells = _shells(stack, spin)
         weights = 1.0 / (np.repeat(shells, spin, axis=1) + 2.0 + 2.0 * xi)
-        K = _curvature(nmax, stack, spin)
+        V = _distinct_rows(V)
+        K = _curvature(nmax, (b0, n0, V), spin)
         for sums, diag in ((rank, np.einsum("bkp,bkp->bk", V, V.conj())),
                            (chern, np.einsum("bkp,bpq,bkq->bk", V, K, V.conj()))):
             per_shell = (diag.real * weights).reshape(shells.shape + (spin,)).sum(axis=2)
@@ -299,11 +321,12 @@ def symmetry_residual(stacks, twist):
 
     Per sector U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger, and both
     sides vanish off the rows where V or U conj(V) is nonzero in some sector
-    of the stack.
+    of the stack. A shared stack's rows are computed once (:func:`_distinct_rows`).
     """
     worst = 0.0
-    for stack in stacks:
-        V, UV = stack[2], _twist(stack, twist)
+    for b0, n0, V in stacks:
+        V = _distinct_rows(V)
+        UV = _twist((b0, n0, V), twist)
         rows = (V != 0).any(axis=(0, 2)) | (UV != 0).any(axis=(0, 2))
         UV, V = UV[:, rows], V[:, rows]
         worst = max(worst, float(np.abs(UV @ _adjoint(UV) - V @ _adjoint(V)).max(initial=0.0)))
@@ -518,11 +541,37 @@ def _solve_sector(lib, d, e, spin, energy=None, below=None):
 
 
 def _sorted_levels(secs):
-    """The eigenvalues and interior flags of all (b, w, V, flags) sectors, in ascending eigenvalue."""
-    ev = np.concatenate([w for _, w, _, _ in secs])
-    fl = np.concatenate([flags for _, _, _, flags in secs])
+    """The eigenvalues and interior flags of all (sectors, w, V, flags) blocks, in ascending eigenvalue.
+
+    A block counts once for each sector of its range.
+    """
+    ev = np.concatenate([w for bs, w, _, _ in secs for _ in bs])
+    fl = np.concatenate([flags for bs, _, _, flags in secs for _ in bs])
     order = np.argsort(ev)
     return ev[order], fl[order]
+
+
+def _shared_run(nmax, spin, below, v, flags):
+    """How many sectors, from b = 0 on, take the b = 0 window: eigenvectors v and their interior flags.
+
+    ``v`` has its entries of magnitude <= machine epsilon set to zero, so
+    it vanishes past its first t levels. Sector b takes the pairs of b = 0
+    when every one of them is interior, its Sturm count in ``below`` is
+    theirs, and s_b >= t + EDGE_SHELLS. The columns cut to s_b levels then
+    leave a residual |e_{s-1} u_s| <= eps ||T|| on its block, the backward
+    error of the solver itself, so they are its eigenpairs to rounding
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, 4.5); and they
+    stay EDGE_SHELLS levels clear of its top, so their interior flags and
+    curvature core (:func:`_curvature`) are those of b = 0. Neither the
+    size nor the Sturm count grows with b (Cauchy interlacing), so the
+    sectors that qualify are b = 0..run - 1.
+    """
+    if not flags.all():
+        return 1
+    t = -(-(np.flatnonzero(v.any(axis=1))[-1] + 1) // spin)
+    counts = below[spin - 1::spin]  # by sector size s = 1..Nmax + 1
+    smallest = max(int(np.searchsorted(counts, counts[-1])) + 1, t + EDGE_SHELLS)
+    return max(nmax + 2 - smallest, 1)
 
 
 def _sector_eigensystem(nmax, d, e, energy=None, columns=None):
@@ -530,37 +579,40 @@ def _sector_eigensystem(nmax, d, e, energy=None, columns=None):
 
     The block is spin fastest, and sector b takes its leading part
     (d[:spin s], e[:spin s - 1]), s = Nmax + 1 - b, solved by
-    :func:`_solve_sector`. Each sector is solved on its own, so the
-    interior flags do not depend on the basis LAPACK picks inside
-    eigenspaces that several sectors share. Without an energy every
-    sector is solved whole and no eigenvectors are kept. With one, a
-    single Sturm pass over the b = 0 bands (:func:`_sturm_counts`) counts
-    every sector's eigenvalues below it, each sector solves only those
-    pairs and the next, and ``columns(u)`` maps the kept eigenvectors u,
-    those with eigenvalue <= energy and their entries of magnitude
-    <= machine epsilon set to zero, so no sector's eigenvectors outlive
-    its solve. (Inverse iteration leaves entries near 1e-49 where the
-    whole solve gives exact zeros; :func:`fermi_stacks` trims at the last
-    nonzero level.) The interior pairs next to the energy are those of the
-    whole solve, so the gap test on them is unchanged. Returns a
-    list of (b, eigenvalues, kept eigenvectors or None, interior flags) in
-    ascending b and the globally sorted (eigenvalues, interior flags).
+    :func:`_solve_sector`. Without an energy every sector is solved whole,
+    on its own, so the interior flags do not depend on the basis LAPACK
+    picks inside eigenspaces that several sectors share, and no
+    eigenvectors are kept. With one, a single Sturm pass over the b = 0
+    bands (:func:`_sturm_counts`) counts every sector's eigenvalues below
+    it, and a solve takes only those pairs and the next. The b = 0 window
+    serves every sector that holds it to rounding (:func:`_shared_run`);
+    the other sectors are solved on their own. ``columns(u)`` maps the
+    kept eigenvectors u of a solve, those with eigenvalue <= energy and
+    their entries of magnitude <= machine epsilon set to zero. (Inverse
+    iteration leaves entries near 1e-49 where the whole solve gives exact
+    zeros; :func:`fermi_stacks` trims at the last nonzero level.) The
+    interior pairs next to the energy are those of the whole solve, so the
+    gap test on them is unchanged. Returns a list of (sectors, eigenvalues,
+    kept eigenvectors or None, interior flags), one per solve, in
+    ascending b, with ``sectors`` the range of b that share it, and the
+    globally sorted (eigenvalues, interior flags).
     """
     spin = len(d) // (nmax + 1)
     lib = _numpy_openblas()
     below = None if energy is None else _sturm_counts(d, e, energy)
-    secs = []
-    for b in range(nmax + 1):
+    secs, b = [], 0
+    while b <= nmax:
         k = spin * (nmax + 1 - b)
         if energy is None:
-            w, v, flags = _solve_sector(lib, d[:k], e[:k - 1], spin)
-            kept = None
+            w, _, flags = _solve_sector(lib, d[:k], e[:k - 1], spin)
+            kept, run = None, 1
         else:
             w, v, flags = _solve_sector(lib, d[:k], e[:k - 1], spin, energy, below[k - 1])
-            u = v[:, w <= energy]
-            u[np.abs(u) <= np.finfo(float).eps] = 0.0
-            kept = columns(u)
-        secs.append((b, w, kept, flags))
+            v[np.abs(v) <= np.finfo(float).eps] = 0.0
+            run = _shared_run(nmax, spin, below, v, flags) if b == 0 else 1
+            kept = columns(v[:, w <= energy])
+        secs.append((range(b, b + run), w, kept, flags))
+        b += run
     return (secs,) + _sorted_levels(secs)
 
 
@@ -573,7 +625,8 @@ def landau_sector_eigensystem(nmax, params):
     (eigenvalues, interior flags) over all sectors combined.
     """
     d = params.eps_B * (np.arange(nmax + 1) + 0.5)
-    secs = [(nmax + 1 - s, d[:s], None, np.arange(s) < s - EDGE_SHELLS) for s in range(nmax + 1, 0, -1)]
+    secs = [(range(nmax + 1 - s, nmax + 2 - s), d[:s], None, np.arange(s) < s - EDGE_SHELLS)
+            for s in range(nmax + 1, 0, -1)]
     return _sorted_levels(secs)
 
 
@@ -602,12 +655,14 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     Each sector solves the one real tridiagonal block both spin channels
     share (module docstring), so every eigenvalue appears twice. Without
     an energy every sector is solved whole and no eigenvectors are kept.
-    With one, each sector returns only its window of eigenvalues, up to
-    its first interior one above the energy (:func:`_sector_eigensystem`),
-    and its eigenvectors with eigenvalue <= energy are mapped back to the
+    With one, a solve returns only its window of eigenvalues, up to its
+    first interior one above the energy, and one solve serves the run of
+    sectors from b = 0 that hold its window (:func:`_sector_eigensystem`).
+    Its eigenvectors with eigenvalue <= energy are mapped back to the
     spin-fastest basis, v[n, a] = e^{i n arg mu_k} u_n W[a, k] for both
-    channels k. Returns a list of (b, eigenvalues, those columns or None,
-    interior flags) and the globally sorted (eigenvalues, interior flags).
+    channels k, with the rows of its first sector. Returns a list of
+    (sectors, eigenvalues, those columns or None, interior flags), one per
+    solve, and the globally sorted (eigenvalues, interior flags).
     """
     lam, W = np.linalg.eigh(params.r[1] * SIGMA1 + params.r[2] * SIGMA3)
     mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger M W = diag(mu)
@@ -623,29 +678,31 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
         return np.einsum("nk,nc,ak->nakc", phases[:s], u, W).reshape(2 * s, -1)
 
     secs, evs, flags = _sector_eigensystem(nmax, d, e, energy, columns)
-    secs = [(b, np.repeat(w, 2), V, np.repeat(fl, 2)) for b, w, V, fl in secs]
+    secs = [(bs, np.repeat(w, 2), V, np.repeat(fl, 2)) for bs, w, V, fl in secs]
     return secs, np.repeat(evs, 2), np.repeat(flags, 2)
 
 
 def fermi_stacks(sectors):
-    """One stack (b, 0, V) per sector of :func:`quaternionic_sector_eigensystem` at an energy.
+    """One stack (b0, 0, V) per solve of :func:`quaternionic_sector_eigensystem` at an energy.
 
     V is cut one level past its last nonzero level: the solver sets the
     entries of magnitude <= machine epsilon to zero, which the columns
     reach well below the sector's top, and the zero level left on top
     keeps the window exact for :func:`_curvature`. A V without a nonzero
-    row is kept whole.
+    row is kept whole. A solve that serves a run of sectors b0..b0 + B - 1
+    becomes one shared stack, V broadcast over the B sectors
+    (:func:`_distinct_rows`): the cut V stays clear of every one of their
+    tops, so no truncation enters it.
     """
     stacks = []
-    for b, _w, V, _flags in sectors:
+    for bs, _w, V, _flags in sectors:
         rows = np.flatnonzero((V != 0).any(axis=1))
         if len(rows):
             V = V[:2 * (rows[-1] // 2 + 2)]
-        stacks.append((b, 0, V[None]))
+        stacks.append((bs.start, 0, np.broadcast_to(V, (len(bs),) + V.shape)))
     return stacks
 
 
 def quaternionic_shell_sums(nmax, params, stacks):
     """Rank and Chern shell sums of the Fermi projection, from its :func:`fermi_stacks`."""
     return shell_sums(nmax, stacks, 2, params.xi)
-

@@ -19,6 +19,7 @@ in the test suite.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "sigma_partial",
     "gamma_sequence",
     "cesaro_tau",
+    "gamma_schedule",
     "dixmier_via_gamma_fit",
     "trace_Q_power",
     "trace_Q_power_proj",
@@ -49,6 +51,9 @@ GAMMA_SCHEDULE = tuple(2 ** k for k in range(10, 25))
 
 #: shells dropped at the truncation edge in graded estimates
 GRADED_MARGIN = 2
+
+#: fewest shells a graded fit takes; fewer leave the estimate unconverged
+GRADED_MIN_WINDOW = 6
 
 #: certification tolerance of the graded estimator, the same for every model
 GRADED_TOL = 5e-2
@@ -277,6 +282,19 @@ def _sigma_slope(N, sig):
     return float(coef[0]), dev
 
 
+def gamma_schedule(offset):
+    """The schedule of a sequence 1/(k + offset): 15 powers of two, from max(2^10, 64 offset) rounded up.
+
+    Its partial sums psi(N + offset) - psi(offset) reach their log N form
+    only for N well past the offset, so a fixed schedule leaves the fit
+    unconverged on high levels (Landau j >= 325 on 2^10..2^24). Every
+    offset up to 16 keeps :data:`GAMMA_SCHEDULE`.
+    """
+    mantissa, exponent = math.frexp(64.0 * offset)  # 64 offset = mantissa 2^exponent, 1/2 <= mantissa < 1
+    start = max(10, exponent - (mantissa == 0.5))
+    return tuple(2 ** k for k in range(start, start + len(GAMMA_SCHEDULE)))
+
+
 def dixmier_via_gamma_fit(seq, tolerance=1e-3, schedule=GAMMA_SCHEDULE):
     """Extrapolate gamma_N = sigma_N / log N over a geometric schedule.
 
@@ -391,19 +409,25 @@ def dixmier_from_shell_sums(shell_sums, xi):
     T H_l + C with H_l = sum_{k<=l} 1 / (k + 2 + 2 xi)
     = psi(l + 3 + 2 xi) - psi(2 + 2 xi) (DLMF 5.5.2). T is the slope of
     a least-squares fit on the columns [H_l, 1] over the outer half of the
-    shells left after the ``GRADED_MARGIN`` edge shells. The residual is
-    the fit's max deviation plus a rounding floor, divided by the H span
-    of the window, plus the spread against the same fit on the window's
-    upper half; it is never exactly 0. Converged means residual
-    <= ``GRADED_TOL``.
+    shells left after the ``GRADED_MARGIN`` edge shells, or from the first
+    nonzero shell on where the density starts later: shells before it
+    would hold a zero D(l) that T H_l + C does not fit. With fewer than
+    ``GRADED_MIN_WINDOW`` shells left the estimate is NaN, unconverged,
+    with residual inf. The residual is the fit's max deviation plus a
+    rounding floor, divided by the H span of the window, plus the spread
+    against the same fit on the window's upper half; it is never exactly
+    0. Converged means residual <= ``GRADED_TOL``.
     """
     shell_sums = np.asarray(shell_sums, dtype=float)
     n_shells = len(shell_sums)
     if n_shells < 12 + GRADED_MARGIN:
         raise ValueError(f"need at least {12 + GRADED_MARGIN} shells, got {n_shells}")
     keep = n_shells - GRADED_MARGIN
-    cum = np.cumsum(shell_sums[:keep])[keep // 2:]
-    H = np.cumsum(1.0 / (np.arange(keep) + 2.0 + 2.0 * xi))[keep // 2:]
+    start = max(keep // 2, int(np.argmax(shell_sums != 0)))  # argmax: the first nonzero shell, 0 if none
+    if keep - start < GRADED_MIN_WINDOW:
+        return DixmierEstimate(np.nan, "graded_diagonal", [], False, np.inf)
+    cum = np.cumsum(shell_sums[:keep])[start:]
+    H = np.cumsum(1.0 / (np.arange(keep) + 2.0 + 2.0 * xi))[start:]
     value, dev = _harmonic_slope(H, cum)
     upper, _ = _harmonic_slope(H[len(H) // 2:], cum[len(H) // 2:])
     floor = np.finfo(float).eps * max(1.0, float(np.abs(cum).max()))

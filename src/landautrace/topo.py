@@ -41,6 +41,7 @@ from .singtrace import (
     dixmier_from_shell_sums,
     dixmier_via_gamma_fit,
     dixmier_via_zeta_residue,
+    gamma_schedule,
     q_level_sequence,
     trace_Q_power_proj,
 )
@@ -175,7 +176,7 @@ def invariants_landau(j, nmax, params):
         raise ValueError(f"need j <= Nmax - {LEVEL_MARGIN}")
     xi = params.xi
     rank_routes = (dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, xi, j)),
-                   dixmier_via_gamma_fit(q_level_sequence(xi, j)))
+                   dixmier_via_gamma_fit(q_level_sequence(xi, j), schedule=gamma_schedule(j + 2 + 2 * xi)))
     _, chern_sums = sectors.landau_shell_sums(nmax, j, xi)
     chern_est = dixmier_from_shell_sums(chern_sums, xi)
     residuals = verify_curvature_identity(j, nmax, params)

@@ -463,7 +463,7 @@ class TestInvariants:
     def test_disagreeing_rank_routes_stop_certification(self, tmp_path, monkeypatch):
         # the zeta residue gives 1; a gamma fit sure of 2 must keep the rank uncertified
         monkeypatch.setattr(topo, "dixmier_via_gamma_fit",
-                            lambda seq: DixmierEstimate(2.0, "gamma_fit", [], True, 1e-6))
+                            lambda seq, schedule: DixmierEstimate(2.0, "gamma_fit", [], True, 1e-6))
         cfg = self._config(tmp_path, "landau", "0")
         assert main(["--config", str(cfg), "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
         report = json.loads((tmp_path / "invariants.json").read_text())[0]
@@ -472,6 +472,24 @@ class TestInvariants:
         assert [(c["method"], c["value"]) for c in rank["cross_checks"]] == [("gamma_fit", 2.0)]
         assert rank["rounded"] == 1 and not rank["certified"]
         assert report["chern"]["certified"] and report["chern"]["cross_checks"] == []
+
+    def test_level_whose_density_starts_at_the_edge_exits_3(self, tmp_path, monkeypatch):
+        # level 137 fills shells 137 and 138 before the edge margin, too few for the
+        # graded fit; its Chern number was once certified as 0 (0.0024 +- 0.029)
+        monkeypatch.setenv("LANDAU_LEVELS", "137")
+        assert main(["--nmax", "140", "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
+        report = json.loads((tmp_path / "invariants.json").read_text())[0]
+        assert report["rank"]["rounded"] == 1 and report["rank"]["certified"]
+        assert report["chern"]["rounded"] is None and not report["chern"]["certified"]
+
+    def test_landau_level_400_certifies(self, tmp_path, monkeypatch):
+        # the gamma fit's schedule starts past the level's offset, the graded fit at its density
+        monkeypatch.setenv("LANDAU_LEVELS", "400")
+        assert main(["--nmax", "410", "--out", str(tmp_path), "invariants"]) == EXIT_OK
+        report = json.loads((tmp_path / "invariants.json").read_text())[0]
+        for key in ("rank", "chern"):
+            assert report[key]["rounded"] == 1 and report[key]["certified"]
+        assert report["chern"]["estimate"]["value"] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("levels", ["0", "0,1+", "0+"])
     def test_jc_pair_level_zero_rejected(self, tmp_path, capsys, levels):

@@ -80,13 +80,16 @@ def test_jc_interior_count(nmax):
     assert flags.sum() == (nmax - 1) ** 2
 
 
-def serial_sector_eigensystem(nmax, block, energy=None, columns=None):
+def serial_sector_eigensystem(nmax, block, energy=None, columns=None, share=True):
     """The serial loop over the sectors, the block of each built on its own by ``block(s)``.
 
     Without an energy each block goes to ``eigh``. With one, each block's
     bands go to the windowed routine with a Sturm count of that block alone,
     and its columns with eigenvalue <= energy, entries up to machine epsilon
-    set to zero, to ``columns``.
+    set to zero, to ``columns``. With ``share``, a sector takes the b = 0
+    window instead where the sharing rule allows it: every pair of that
+    window interior, the same Sturm count, and s >= t + EDGE_SHELLS with t
+    the levels through the window's last nonzero entry.
     """
     secs = []
     for b in range(nmax + 1):
@@ -96,17 +99,35 @@ def serial_sector_eigensystem(nmax, block, energy=None, columns=None):
             w, v = np.linalg.eigh(block(s))
             flags = sectors._edge_mass(v, s) < sectors.INTERIOR_MASS
         else:
-            d, e = np.diag(block(s)).copy(), np.diag(block(s), -1).copy()
+            A = block(s)
+            d, e = np.diag(A).copy(), np.diag(A, -1).copy()
+            spin = len(d) // s
             below = sectors._sturm_counts(d, e, energy)[-1]
-            w, v, flags = sectors._solve_sector(sectors._numpy_openblas(), d, e, len(d) // s, energy, below)
-            u = v[:, w <= energy]
-            u[np.abs(u) <= np.finfo(float).eps] = 0.0
-            kept = columns(u)
+            if b == 0:
+                first = sectors._solve_sector(sectors._numpy_openblas(), d, e, spin, energy, below)
+                first[1][np.abs(first[1]) <= np.finfo(float).eps] = 0.0
+                m0, t = below, -(-(np.flatnonzero(first[1].any(axis=1))[-1] + 1) // spin)
+            if share and first[2].all() and below == m0 and s >= t + sectors.EDGE_SHELLS:
+                w, v, flags = first[0], first[1][:spin * s], first[2]
+            else:
+                w, v, flags = sectors._solve_sector(sectors._numpy_openblas(), d, e, spin, energy, below)
+                v[np.abs(v) <= np.finfo(float).eps] = 0.0
+            kept = columns(v[:, w <= energy])
         secs.append((b, w, kept, flags))
     ev = np.concatenate([w for _, w, _, _ in secs])
     fl = np.concatenate([flags for _, _, _, flags in secs])
     order = np.argsort(ev)
     return secs, ev[order], fl[order]
+
+
+def per_sector(nmax, secs):
+    """The (b, eigenvalues, columns, flags) of every sector: a shared solve repeated, its columns cut to size."""
+    out = []
+    for bs, w, V, fl in secs:
+        for b in bs:
+            cut = None if V is None else V[:len(V) // (nmax + 1 - bs.start) * (nmax + 1 - b)]
+            out.append((b, w, cut, fl))
+    return out
 
 
 def band_matrix(d, e):
@@ -159,6 +180,11 @@ def serial_run(name, nmax, params, monkeypatch):
     return out
 
 
+def expanded(nmax, out):
+    """An eigensystem's output with its solves listed per sector (:func:`per_sector`)."""
+    return (per_sector(nmax, out[0]),) + out[1:] if len(out) == 3 else out
+
+
 def flat_bytes(out):
     """Every array, None and sector index of an eigensystem's output, as bytes."""
     if isinstance(out, (tuple, list)):
@@ -197,7 +223,7 @@ def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, blas_
     run = EIGENSYSTEMS[name][0]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     with blas_on(blas_threads):
-        new = run(nmax, params)
+        new = expanded(nmax, run(nmax, params))
     assert flat_bytes(new) == flat_bytes(serial_run(name, nmax, params, monkeypatch))
 
 
@@ -222,7 +248,8 @@ def test_sector_commands_start_no_thread(tmp_path, monkeypatch):
 
 def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
     # LAPACK giving up on one sector size, on the whole or the windowed solve,
-    # reaches the caller and ends the command in exit 3
+    # reaches the caller and ends the command in exit 3; at these couplings and
+    # Nmax 20 no quaternionic sector takes a shared solve
     eigh = np.linalg.eigh
 
     def failing(a, *args, **kwargs):
@@ -245,7 +272,8 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
         with pytest.raises(np.linalg.LinAlgError):
             run()
     for model, command, extra in (("jaynes_cummings", "spectrum", ""),
-                                  ("quaternionic", "invariants", "fermi_energy = 2\n")):
+                                  ("quaternionic", "invariants", "fermi_energy = 2\nparams.c_b = 0.6\n"
+                                   "params.r0 = 0.6\nparams.r1 = 0\nparams.r2 = -0.8\n")):
         cfg = tmp_path / f"{model}.cfg"
         cfg.write_text(f"model = {model}\nnmax = 20\n{extra}")
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == cli.EXIT_NOCONV
@@ -260,7 +288,8 @@ def test_eigh_fallback_matches_the_serial_loop_bit_for_bit(name, monkeypatch):
     monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
     monkeypatch.setattr(sectors, "_tridiagonal_eigh", None)
     for nmax in (0, 13, 140):
-        assert flat_bytes(run(nmax, params)) == flat_bytes(serial_run(name, nmax, params, monkeypatch))
+        new = expanded(nmax, run(nmax, params))
+        assert flat_bytes(new) == flat_bytes(serial_run(name, nmax, params, monkeypatch))
 
 
 def test_tridiagonal_eigh_reports_lapack_failure():
@@ -331,9 +360,9 @@ def test_jc_sector_eigenvalues_match_their_closed_form(params, monkeypatch):
     nmax = 140
     sectors.jc_sector_eigensystem(nmax, params)
     (_, _, secs), = calls
-    assert [b for b, _, _, _ in secs] == list(range(nmax + 1))
-    for b, w, _, _ in secs:
-        s = nmax + 1 - b
+    assert [bs for bs, _, _, _ in secs] == [range(b, b + 1) for b in range(nmax + 1)]
+    for bs, w, _, _ in secs:
+        s = nmax + 1 - bs.start
         top = params.eps_B * (s - 0.5 + params.c_b ** 2)
         closed = np.sort(np.append(models.jc_spectrum(params, s - 1).eigenvalues, top))
         np.testing.assert_allclose(w, closed, rtol=1e-12, atol=0)
@@ -489,7 +518,7 @@ def test_padded_stack_matches_the_sector_loop_bit_for_bit(nmax, spin):
 def test_fermi_stacks_match_the_sector_loop_bit_for_bit(energy):
     for params in QUAT_CASES:
         secs, _, _ = sectors.quaternionic_sector_eigensystem(40, params, energy)
-        columns = [(b, V) for b, _, V, _ in secs]
+        columns = [(b, V) for b, _, V, _ in per_sector(40, secs)]
         stacks = sectors.fermi_stacks(secs)
         new = sectors.quaternionic_shell_sums(40, params, stacks)
         assert all(map(same_bytes, new, loop_shell_sums(40, columns, 2, params.xi)))
@@ -502,16 +531,18 @@ def test_fermi_stacks_match_the_sector_loop_bit_for_bit(energy):
 def test_trimmed_fermi_stacks_match_whole_columns_bit_for_bit(nmax, energy):
     # the columns are cut after their last nonzero level and one zero level;
     # a sector with no column (r = 0: eps_B 1.3 puts its one level above E = 1)
-    # keeps V whole
+    # keeps V whole; a shared stack holds the same cut V in each of its sectors
     trimmed = empty = 0
     for params in QUAT_CASES:
         secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
-        whole = [(b, 0, V[None]) for b, _, V, _ in secs]
+        whole = [(b, 0, V[None]) for b, _, V, _ in per_sector(nmax, secs)]
         stacks = sectors.fermi_stacks(secs)
-        for (_, _, V), (_, _, W) in zip(stacks, whole):
-            assert V.shape[1] % 2 == 0 and not W[:, V.shape[1]:].any()
-            trimmed += V.shape[1] < W.shape[1]
-            empty += W.shape[2] == 0 and V.shape == W.shape
+        sector_rows = [(b0 + i, V[i]) for b0, _, V in stacks for i in range(len(V))]
+        assert [b for b, _ in sector_rows] == [b for b, _, _ in whole]
+        for (_, V), (_, _, W) in zip(sector_rows, whole):
+            assert len(V) % 2 == 0 and same_bytes(V, W[0, :len(V)]) and not W[:, len(V):].any()
+            trimmed += len(V) < W.shape[1]
+            empty += W.shape[2] == 0 and V.shape == W.shape[1:]
         assert all(map(same_bytes, sectors.shell_sums(nmax, stacks, 2, params.xi),
                        sectors.shell_sums(nmax, whole, 2, params.xi)))
         twist = sectors.QUATERNIONIC.twist
@@ -768,8 +799,8 @@ def test_quaternionic_rotated_sectors_match_dense_blocks(nmax, params):
     secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
     dense = dense_quaternionic_sectors(nmax, params)
     assert len(secs) == len(dense)
-    for (b, w, V, flags), (db, dw, _, dflags) in zip(secs, dense):
-        assert b == db and V is None  # no energy: no eigenvectors kept
+    for (bs, w, V, flags), (db, dw, _, dflags) in zip(secs, dense):
+        assert bs == range(db, db + 1) and V is None  # no energy: every sector solved, no eigenvectors kept
         np.testing.assert_allclose(w, dw, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(flags, dflags)
 
@@ -795,13 +826,14 @@ def has_gap(energy, evs, flags, params):
 def test_windowed_solve_matches_the_whole_solve(nmax, params, monkeypatch):
     # below the spectrum, at an eigenvalue, and at E = 1, 2, 3: the same gap
     # decision, the same flags and eigenvalues on the solved pairs, and the
-    # same Fermi projection in every sector
+    # same Fermi projection in every sector, shared solves included
     _, evs, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
     for energy in (0.0, float(evs[len(evs) // 8]), 1.0, 2.0, 3.0):
         secs, evs_w, flags_w = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
         whole, evs_f, flags_f = whole_sector_eigensystem(nmax, params, energy, monkeypatch)
         assert has_gap(energy, evs_w, flags_w, params) == has_gap(energy, evs_f, flags_f, params)
-        for (b, w, V, fl), (bf, wf, Vf, flf) in zip(secs, whole, strict=True):
+        for (b, w, V, fl), (bf, wf, Vf, flf) in zip(per_sector(nmax, secs), per_sector(nmax, whole),
+                                                    strict=True):
             assert b == bf and len(w) <= len(wf)
             np.testing.assert_array_equal(fl, flf[:len(w)])
             assert np.abs(w - wf[:len(w)]).max() <= 1e-13 * params.eps_B
@@ -809,13 +841,86 @@ def test_windowed_solve_matches_the_whole_solve(nmax, params, monkeypatch):
             assert np.abs(V @ V.conj().T - Vf @ Vf.conj().T).max(initial=0.0) <= 1e-12
 
 
+def own_solves(nmax, params, energy, monkeypatch):
+    """Each quaternionic sector at the energy solved on its own, as (b, eigenvalues, columns, flags)."""
+    def serial(nmax, d, e, energy=None, columns=None):
+        return serial_sector_eigensystem(nmax, lambda s: quaternionic_tridiagonal(s, params), energy,
+                                         columns, share=False)
+
+    with monkeypatch.context() as m:
+        m.setattr(sectors, "_sector_eigensystem", serial)
+        return sectors.quaternionic_sector_eigensystem(nmax, params, energy)[0]
+
+
+def check_shared_sectors(nmax, params, monkeypatch):
+    """Every sector of a shared solve against its own solve; returns how many sectors shared one.
+
+    The same count of eigenvalues below the energy, eigenvalues within
+    1e-13 eps_B, V V^dagger within 1e-12 and edge mass below
+    INTERIOR_MASS, below the spectrum, at an eigenvalue and at E = 1, 2, 3.
+    The eigenvalue comes from the sectors of Nmax <= 40, the leading blocks
+    of every larger truncation.
+    """
+    shared = 0
+    _, evs, _ = sectors.quaternionic_sector_eigensystem(min(nmax, 40), params)
+    for energy in (0.0, float(evs[len(evs) // 8]), 1.0, 2.0, 3.0):
+        secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+        if len(secs[0][0]) == 1:
+            continue  # the shared run starts at b = 0: here every sector is solved on its own
+        own = own_solves(nmax, params, energy, monkeypatch)
+        run, w, V, _ = secs[0]
+        for b in run[1:]:
+            s = nmax + 1 - b
+            _, w_own, V_own, fl_own = own[b]
+            assert (w < energy).sum() == (w_own < energy).sum(), (b, energy)
+            assert len(w) <= len(w_own) and fl_own[:len(w)].all()
+            assert np.abs(w - w_own[:len(w)]).max() <= 1e-13 * params.eps_B, (b, energy)
+            cut = V[:2 * s]
+            rows = (cut != 0).any(axis=1) | (V_own != 0).any(axis=1)
+            P, P_own = cut[rows] @ cut[rows].conj().T, V_own[rows] @ V_own[rows].conj().T
+            assert cut.shape == V_own.shape and np.abs(P - P_own).max(initial=0.0) <= 1e-12
+            edge = np.abs(cut[2 * max(s - sectors.EDGE_SHELLS, 0):]) ** 2
+            assert edge.sum(axis=0).max(initial=0.0) < sectors.INTERIOR_MASS, (b, energy)
+            shared += 1
+    return shared
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+@pytest.mark.parametrize("nmax", [0, 1, 2, 13, 40, 140, 400])
+def test_shared_sectors_match_their_own_solve(nmax, params, monkeypatch):
+    # the b = 0 window serves the sectors that hold it to rounding
+    shared = check_shared_sectors(nmax, params, monkeypatch)
+    assert shared > 0 or nmax < 40
+
+
+def test_sharing_past_the_edge_shells_fails_the_shared_sector_check(monkeypatch):
+    # a mutant rule without s >= t + EDGE_SHELLS shares the b = 0 window with
+    # every sector of the same Sturm count, and the check above catches it
+    def mutant(nmax, spin, below, v, flags):
+        counts = below[spin - 1::spin]
+        return nmax + 1 - int(np.searchsorted(counts, counts[-1])) if flags.all() else 1
+
+    monkeypatch.setattr(sectors, "_shared_run", mutant)
+    with pytest.raises(AssertionError):
+        check_shared_sectors(40, QUAT_CASES[0], monkeypatch)
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+def test_fermi_projection_solves_few_sectors(params, monkeypatch):
+    # at Nmax 140, E = 2 the shared solve leaves at most 40 of the 141 sectors to solve
+    solve, calls = sectors._solve_sector, []
+    monkeypatch.setattr(sectors, "_solve_sector", lambda *args: calls.append(1) or solve(*args))
+    sectors.quaternionic_sector_eigensystem(140, params, 2.0)
+    assert 0 < len(calls) <= 40
+
+
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
 def test_fermi_stacks_keep_under_half_the_sector_rows(params):
     # inverse iteration leaves tiny entries up to each sector's top; set to zero,
     # they no longer hold the trim there
     secs, _, _ = sectors.quaternionic_sector_eigensystem(140, params, 2.0)
-    kept = sum(V.shape[1] for _, _, V in sectors.fermi_stacks(secs))
-    assert kept < sum(V.shape[0] for _, _, V, _ in secs) / 2
+    kept = sum(len(V) * V.shape[1] for _, _, V in sectors.fermi_stacks(secs))
+    assert kept < sum(V.shape[0] for _, _, V, _ in per_sector(140, secs)) / 2
 
 
 def rotated_and_dense_columns(energy):
@@ -825,7 +930,7 @@ def rotated_and_dense_columns(energy):
             secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
             dense = dense_quaternionic_sectors(nmax, params)
             columns = [(b, v[:, w <= energy]) for b, w, v, _ in dense]
-            for (_, _, V, _), (_, dV) in zip(secs, columns):
+            for (_, _, V, _), (_, dV) in zip(per_sector(nmax, secs), columns, strict=True):
                 assert V.shape == dV.shape
                 P = V @ V.conj().T
                 assert np.abs(P - dV @ dV.conj().T).max() <= 1e-12
@@ -851,9 +956,10 @@ def test_quaternionic_symmetry_residual_matches_dense(energy):
     # random orthonormal columns break the symmetry; both forms must still agree
     rng = np.random.default_rng(int(energy))
     secs, _, _ = sectors.quaternionic_sector_eigensystem(NMAX, QUAT_CASES[0], energy)
-    broken = [(b, w, random_columns(rng, V.shape[0], V.shape[1]), fl) for b, w, V, fl in secs]
+    broken = [(range(b, b + 1), w, random_columns(rng, V.shape[0], V.shape[1]), fl)
+              for b, w, V, fl in per_sector(NMAX, secs)]
     res = topo._quaternionic_symmetry_residual(sectors.fermi_stacks(broken))
-    ref = dense_quaternionic_symmetry_residual([(b, V) for b, _, V, _ in broken])
+    ref = dense_quaternionic_symmetry_residual([(bs.start, V) for bs, _, V, _ in broken])
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)
 

@@ -12,6 +12,7 @@ from landautrace.singtrace import (
     dixmier_via_gamma_fit,
     dixmier_via_zeta_residue,
     finite_rank_sequence,
+    gamma_schedule,
     gamma_sequence,
     graded_diagonal,
     macaev_norm_probe,
@@ -216,6 +217,26 @@ class TestGammaFit:
         with pytest.raises(ValueError):
             SingularSequence.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("offset", [2.0, 7.5, 16.0])
+    def test_low_offsets_keep_the_default_schedule(self, offset):
+        assert gamma_schedule(offset) == GAMMA_SCHEDULE
+
+    def test_schedule_starts_past_the_offset(self):
+        # 15 powers of two from 64 offset rounded up to a power of two
+        assert gamma_schedule(16.5) == tuple(2 ** k for k in range(11, 26))
+        assert gamma_schedule(327.0) == tuple(2 ** k for k in range(15, 30))  # 64 x 327 = 20928
+        assert gamma_schedule(512.0)[0] == 2 ** 15  # 64 x 512 is a power of two
+
+    @pytest.mark.parametrize("xi", [0.0, 5.0])
+    @pytest.mark.parametrize("j", [325, 800, 2000])
+    def test_high_levels_converge_on_their_schedule(self, xi, j):
+        # on the default schedule these levels stay unconverged (1.0043 +- 0.0043 at j = 800)
+        seq = q_level_sequence(xi, j)
+        assert not dixmier_via_gamma_fit(seq).converged
+        est = dixmier_via_gamma_fit(seq, schedule=gamma_schedule(j + 2 + 2 * xi))
+        assert est.converged and est.residual <= 1e-5
+        assert abs(est.value - 1.0) <= 3 * est.residual
+
     def test_nonconvergence_flag_not_exception(self):
         # an oscillating fake sequence cannot fit L + c/log N well
         rng = np.random.default_rng(1)
@@ -322,6 +343,24 @@ class TestGraded:
         ells = np.arange(17, dtype=float)
         expect = np.where(ells >= 3, 1.0 / (ells + 3.0), 0.0)
         assert np.abs(sums - expect).max() <= 1e-14
+
+    @pytest.mark.parametrize("xi", [0.0, 1.0])
+    @pytest.mark.parametrize("j", [120, 133])
+    def test_window_starts_at_the_first_nonzero_shell(self, xi, j):
+        # a level density from shell j on, past the outer-half start (69 at
+        # Nmax 140): the fit takes the shells j..138, none of the zero ones
+        # before (on which the estimate of level 137 read 0.0024)
+        ells = np.arange(141.0)
+        est = dixmier_from_shell_sums(np.where(ells >= j, 1.0 / (ells + 2.0 + 2.0 * xi), 0.0), xi)
+        assert len(est.samples) == 139 - j
+        assert est.converged and est.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("j", [134, 137, 140])
+    def test_too_few_shells_leave_the_fit_unconverged(self, j):
+        # under GRADED_MIN_WINDOW = 6 shells from the first nonzero one to the edge margin
+        ells = np.arange(141.0)
+        est = dixmier_from_shell_sums(np.where(ells >= j, 1.0 / (ells + 2.0), 0.0), 0.0)
+        assert np.isnan(est.value) and not est.converged and est.residual == np.inf
 
     def test_needs_enough_shells(self):
         basis = build_basis(10)

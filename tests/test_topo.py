@@ -211,6 +211,20 @@ class TestLandauInvariants:
         assert {"commutator_identity", "curvature_identity"} <= keys[2]
 
 
+@pytest.mark.parametrize("nmax", [100, 140, 300])
+def test_no_level_certifies_a_wrong_integer(nmax):
+    # every Landau level and JC pair level: a certified rank or Chern number is 1.
+    # The graded window once started before the density of the top levels and
+    # certified a Chern number of 0 (Landau 136 and 137 at Nmax 140).
+    for xi in (0.0, 1.0):
+        p = ModelParams(xi=xi, c_b=0.3)
+        reports = [invariants_landau(j, nmax, p) for j in range(nmax - LEVEL_MARGIN + 1)]
+        reports += [invariants_jc(j, sign, nmax, p) for j in range(1, nmax - LEVEL_MARGIN) for sign in "+-"]
+        for rep in reports:
+            assert rep.rank_rounded == 1 or not rep.rank_certified
+            assert rep.chern_rounded == 1 or not rep.chern_certified
+
+
 class TestJcInvariants:
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_rank_and_chern_one(self, sign):
