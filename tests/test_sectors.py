@@ -104,11 +104,11 @@ def serial_sector_eigensystem(nmax, block, energy=None, columns=None, share=True
             spin = len(d) // s
             below = sectors._sturm_counts(d, e, energy)[-1]
             if b == 0:
-                first = sectors._solve_sector(sectors._numpy_openblas(), d, e, spin, energy, below)
-                first[1][np.abs(first[1]) <= np.finfo(float).eps] = 0.0
-                m0, t = below, -(-(np.flatnonzero(first[1].any(axis=1))[-1] + 1) // spin)
-            if share and first[2].all() and below == m0 and s >= t + sectors.EDGE_SHELLS:
-                w, v, flags = first[0], first[1][:spin * s], first[2]
+                w0, v0, flags0 = sectors._solve_sector(sectors._numpy_openblas(), d, e, spin, energy, below)
+                v0[np.abs(v0) <= np.finfo(float).eps] = 0.0
+                m0, t = below, -(-(np.flatnonzero(v0.any(axis=1))[-1] + 1) // spin)
+            if share and flags0.all() and below == m0 and s >= t + sectors.EDGE_SHELLS:
+                w, v, flags = w0, v0[:spin * s], flags0
             else:
                 w, v, flags = sectors._solve_sector(sectors._numpy_openblas(), d, e, spin, energy, below)
                 v[np.abs(v) <= np.finfo(float).eps] = 0.0
