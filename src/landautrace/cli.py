@@ -476,15 +476,19 @@ _TUV_COMBINATIONS = (
 def _check_tuv_bridge(config, tol):
     """Density formula for two random combinations at xi = 0 and 1.
 
-    The trace per unit volume does not depend on xi and is integrated once
-    per combination; its samples are written once per (combination, xi).
+    The zeta residue of each (xi, level) is computed once and shared by
+    both combinations. The trace per unit volume does not depend on xi and
+    is integrated once per combination, all levels of its kernel diagonal
+    from one pass; its samples are written once per (combination, xi).
     """
+    levels = max(len(coeffs) for coeffs in _TUV_COMBINATIONS)
+    per_level = {xi: tuv.level_residues(xi, levels) for xi in (0.0, 1.0)}
     worst = 0.0
     rows = []
     for coeffs in _TUV_COMBINATIONS:
         rhs = tuv.tuv_limit(tuv.LandauCombination(coeffs), params=config.params)
-        for xi in (0.0, 1.0):
-            lhs, _, _ = tuv.dixmier_density(coeffs, xi, config.params)
+        for estimates in per_level.values():
+            lhs, _, _ = tuv.dixmier_density(coeffs, estimates, config.params)
             worst = max(worst, abs(lhs - rhs.value))
             rows += [["squares", float(scale), float(raw), float(normalized)]
                      for scale, raw, normalized in rhs.samples]

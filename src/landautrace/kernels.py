@@ -48,6 +48,7 @@ __all__ = [
     "psi_eval",
     "basis_matrix",
     "landau_kernel",
+    "landau_kernel_levels",
     "deriv_kernel",
     "integrate_refined",
     "integrate_kernel_diagonal",
@@ -188,12 +189,22 @@ def basis_matrix(basis, points, params=None):
     return out
 
 
-def landau_kernel(j, x, y, params=None):
-    """Closed-form level-j projection kernel Pi_j(x, y); broadcasts."""
+def landau_kernel_levels(levels, x, y, params=None):
+    """Pi_j(x, y) for each j of ``levels``, one pass, yielded one level at a time.
+
+    |x - y|^2 / (2 ell^2), x^y / (2 ell^2), the phase
+    exp(-d^2/2) exp(-i x^y / (2 ell^2)) and one Laguerre recurrence up to
+    max(levels) are computed once; level j is phase * L_j / (2 pi ell^2).
+    Each yielded array has the broadcast shape of x and y less their last
+    axis. No level holds the others, and empty ``levels`` compute nothing.
+    """
+    levels = list(levels)
+    if not levels:
+        return
+    if min(levels) < 0:
+        raise ValueError("level must be nonnegative")
     if params is None:
         params = ModelParams()
-    if j < 0:
-        raise ValueError("level must be nonnegative")
     ell = params.ell_B
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -201,11 +212,20 @@ def landau_kernel(j, x, y, params=None):
     y1, y2 = y[..., 0], y[..., 1]
     d2 = ((x1 - y1) ** 2 + (x2 - y2) ** 2) / (2 * ell ** 2)
     wedge = (x1 * y2 - x2 * y1) / (2 * ell ** 2)
-    lag = laguerre(j, 0.0, np.atleast_1d(d2))
-    val = np.exp(-d2 / 2.0) * np.exp(-1j * wedge) * lag / (2 * np.pi * ell ** 2)
-    if np.ndim(d2) == 0:
-        return complex(val[0] if val.ndim else val)
-    return val
+    phase = np.exp(-d2 / 2.0) * np.exp(-1j * wedge)
+    norm = 2 * np.pi * ell ** 2
+    rows = laguerre_rows(max(levels), 0.0, np.atleast_1d(d2))
+    for j in levels:
+        yield (phase * rows[j] / norm).reshape(np.shape(d2))
+
+
+def landau_kernel(j, x, y, params=None):
+    """Closed-form level-j projection kernel Pi_j(x, y); broadcasts.
+
+    The one level of :func:`landau_kernel_levels`; a Python complex for two points.
+    """
+    (val,) = landau_kernel_levels((j,), x, y, params)
+    return complex(val) if val.ndim == 0 else val
 
 
 def deriv_kernel(i, j, x, y, params=None):

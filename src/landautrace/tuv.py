@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import ModelParams
-from .kernels import Region, landau_kernel, integrate_kernel_diagonal, integrate_refined
+from .kernels import Region, landau_kernel_levels, integrate_kernel_diagonal, integrate_refined
 from .singtrace import dixmier_via_zeta_residue, trace_Q_power_proj
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "TuvEstimate",
     "restricted_trace",
     "tuv_limit",
+    "level_residues",
     "dixmier_density",
     "compare_tuv_dixmier",
     "idos",
@@ -36,12 +37,17 @@ class LandauCombination:
         object.__setattr__(self, "coeffs", tuple(float(t) for t in self.coeffs))
 
     def kernel_diagonal(self, points, params):
-        """Closed-form diagonal sum_j t_j Pi_j(x, x) at the given points."""
+        """Closed-form diagonal sum_j t_j Pi_j(x, x) at the given points.
+
+        The levels with t_j != 0 come from one pass of
+        :func:`~landautrace.kernels.landau_kernel_levels` and are added in
+        ascending j, one level at a time.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         out = np.zeros(len(pts), dtype=complex)
-        for j, t in enumerate(self.coeffs):
-            if t:
-                out += t * landau_kernel(j, pts, pts, params)
+        used = [j for j, t in enumerate(self.coeffs) if t]
+        for j, level in zip(used, landau_kernel_levels(used, pts, pts, params)):
+            out += self.coeffs[j] * level
         return out
 
 
@@ -118,18 +124,21 @@ def tuv_limit(T, family=None, params=None, tolerance=1e-6, order=64):
     return TuvEstimate(float(coef[0]), samples, resid, resid <= tolerance)
 
 
-def dixmier_density(coeffs, xi, params):
+def level_residues(xi, levels):
+    """Zeta-residue estimates of TrDix((Q + 2 xi)^{-1} P_j) for j = 0 .. levels - 1."""
+    return [dixmier_via_zeta_residue(lambda s, j=j: trace_Q_power_proj(s, xi, j))
+            for j in range(levels)]
+
+
+def dixmier_density(coeffs, per_level, params):
     """TrDix((Q + 2 xi)^{-1} T) / (2 pi ell^2) for T = sum_j t_j P_j.
 
-    The singular trace is assembled by linearity from per-level
-    zeta-residue estimates. Returns (density, singular trace, the
-    singular trace's residual).
+    The singular trace is assembled by linearity from the per-level
+    zeta-residue estimates of :func:`level_residues` at xi, which may
+    cover more levels than ``coeffs``. Returns (density, singular trace,
+    the singular trace's residual).
     """
     coeffs = [float(t) for t in coeffs]
-    per_level = [
-        dixmier_via_zeta_residue(lambda s, jj=j: trace_Q_power_proj(s, xi, jj))
-        for j in range(len(coeffs))
-    ]
     dix = sum(t * est.value for t, est in zip(coeffs, per_level))
     dix_resid = sum(abs(t) * est.residual for t, est in zip(coeffs, per_level))
     omega = np.pi * params.ell_B ** 2
@@ -145,7 +154,7 @@ def compare_tuv_dixmier(coeffs, xi=0.0, params=None, tolerance=1e-3, family=None
     """
     if params is None:
         params = ModelParams()
-    lhs, dix, dix_resid = dixmier_density(coeffs, xi, params)
+    lhs, dix, dix_resid = dixmier_density(coeffs, level_residues(xi, len(coeffs)), params)
     rhs = tuv_limit(LandauCombination(coeffs), family, params)
     diff = abs(lhs - rhs.value)
     return {

@@ -22,7 +22,7 @@ from landautrace.cli import (
     main,
     parse_config_text,
 )
-from landautrace.singtrace import GRADED_MARGIN, DixmierEstimate
+from landautrace.singtrace import GRADED_MARGIN, DixmierEstimate, dixmier_via_zeta_residue
 
 
 def read_csv(path):
@@ -610,6 +610,18 @@ class TestVerify:
             _commutator_residuals(nmax)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_tuv_bridge_computes_each_zeta_residue_once(self, tmp_path, monkeypatch):
+        # two xi times four levels, shared by both combinations
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dixmier_via_zeta_residue(*args, **kwargs)
+
+        monkeypatch.setattr(tuv, "dixmier_via_zeta_residue", counted)
+        assert main(["--check", "tuv_bridge", "--out", str(tmp_path), "verify"]) == EXIT_OK
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("eps_b", ["2e7", "1e12"])
     def test_symmetries_at_large_energy_scale(self, tmp_path, monkeypatch, eps_b):

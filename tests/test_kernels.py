@@ -11,11 +11,13 @@ from landautrace.kernels import (
     gauss_legendre,
     integrate_kernel_diagonal,
     landau_kernel,
+    landau_kernel_levels,
     matrix_diagonal_values,
     psi_eval,
     verify_integral_identity,
 )
-from landautrace.specfun import laguerre
+from landautrace import kernels
+from landautrace.specfun import laguerre, laguerre_rows
 from landautrace.topo import partial_derivative
 
 
@@ -65,6 +67,87 @@ class TestPsiEval:
         for idx in (0, 5, 17, 30, 54):
             ref = psi_eval((basis.n1[idx], basis.n2[idx]), pts)
             assert np.abs(V[idx] - ref).max() <= 1e-12
+
+
+def formula_landau_kernel(j, x, y, params):
+    """The closed-form kernel as one expression per level, oracle of the shared pass."""
+    ell = params.ell_B
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    y1, y2 = y[..., 0], y[..., 1]
+    d2 = ((x1 - y1) ** 2 + (x2 - y2) ** 2) / (2 * ell ** 2)
+    wedge = (x1 * y2 - x2 * y1) / (2 * ell ** 2)
+    lag = laguerre(j, 0.0, np.atleast_1d(d2))
+    val = np.exp(-d2 / 2.0) * np.exp(-1j * wedge) * lag / (2 * np.pi * ell ** 2)
+    if np.ndim(d2) == 0:
+        return complex(val[0] if val.ndim else val)
+    return val
+
+
+def hexes(values):
+    """float.hex of the real and imaginary part of every value, in order."""
+    return list(map(float.hex, np.ravel(np.asarray(values, dtype=complex)).view(float).tolist()))
+
+
+def kernel_shapes():
+    """Off-diagonal point pairs of shapes (2,)x(2,), (1,2)x(N,2) and (N,2)x(N,2)."""
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-4, 4, size=(2, 2))
+    xs, ys = rng.uniform(-4, 4, size=(2, 50, 2))
+    return {"point": (x, y), "row": (x[None, :], ys), "pairs": (xs, ys)}
+
+
+class TestLandauKernelLevels:
+    @pytest.mark.parametrize("shape", ["point", "row", "pairs"])
+    @pytest.mark.parametrize("ell_B", [1.0, 2.0])
+    def test_levels_match_landau_kernel_bit_for_bit(self, shape, ell_B):
+        params = ModelParams(ell_B=ell_B)
+        x, y = kernel_shapes()[shape]
+        levels = list(landau_kernel_levels(range(31), x, y, params))
+        assert len(levels) == 31
+        for j, level in enumerate(levels):
+            single = landau_kernel(j, x, y, params)
+            assert hexes(level) == hexes(single)
+            assert hexes(single) == hexes(formula_landau_kernel(j, x, y, params))
+            if shape == "point":
+                assert type(single) is complex
+            else:
+                assert single.shape == np.broadcast_shapes(x.shape, y.shape)[:-1]
+
+    def test_selected_levels_in_any_order(self):
+        params = ModelParams()
+        x, y = kernel_shapes()["pairs"]
+        picked = list(landau_kernel_levels((7, 2, 30), x, y, params))
+        assert [hexes(v) for v in picked] == [hexes(landau_kernel(j, x, y, params)) for j in (7, 2, 30)]
+
+    def test_one_recurrence_for_all_levels(self, monkeypatch):
+        calls = []
+
+        def counted(kmax, alpha, x):
+            calls.append(kmax)
+            return laguerre_rows(kmax, alpha, x)
+
+        monkeypatch.setattr(kernels, "laguerre_rows", counted)
+        x, y = kernel_shapes()["pairs"]
+        assert len(list(landau_kernel_levels((0, 3, 9), x, y))) == 3
+        assert calls == [9]
+
+    def test_no_levels_compute_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("laguerre_rows called for no level")
+
+        monkeypatch.setattr(kernels, "laguerre_rows", refuse)
+        x, y = kernel_shapes()["pairs"]
+        assert list(landau_kernel_levels((), x, y)) == []
+        assert list(landau_kernel_levels(range(0), x, y)) == []
+
+    def test_negative_level_raises(self):
+        x, y = kernel_shapes()["point"]
+        with pytest.raises(ValueError):
+            landau_kernel(-1, x, y)
+        with pytest.raises(ValueError):
+            list(landau_kernel_levels((0, -1), x, y))
 
 
 class TestLandauKernel:

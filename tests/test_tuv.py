@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from landautrace import kernels, specfun
+from landautrace.cli import _TUV_COMBINATIONS
 from landautrace.fock import ModelParams, build_basis, landau_projection
-from landautrace.kernels import QuadratureConvergenceError, Region
+from landautrace.kernels import QuadratureConvergenceError, Region, landau_kernel
 from landautrace.tuv import (
     FolnerFamily,
     LandauCombination,
@@ -11,6 +13,64 @@ from landautrace.tuv import (
     restricted_trace,
     tuv_limit,
 )
+
+
+def loop_kernel_diagonal(coeffs, points, params):
+    """sum_j t_j Pi_j(x, x) with one landau_kernel call per level, oracle of the shared pass."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    out = np.zeros(len(pts), dtype=complex)
+    for j, t in enumerate(coeffs):
+        if t:
+            out += t * landau_kernel(j, pts, pts, params)
+    return out
+
+
+def hexes(values):
+    """float.hex of the real and imaginary part of every value, in order."""
+    return list(map(float.hex, np.ravel(np.asarray(values, dtype=complex)).view(float).tolist()))
+
+
+class TestKernelDiagonal:
+    @pytest.mark.parametrize("coeffs", [*_TUV_COMBINATIONS, (0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("shape", ["squares", "disks"])
+    @pytest.mark.parametrize("ell_B", [1.0, 2.0])
+    def test_matches_the_level_loop_bit_for_bit(self, coeffs, shape, ell_B):
+        params = ModelParams(ell_B=ell_B)
+        combination = LandauCombination(coeffs)
+        for region in FolnerFamily.default(shape).regions(params):
+            for order in (64, 128):
+                pts = region.rule(order).points
+                assert hexes(combination.kernel_diagonal(pts, params)) == \
+                    hexes(loop_kernel_diagonal(coeffs, pts, params))
+
+    def test_one_recurrence_for_four_levels(self, monkeypatch):
+        # every Laguerre recurrence passes through specfun.laguerre_rows or
+        # the name kernels imported; the levels share one
+        calls = []
+
+        def counting(original):
+            def counted(*args):
+                calls.append(args[0])
+                return original(*args)
+            return counted
+
+        for module in (kernels, specfun):
+            monkeypatch.setattr(module, "laguerre_rows", counting(module.laguerre_rows))
+        pts = Region.square(8.0).rule(16).points
+        LandauCombination(_TUV_COMBINATIONS[0]).kernel_diagonal(pts, ModelParams())
+        assert calls == [3]
+
+    @pytest.mark.parametrize("coeffs", [[], [0.0], [0.0, 0.0, 0.0]])
+    def test_no_level_reaches_the_recurrence(self, monkeypatch, coeffs):
+        def refuse(*args):
+            raise AssertionError("laguerre_rows called for a zero combination")
+
+        for module in (kernels, specfun):
+            monkeypatch.setattr(module, "laguerre_rows", refuse)
+        pts = Region.square(3.0).rule(8).points
+        diag = LandauCombination(coeffs).kernel_diagonal(pts, ModelParams())
+        assert diag.shape == (len(pts),) and not diag.any()
+        assert restricted_trace(LandauCombination(coeffs), Region.square(3.0), ModelParams()) == 0.0
 
 
 class TestRestrictedTrace:
