@@ -23,6 +23,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -260,10 +261,25 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
+def _finite_or_null(value):
+    """The payload with every NaN or infinite float as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path, payload):
+    """Strict JSON: a NaN or infinite float, say an uncertified estimate, is written as null."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # only a payload holding a non-finite float pays for the second pass
+        text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +514,7 @@ def _check_tuv_bridge(config, tol):
 
 
 def _check_integral_identity(config, tol):
-    value = verify_integral_identity(0, cutoff=6.0, tol=max(tol, 1e-4), variant="rederived")
+    value = verify_integral_identity(0, cutoff=6.0, tol=max(tol, 1e-4))
     return abs(value - TARGET_IDENTITY)
 
 

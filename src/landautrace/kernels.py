@@ -25,9 +25,10 @@ the magnetic phase and f = x^z + z^y + y^x split into edge factors and
 vertex factors, and each weight exp(-|u|^2/2) L_j(|u|^2) splits into
 j + 1 products of one-axis factors by the Laguerre addition formula
 L_j(a + b) = sum_k L_k^(-1/2)(a) L_{j-k}^(-1/2)(b). The cost is
-O((j+1)^2 q^3) instead of O(q^4). The literal variant's weight
-L_j(|u|) does not separate for j >= 1; that case is evaluated only by the
-point-by-point oracle of the test suite.
+O((j+1)^2 q^3) instead of O(q^4). The identity is often quoted in a
+literal form, f e^{+i f} with weight L_j(|u|); that form misses
+pi^2/(2i) and is evaluated only by the point-by-point oracle of the test
+suite.
 """
 
 from dataclasses import dataclass
@@ -274,24 +275,17 @@ def _gauss_laguerre_factors(j, u):
     return np.exp(-u ** 2 / 2.0) * laguerre_rows(j, -0.5, u ** 2)
 
 
-def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
-                             x=(0.0, 0.0), order=64, full_report=False):
+def verify_integral_identity(j, cutoff=6.0, tol=1e-4, x=(0.0, 0.0), order=64):
     """Four-fold integral of the triple-kernel curvature density.
 
-    With f_x(y,z) = x^z + z^y + y^x the two variants are
-
-    * ``"literal"``   : f e^{+i f} with weight exp(-|u|^2/2) L_j(|u|),
-      the form the identity is usually quoted in;
-    * ``"rederived"`` : f e^{-i f} with weight exp(-|u|^2/2) L_j(|u|^2),
-      re-derived by substituting the closed-form projection kernel into
-      the trace of the curvature density,
-
-    the weights taken at x-y, y-z and z-x. Only the rederived variant
-    evaluates to pi^2/(2i); the literal one gives the complex conjugate at
-    j = 0 (asserted in the test suite). The literal weight L_j(|u|) is not
-    a polynomial in |u|^2 for j >= 1, so it does not separate and raises
-    ValueError here; the point-by-point oracle in ``tests/test_kernels.py``
-    evaluates it and asserts that it misses pi^2/(2i) at j = 1.
+    With f_x(y,z) = x^z + z^y + y^x the integrand is f e^{-i f} times the
+    weights exp(-|u|^2/2) L_j(|u|^2) at x-y, y-z and z-x, the form
+    re-derived by substituting the closed-form projection kernel into the
+    trace of the curvature density; it evaluates to pi^2/(2i). The
+    literal form usually quoted, f e^{+i f} with weight L_j(|u|), gives
+    the complex conjugate at j = 0 and misses pi^2/(2i) at j = 1; it does
+    not separate, so only the point-by-point oracle in
+    ``tests/test_kernels.py`` evaluates it.
 
     The integral is the tensor Gauss-Legendre sum over |y_i|, |z_i| <=
     cutoff (component-wise, boxes centered at the origin), contracted
@@ -310,14 +304,9 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
     sum. The sum is re-evaluated on a refined cutoff/order pair; it raises
     QuadratureConvergenceError if the two disagree beyond tol.
     """
-    if variant not in ("literal", "rederived"):
-        raise ValueError(f"unknown variant {variant!r}")
     if j < 0:
         raise ValueError("level must be nonnegative")
-    if variant == "literal" and j >= 1:
-        raise ValueError("the literal weight L_j(|u|) does not separate for j >= 1")
     x1c, x2c = float(x[0]), float(x[1])
-    phase = +1j if variant == "literal" else -1j
 
     def evaluate(cut, q):
         nodes, wts = gauss_legendre(q)
@@ -326,7 +315,7 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
         # y-vertex matrix (rows y1, columns y2): weight at x-y, phase of y^x
         fy = np.subtract.outer(t * x2c, t * x1c)
         r2 = np.add.outer((x1c - t) ** 2, (x2c - t) ** 2)
-        gy = np.outer(w, w) * np.exp(-r2 / 2.0) * laguerre(j, 0.0, r2) * np.exp(phase * fy)
+        gy = np.outer(w, w) * np.exp(-r2 / 2.0) * laguerre(j, 0.0, r2) * np.exp(-1j * fy)
         # edges y1-z1 and y2-z2: h_l(y1 - z1) h_{j-l}(y2 - z2)
         h_edge = _gauss_laguerre_factors(j, np.subtract.outer(t, t))
         # z vertices: w h_m(z1 - x1) and w h_{j-m}(z2 - x2)
@@ -336,8 +325,8 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
         # each next to its f-weighted copy
         f_z1y2 = np.outer(t, t - x2c)
         f_z2y1 = np.outer(t, x1c - t)
-        z1y2 = np.hstack([np.exp(phase * f_z1y2), f_z1y2 * np.exp(phase * f_z1y2)])
-        z2y1 = np.hstack([np.exp(phase * f_z2y1), f_z2y1 * np.exp(phase * f_z2y1)])
+        z1y2 = np.hstack([np.exp(-1j * f_z1y2), f_z1y2 * np.exp(-1j * f_z1y2)])
+        z2y1 = np.hstack([np.exp(-1j * f_z2y1), f_z2y1 * np.exp(-1j * f_z2y1)])
         total = 0.0 + 0.0j
         for l in range(j + 1):
             for m in range(j + 1):
@@ -355,12 +344,4 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, variant="rederived",
         raise QuadratureConvergenceError(
             f"cutoff refinement moved the integral by {abs(fine - coarse):.2e}"
         )
-    if full_report:
-        return {
-            "variant": variant,
-            "value": fine,
-            "coarse": coarse,
-            "target": TARGET_IDENTITY,
-            "abs_error": abs(fine - TARGET_IDENTITY),
-        }
     return fine

@@ -40,11 +40,9 @@ __all__ = [
     "jc_trs",
     "quaternionic_hamiltonian",
     "quaternionic_trs",
-    "quaternionic_ground_modes",
     "diagonalize_and_gaps",
     "fermi_projection",
     "riesz_projection",
-    "nonabelian_field_check",
     "NoGapError",
 ]
 
@@ -59,17 +57,11 @@ class NoGapError(RuntimeError):
 
 @dataclass
 class SpectrumTable:
-    """Ascending eigenvalues with provenance and interior certification."""
+    """Ascending eigenvalues with interior certification or level labels."""
 
     eigenvalues: np.ndarray
-    provenance: str                 # "closed_form" or "diagonalized"
     interior: np.ndarray = None         # None for closed forms
     labels: list = None                 # level names, closed forms only
-
-    def interior_eigenvalues(self):
-        if self.interior is None:
-            return np.asarray(self.eigenvalues)
-        return np.asarray(self.eigenvalues)[self.interior]
 
 
 @dataclass
@@ -90,7 +82,7 @@ def landau_levels(params, jmax):
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
     ev = params.eps_B * (np.arange(jmax + 1) + 0.5)
-    return SpectrumTable(ev, "closed_form", labels=[f"E_{j}" for j in range(jmax + 1)])
+    return SpectrumTable(ev, labels=[f"E_{j}" for j in range(jmax + 1)])
 
 
 def jc_angles(j, c_b):
@@ -122,9 +114,7 @@ def jc_spectrum(params, jmax):
         vals.append(params.eps_B * (j + root / 2.0 + params.c_b ** 2))
         labels += [f"E_{j}-", f"E_{j}+"]
     order = np.argsort(vals)
-    return SpectrumTable(
-        np.array(vals)[order], "closed_form", labels=[labels[i] for i in order]
-    )
+    return SpectrumTable(np.array(vals)[order], labels=[labels[i] for i in order])
 
 
 def jc_hamiltonian(basis, params):
@@ -182,30 +172,6 @@ def quaternionic_trs(basis):
     return AntiUnitaryRep(OperatorMatrix(basis, u, spin_dim=2))
 
 
-def quaternionic_ground_modes(basis, params, m):
-    """The two lowest-shell eigenvectors of A- built on psi_(0, m).
-
-    A- Phi^+- = c_b e^{i pi/4} (r0 +- i sqrt(r1^2 + r2^2)) Phi^+-.
-    Requires r1^2 + r2^2 > 0 and a nonvanishing normalization branch.
-    """
-    r0, r1, r2 = params.r
-    rho = np.sqrt(r1 ** 2 + r2 ** 2)
-    if rho == 0:
-        raise ValueError("spin eigenvectors need r1^2 + r2^2 > 0")
-    out = []
-    for sgn in (+1.0, -1.0):
-        denom = 2 * rho ** 2 + 2 * sgn * r2 * rho
-        if denom <= 0:
-            raise ValueError("degenerate normalization branch")
-        spinor = np.array([r1, -(r2 + sgn * rho)], dtype=complex) / np.sqrt(denom)
-        vec = np.zeros(2 * basis.dim, dtype=complex)
-        i = basis.index_of(0, m)
-        vec[2 * i: 2 * i + 2] = spinor
-        eig = params.c_b * np.exp(1j * np.pi / 4) * (r0 + sgn * 1j * rho)
-        out.append((vec, eig))
-    return out
-
-
 def diagonalize_and_gaps(H, gap_threshold):
     """Dense hermitian eigendecomposition with interior-certified gap list.
 
@@ -228,7 +194,7 @@ def diagonalize_and_gaps(H, gap_threshold):
     edge = shell > basis.nmax - sectors.EDGE_SHELLS
     mass = (np.abs(v) ** 2)[edge].sum(axis=0)
     interior = mass < sectors.INTERIOR_MASS
-    table = SpectrumTable(w, "diagonalized", interior=interior)
+    table = SpectrumTable(w, interior=interior)
     gaps = _gaps_from_levels(w[interior], gap_threshold)
     return table, gaps
 
@@ -276,24 +242,3 @@ def riesz_projection(H, contour_center, contour_radius, quad_points=64):
         acc += np.linalg.solve(H.entries - z * np.eye(n), np.eye(n)) * dz
     acc *= (1j / (2 * np.pi)) * (2 * np.pi / quad_points)
     return OperatorMatrix(H.basis, acc, H.spin_dim)
-
-
-def nonabelian_field_check(params, model):
-    """Orthogonal part of the non-Abelian field: B x 1 - i (b^2/hbar)[g1, g2].
-
-    For the spin-orbit model the commutator term is +2 sigma_3 in units of
-    b^2/hbar; for the quaternionic model the gammas commute and the field
-    stays purely Abelian. Returns the coefficient pattern as a report.
-    """
-    if model not in ("JC", "Q"):
-        raise ValueError("model must be 'JC' or 'Q'")
-    gamma1, gamma2 = (sectors.JC if model == "JC" else sectors.QUATERNIONIC).gammas(params)
-    comm = gamma1 @ gamma2 - gamma2 @ gamma1
-    su2_part = -1j * comm
-    return {
-        "model": model,
-        "commutator_norm": float(np.abs(comm).max()),
-        "su2_part": su2_part,
-        "sigma3_coefficient": complex(np.trace(su2_part @ SIGMA3) / 2.0),
-        "abelian": float(np.abs(comm).max()) < 1e-14,
-    }

@@ -40,10 +40,8 @@ __all__ = [
     "graded_diagonal",
     "dixmier_from_shell_sums",
     "measurability_diagnostic",
-    "macaev_norm_probe",
     "q_resolvent_sequence",
     "q_level_sequence",
-    "finite_rank_sequence",
 ]
 
 #: default geometric schedule for gamma fits, N = 2^10 .. 2^24
@@ -62,53 +60,48 @@ GRADED_TOL = 5e-2
 class SingularSequence:
     """Non-increasing sequence of singular values with multiplicities.
 
-    Backed either by closed-form shell generators ``value(j)``, ``mult(j)``
-    (j indexes distinct values in decreasing order; both must accept numpy
-    integer arrays) or by a finite array of unrolled values.
+    Backed by closed-form shell generators ``value(j)``, ``mult(j)`` (j
+    indexes distinct values in decreasing order; both must accept numpy
+    integer arrays). ``sigma_exact(N)``, when given, returns the partial
+    sums at a float array of N in place of the shell tables.
     """
 
-    def __init__(self, value_fn=None, mult_fn=None, values=None, sigma_exact=None,
-                 unit_multiplicity=False):
+    def __init__(self, value_fn, mult_fn, sigma_exact=None, unit_multiplicity=False):
+        self._value_fn = value_fn
+        self._mult_fn = mult_fn
         self._sigma_exact = sigma_exact
         self._unit_mult = bool(unit_multiplicity)
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.size and np.any(np.diff(values) > 1e-12):
-                raise ValueError("values must be non-increasing")
-            if values.size and values[-1] < -1e-15:
-                raise ValueError("values must be nonnegative")
-            self._vals = np.maximum(values, 0.0)
-            self._mults = np.ones_like(self._vals, dtype=np.int64)
-            self.finite = True
-        else:
-            if value_fn is None or mult_fn is None:
-                raise ValueError("need value_fn and mult_fn for a shell sequence")
-            self._value_fn = value_fn
-            self._mult_fn = mult_fn
-            self._vals = np.empty(0)
-            self._mults = np.empty(0, dtype=np.int64)
-            self.finite = False
+        self._vals = np.empty(0)
+        self._mults = np.empty(0, dtype=np.int64)
         self._rebuild_cum()
 
     @classmethod
-    def from_shells(cls, value_fn, mult_fn, sigma_exact=None, unit_multiplicity=False):
-        return cls(value_fn=value_fn, mult_fn=mult_fn, sigma_exact=sigma_exact,
-                   unit_multiplicity=unit_multiplicity)
-
-    @classmethod
     def from_values(cls, values):
-        return cls(values=np.sort(np.asarray(values, dtype=float))[::-1])
+        """The values sorted in decreasing order, followed by zeros: a finite-rank operator."""
+        v = np.sort(np.asarray(values, dtype=float))[::-1]
+        if v.size and v[-1] < -1e-15:
+            raise ValueError("values must be nonnegative")
+        v = np.append(np.maximum(v, 0.0), 0.0)  # the trailing 0.0 is every later value
+        cum = np.concatenate([[0.0], np.cumsum(v[:-1])])
+
+        def value(js):
+            return v[np.minimum(js, v.size - 1)]
+
+        def sigma_exact(N):
+            return cum[np.minimum(N.astype(np.int64), v.size - 1)]
+
+        return cls(value, np.ones_like, sigma_exact=sigma_exact, unit_multiplicity=True)
 
     @classmethod
     def from_matrix(cls, mat):
-        """Descending eigenvalues of a positive-semidefinite matrix."""
+        """Eigenvalues of a positive-semidefinite matrix, followed by zeros."""
         entries = mat.entries if hasattr(mat, "entries") else np.asarray(mat)
         if np.abs(entries - entries.conj().T).max() > 1e-10:
             raise ValueError("matrix must be hermitian")
-        ev = np.linalg.eigvalsh(entries)[::-1]
-        if ev.size and ev[-1] < -1e-10 * max(1.0, abs(ev[0])):
+        ev = np.linalg.eigvalsh(entries)
+        if ev.size and ev[0] < -1e-10 * max(1.0, abs(ev[-1])):
             raise ValueError("matrix must be positive semidefinite")
-        return cls(values=np.maximum(ev, 0.0))
+        return cls.from_values(np.maximum(ev, 0.0))
 
     # -- internals ---------------------------------------------------------
 
@@ -118,8 +111,6 @@ class SingularSequence:
 
     def _ensure_count(self, n_target):
         """Grow the shell tables until at least n_target unrolled entries."""
-        if self.finite:
-            return
         while self._cum_count[-1] < n_target:
             start = len(self._vals)
             grow = max(1024, start)
@@ -132,24 +123,12 @@ class SingularSequence:
             self._mults = np.concatenate([self._mults, m])
             self._rebuild_cum()
 
-    @property
-    def total_count(self):
-        """Unrolled length (finite sequences only)."""
-        if not self.finite:
-            raise ValueError("sequence is infinite")
-        return int(self._cum_count[-1])
-
     def mu(self, n):
         """Unrolled singular values at 0-based positions n (array ok)."""
         n = np.asarray(n, dtype=np.int64)
         if np.any(n < 0):
             raise ValueError("positions must be nonnegative")
-        top = int(n.max()) + 1 if n.size else 0
-        if self.finite:
-            if top > self._cum_count[-1]:
-                raise ValueError("position exceeds sequence length")
-        else:
-            self._ensure_count(top)
+        self._ensure_count(int(n.max()) + 1 if n.size else 0)
         shell = np.searchsorted(self._cum_count, n, side="right") - 1
         return self._vals[shell]
 
@@ -163,12 +142,7 @@ class SingularSequence:
         if self._sigma_exact is not None:
             out = np.asarray(self._sigma_exact(Nv.astype(float)), dtype=float)
             return float(out[0]) if scalar else out
-        top = int(Nv.max()) if Nv.size else 0
-        if self.finite:
-            if top > self._cum_count[-1]:
-                raise ValueError(f"N={top} exceeds sequence length {self._cum_count[-1]}")
-        else:
-            self._ensure_count(top)
+        self._ensure_count(int(Nv.max()) if Nv.size else 0)
         shell = np.searchsorted(self._cum_count, Nv, side="right") - 1
         shell = np.minimum(shell, len(self._vals) - 1)
         out = self._cum_sum[shell] + (Nv - self._cum_count[shell]) * self._vals[shell]
@@ -184,22 +158,13 @@ class SingularSequence:
         n = int(n)
         if self._unit_mult:
             return n
-        if not self.finite:
-            self._ensure_count(n)
-        idx = np.searchsorted(self._cum_count, n, side="left")
-        idx = min(idx, len(self._cum_count) - 1)
-        return int(self._cum_count[idx])
+        self._ensure_count(n)
+        return int(self._cum_count[np.searchsorted(self._cum_count, n, side="left")])
 
     def distinct(self, n_shells):
         """First n_shells (value, mult) pairs of the distinct-value table."""
-        if not self.finite:
-            # ensure enough shells generated
-            while len(self._vals) < n_shells:
-                self._ensure_count(self._cum_count[-1] + 1)
-                if len(self._vals) >= n_shells:
-                    break
-                self._ensure_count(2 * max(1, int(self._cum_count[-1])))
-        n_shells = min(n_shells, len(self._vals))
+        while len(self._vals) < n_shells:
+            self._ensure_count(self._cum_count[-1] + 1)
         return self._vals[:n_shells].copy(), self._mults[:n_shells].copy()
 
 
@@ -310,12 +275,6 @@ def dixmier_via_gamma_fit(seq, tolerance=1e-3, schedule=GAMMA_SCHEDULE):
     against a refit on the upper half of the schedule; non-convergence is
     reported through the flag, never raised.
     """
-    schedule = [int(n) for n in schedule]
-    if seq.finite:
-        top = seq.total_count
-        schedule = [n for n in schedule if n <= top]
-        if len(schedule) < 5:
-            schedule = sorted({max(2, top // 2 ** k) for k in range(6)} | {top})
     # snap to multiplicity-block boundaries (shell-subsequence evaluation)
     schedule = sorted({seq.boundary_at_least(n) for n in schedule})
     if len(schedule) < 5:
@@ -462,17 +421,6 @@ class MeasurabilityReport:
     inconclusive: bool
     fit_residual: float
 
-    def to_dict(self):
-        return {
-            "C": self.C,
-            "power": self.power,
-            "alpha": self.alpha,
-            "prediction": self.prediction,
-            "trace_class": self.trace_class,
-            "inconclusive": self.inconclusive,
-            "fit_residual": self.fit_residual,
-        }
-
 
 def measurability_diagnostic(seq, n_shells=4096):
     """Regress Mult[mu_n] mu_n ~ C n^(-p) on the distinct-value tail.
@@ -517,22 +465,6 @@ def measurability_diagnostic(seq, n_shells=4096):
     return MeasurabilityReport(C, p, alpha, prediction, trace_class, inconclusive, resid)
 
 
-def macaev_norm_probe(seq, p, schedule=GAMMA_SCHEDULE):
-    """Probe of the (p+)-class norm N^((1-p)/p) sigma_N on a schedule.
-
-    Returns (sup over the schedule, growing flag); a growing tail signals
-    the sequence falls outside the class. Documented check only.
-    """
-    if p <= 1:
-        raise ValueError("use gamma_sequence for p = 1")
-    schedule = [int(nv) for nv in schedule]
-    if seq.finite:
-        schedule = [nv for nv in schedule if nv <= seq.total_count] or [seq.total_count]
-    vals = np.array([nv ** ((1.0 - p) / p) * seq.sigma(nv) for nv in schedule])
-    growing = bool(len(vals) >= 3 and vals[-1] > 1.05 * vals[-3])
-    return float(vals.max()), growing
-
-
 # ---------------------------------------------------------------------------
 # ready-made sequences
 
@@ -548,7 +480,7 @@ def q_resolvent_sequence(xi, power=1):
     def mult(js):
         return js + 1
 
-    return SingularSequence.from_shells(value, mult)
+    return SingularSequence(value, mult)
 
 
 def q_level_sequence(xi, j):
@@ -571,10 +503,4 @@ def q_level_sequence(xi, j):
     def sigma_exact(N):
         return [digamma(n + a) - psi_a for n in N]
 
-    return SingularSequence.from_shells(value, mult, sigma_exact=sigma_exact,
-                                        unit_multiplicity=True)
-
-
-def finite_rank_sequence(rank, padding=0):
-    """Rank-r projection sequence: r ones followed by optional zero padding."""
-    return SingularSequence.from_values(np.concatenate([np.ones(rank), np.zeros(padding)]))
+    return SingularSequence(value, mult, sigma_exact=sigma_exact, unit_multiplicity=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import ModelParams
-from .kernels import Region, landau_kernel_levels, integrate_kernel_diagonal, integrate_refined
+from .kernels import Region, landau_kernel_levels, integrate_refined
 from .singtrace import dixmier_via_zeta_residue, trace_Q_power_proj
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "level_residues",
     "dixmier_density",
     "compare_tuv_dixmier",
-    "idos",
 ]
 
 
@@ -87,18 +86,14 @@ class TuvEstimate:
 
 
 def restricted_trace(T, region, params=None, order=64, tol=1e-8):
-    """Tr(chi_L T chi_L) = integral over the region of T(x, x).
+    """Tr(chi_L T chi_L) = integral over the region of T(x, x), T a LandauCombination.
 
-    T is either an OperatorMatrix (basis-expansion kernel) or a
-    LandauCombination (closed-form kernel diagonal). Both refine the
-    quadrature once and raise QuadratureConvergenceError when it moves.
+    The quadrature is refined once and raises QuadratureConvergenceError
+    when the refinement moves it.
     """
     if params is None:
         params = ModelParams()
-    if isinstance(T, LandauCombination):
-        out = integrate_refined(region, lambda pts: T.kernel_diagonal(pts, params), tol, order)
-    else:
-        out = integrate_kernel_diagonal(T, region, params, tol=tol, order=order)
+    out = integrate_refined(region, lambda pts: T.kernel_diagonal(pts, params), tol, order)
     if abs(out.imag) > 1e-9 * max(1.0, abs(out.real)):
         raise ValueError("restricted trace of a non-self-adjoint operator")
     return float(out.real)
@@ -168,13 +163,3 @@ def compare_tuv_dixmier(coeffs, xi=0.0, params=None, tolerance=1e-3, family=None
         "tuv_residual": rhs.residual,
         "xi": xi,
     }
-
-
-def idos(E, params=None):
-    """Integrated density of states: level count below E per unit area."""
-    if params is None:
-        params = ModelParams()
-    if E < params.eps_B / 2.0:
-        return 0.0
-    count = int(np.floor(E / params.eps_B + 0.5))
-    return count / (2.0 * np.pi * params.ell_B ** 2)

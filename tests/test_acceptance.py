@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from test_kernels import identity_pointwise
 from landautrace import sectors
 from landautrace.fock import (
     ModelParams,
@@ -211,11 +212,11 @@ def test_ac07_jc_model():
 
 def test_ac08_integral_identity():
     with Budget("AC-8 triple-kernel integral identity = pi^2/(2i) (1e-4)", 120.0):
-        val = verify_integral_identity(0, cutoff=6.0, tol=1e-4, variant="rederived")
+        val = verify_integral_identity(0, cutoff=6.0, tol=1e-4)
         assert abs(val - TARGET_IDENTITY) <= 1e-4
         # the literal display fails; the discrepancy is the recorded
         # conjugate-phase value (see decisions ledger and kernels docs)
-        lit = verify_integral_identity(0, cutoff=6.0, tol=1e-4, variant="literal")
+        lit = identity_pointwise(0, 6.0, 48, "literal")
         assert abs(lit - np.conj(TARGET_IDENTITY)) <= 1e-4
         assert abs(lit - TARGET_IDENTITY) > 1.0
 
@@ -235,7 +236,7 @@ def test_ac09_symmetry_classification():
         label, resid = classify_symmetry(hq, [quaternionic_trs(basis)])
         assert label == "Quaternionic" and resid <= 1e-8
         table, _ = diagonalize_and_gaps(hq, 0.05)
-        levels = np.sort(table.interior_eigenvalues())
+        levels = np.sort(table.eigenvalues[table.interior])
         i = 0
         while i < len(levels):
             k = i + 1

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,6 +29,15 @@ from landautrace.singtrace import GRADED_MARGIN, DixmierEstimate, dixmier_via_ze
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def read_strict_json(path):
+    """JSON that a strict parser accepts: a NaN or Infinity token raises."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def per_sector_commutator_residuals(nmax):
@@ -478,9 +488,21 @@ class TestInvariants:
         # graded fit; its Chern number was once certified as 0 (0.0024 +- 0.029)
         monkeypatch.setenv("LANDAU_LEVELS", "137")
         assert main(["--nmax", "140", "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
-        report = json.loads((tmp_path / "invariants.json").read_text())[0]
+        report = read_strict_json(tmp_path / "invariants.json")[0]
         assert report["rank"]["rounded"] == 1 and report["rank"]["certified"]
         assert report["chern"]["rounded"] is None and not report["chern"]["certified"]
+        # its NaN estimate and infinite residual are null, not the NaN and Infinity tokens
+        assert report["chern"]["estimate"]["value"] is None
+        assert report["chern"]["estimate"]["residual"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_identity_residuals_are_strict_json(self, tmp_path, monkeypatch):
+        # at ell_B = 1e154 the level-3 commutators overflow: NaN residuals, written as null
+        monkeypatch.setenv("LANDAU_LEVELS", "3")
+        monkeypatch.setenv("LANDAU_PARAMS__ELL_B", "1e154")
+        main(["--nmax", "14", "--out", str(tmp_path), "invariants"])
+        report = read_strict_json(tmp_path / "invariants.json")[0]
+        assert report["identity_residuals"] == {"commutator_identity": None, "curvature_identity": None}
 
     def test_landau_level_400_certifies(self, tmp_path, monkeypatch):
         # the gamma fit's schedule starts past the level's offset, the graded fit at its density
@@ -775,3 +797,55 @@ class TestImports:
         assert report["codes"] == [EXIT_OK] * len(jobs)
         assert report["scipy"] == []
         assert report["added"] == [] and report["removed"] == []
+
+
+def _traced():
+    """``TRACED`` of the benchmark tracer, read from its file."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+class TestReach:
+    def test_every_public_function_is_reached_or_traced(self, tmp_path):
+        # the command configs of TestImports run under a profiler in a fresh interpreter
+        # (so no cache filled by another test hides a call); a function in a module's
+        # __all__ that none of them calls must at least be timed by the benchmark tracer
+        jobs = [(f"spectrum-{m}", f"model = {m}\nnmax = 12\n", "spectrum") for m in _MODELS]
+        jobs += [
+            ("inv-landau", "model = landau\nnmax = 20\nlevels = 0,2\n", "invariants"),
+            ("inv-jc", "model = jaynes_cummings\nnmax = 20\nlevels = 1+,2-\n", "invariants"),
+            ("inv-quaternionic", "model = quaternionic\nnmax = 40\nfermi_energy = 2\n", "invariants"),
+            ("verify", "nmax = 16\n", "verify"),
+        ]
+        runs = []
+        for name, text, command in jobs:
+            (tmp_path / f"{name}.cfg").write_text(text)
+            runs.append(["--config", str(tmp_path / f"{name}.cfg"),
+                         "--out", str(tmp_path / name), command])
+        script = ("import importlib, inspect, json, pkgutil, sys\n"
+                  "import landautrace\nfrom landautrace.cli import main\n"
+                  "reached = set()\n"
+                  "sys.setprofile(lambda frame, event, arg: event == 'call' and reached.add(frame.f_code))\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
+                  "sys.setprofile(None)\n"
+                  "unreached = []\n"
+                  "for info in pkgutil.iter_modules(landautrace.__path__):\n"
+                  "    module = importlib.import_module('landautrace.' + info.name)\n"
+                  "    for name in getattr(module, '__all__', ()):\n"
+                  "        fn = inspect.unwrap(getattr(module, name))\n"
+                  "        if inspect.isfunction(fn) and fn.__code__ not in reached:\n"
+                  "            unreached.append([info.name, name])\n"
+                  "print(json.dumps({'codes': codes, 'unreached': unreached}))")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [EXIT_OK] * len(jobs)
+        traced = _traced()
+        assert [f"{m}.{n}" for m, n in report["unreached"] if n not in traced.get(m, ())] == []

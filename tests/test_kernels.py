@@ -362,8 +362,8 @@ def identity_pointwise(j, cut, q, variant="rederived", x=(0.0, 0.0)):
     """Point-by-point O(q^4) Gauss-Legendre sum of the four-fold identity.
 
     The reference for the separable contraction of
-    ``verify_integral_identity`` on the same nodes and weights; it also
-    evaluates the literal variant at j >= 1, which does not separate.
+    ``verify_integral_identity`` on the same nodes and weights, and the
+    only evaluation of the literal variant, which does not separate.
     """
     x1c, x2c = float(x[0]), float(x[1])
     phase_sign = +1.0 if variant == "literal" else -1.0
@@ -394,7 +394,7 @@ def identity_pointwise(j, cut, q, variant="rederived", x=(0.0, 0.0)):
 
 @pytest.fixture(scope="module")
 def identity_j0():
-    return verify_integral_identity(0, cutoff=6.0, tol=1e-4, variant="rederived")
+    return verify_integral_identity(0, cutoff=6.0, tol=1e-4)
 
 
 class TestIntegralIdentity:
@@ -402,7 +402,7 @@ class TestIntegralIdentity:
         assert abs(identity_j0 - TARGET_IDENTITY) <= 1e-4
 
     def test_rederived_j1(self):
-        val = verify_integral_identity(1, cutoff=7.0, tol=1e-4, variant="rederived", order=72)
+        val = verify_integral_identity(1, cutoff=7.0, tol=1e-4, order=72)
         assert abs(val - TARGET_IDENTITY) <= 1e-4
 
     def test_literal_variant_disagrees(self):
@@ -412,13 +412,13 @@ class TestIntegralIdentity:
         discrepancy is the phase orientation: the integral comes out
         +i pi^2/2 = -pi^2/(2i). Recorded here as the documented deviation.
         """
-        val = verify_integral_identity(0, cutoff=6.0, tol=1e-4, variant="literal")
+        val = identity_pointwise(0, 6.0, 48, "literal")
         assert abs(val - np.conj(TARGET_IDENTITY)) <= 1e-4
         assert abs(val - TARGET_IDENTITY) > 9.0  # |2 * pi^2/2| apart
 
     def test_translation_covariance(self):
-        a = verify_integral_identity(0, cutoff=6.5, tol=1e-4, variant="rederived", x=(0.0, 0.0))
-        b = verify_integral_identity(0, cutoff=6.5, tol=1e-4, variant="rederived", x=(1.0, 1.0))
+        a = verify_integral_identity(0, cutoff=6.5, tol=1e-4, x=(0.0, 0.0))
+        b = verify_integral_identity(0, cutoff=6.5, tol=1e-4, x=(1.0, 1.0))
         assert abs(a - b) <= 1e-4
 
     def test_pure_imaginary_split(self, identity_j0):
@@ -426,12 +426,8 @@ class TestIntegralIdentity:
         assert identity_j0.imag == pytest.approx(-np.pi ** 2 / 2.0, abs=1e-4)
 
     def test_level_five(self):
-        val = verify_integral_identity(5, cutoff=8.0, tol=1e-4, variant="rederived", order=80)
+        val = verify_integral_identity(5, cutoff=8.0, tol=1e-4, order=80)
         assert abs(val - TARGET_IDENTITY) <= 1e-4
-
-    def test_literal_excited_level_rejected(self):
-        with pytest.raises(ValueError):
-            verify_integral_identity(1, variant="literal")
 
     def test_coarse_refinement_disagreement_raises(self):
         # a cutoff of 2 truncates the Gaussian weights at the 1e-1 level
@@ -439,20 +435,16 @@ class TestIntegralIdentity:
             verify_integral_identity(0, cutoff=2.0, tol=1e-4, order=16)
 
 
-SEPARABLE_CASES = [
-    ("rederived", j, x) for j in (0, 1, 2, 4) for x in ((0.0, 0.0), (1.0, 1.0), (0.3, -0.7))
-] + [("literal", 0, (0.0, 0.0)), ("literal", 0, (0.3, -0.7))]
+SEPARABLE_CASES = [(j, x) for j in (0, 1, 2, 4) for x in ((0.0, 0.0), (1.0, 1.0), (0.3, -0.7))]
 
 
-@pytest.mark.parametrize("variant,j,x", SEPARABLE_CASES)
-def test_separable_sum_matches_pointwise_oracle(variant, j, x):
+@pytest.mark.parametrize("j,x", SEPARABLE_CASES)
+def test_separable_sum_matches_pointwise_oracle(j, x):
+    # the returned value is the sum on the refined cutoff and order
     order, cutoff = 20, 5.0
-    rep = verify_integral_identity(j, cutoff=cutoff, tol=10.0, variant=variant, x=x,
-                                   order=order, full_report=True)
-    coarse = identity_pointwise(j, cutoff, order, variant, x)
-    fine = identity_pointwise(j, 1.25 * cutoff, order + order // 2, variant, x)
-    assert abs(rep["coarse"] - coarse) <= 1e-12 * abs(coarse)
-    assert abs(rep["value"] - fine) <= 1e-12 * abs(fine)
+    val = verify_integral_identity(j, cutoff=cutoff, tol=10.0, x=x, order=order)
+    fine = identity_pointwise(j, 1.25 * cutoff, order + order // 2, x=x)
+    assert abs(val - fine) <= 1e-12 * abs(fine)
 
 
 def test_literal_excited_level_misses_target():

@@ -22,8 +22,6 @@ from landautrace.models import (
     jc_spectrum,
     jc_trs,
     landau_levels,
-    nonabelian_field_check,
-    quaternionic_ground_modes,
     quaternionic_hamiltonian,
     quaternionic_trs,
     riesz_projection,
@@ -124,7 +122,7 @@ class TestJcSpectrum:
         p = ModelParams(c_b=0.6)
         H = jc_hamiltonian(basis, p)
         table, _ = diagonalize_and_gaps(H, 0.02)
-        interior = table.interior_eigenvalues()
+        interior = table.eigenvalues[table.interior]
         closed = jc_spectrum(p, basis.nmax + 2).eigenvalues
         worst = max(np.abs(closed - e).min() for e in interior)
         assert worst <= 1e-10
@@ -262,22 +260,11 @@ class TestQuaternionic:
         b = quaternionic_hamiltonian_alt(basis, p)
         assert interior_block(basis, a - b, 1).max_abs() <= 1e-10
 
-    def test_lowest_modes_of_lowering_block(self, basis):
-        p = ModelParams(c_b=0.4, r=(0.6, 0.8, 0.0))
-        from landautrace import sectors
-
-        amat = np.kron(ladder(basis, "a-").entries, np.eye(2)) \
-            + p.c_b * np.kron(np.eye(basis.dim), sectors.QUATERNIONIC.lowering(p))
-        for vec, eig in quaternionic_ground_modes(basis, p, m=2):
-            assert np.abs(amat @ vec - eig * vec).max() <= 1e-12
-            expect_mod = p.c_b  # |r0 +- i rho| = |r| = 1
-            assert abs(eig) == pytest.approx(expect_mod, rel=1e-12)
-
     def test_spectrum_bounded_below(self, basis):
         p = ModelParams(c_b=0.5, r=(0.0, 1.0, 0.0))
         H = quaternionic_hamiltonian(basis, p)
         table, _ = diagonalize_and_gaps(H, 0.05)
-        interior = table.interior_eigenvalues()
+        interior = table.eigenvalues[table.interior]
         assert interior.min() >= 0.5 * p.eps_B - 1e-10
 
     def test_odd_symmetry(self, basis):
@@ -311,7 +298,7 @@ class TestQuaternionic:
         p = ModelParams(c_b=0.5, r=(0.36, 0.48, 0.8))
         H = quaternionic_hamiltonian(basis, p)
         table, _ = diagonalize_and_gaps(H, 0.05)
-        levels = np.sort(table.interior_eigenvalues())
+        levels = np.sort(table.eigenvalues[table.interior])
         i = 0
         while i < len(levels):
             k = i + 1
@@ -388,22 +375,3 @@ class TestFermiAndRiesz:
         H = derived_operator(basis, "H_B")
         with pytest.raises(ValueError):
             riesz_projection(H, 0.5, 1.0)
-
-
-class TestFieldCheck:
-    def test_spin_orbit_field(self):
-        rep = nonabelian_field_check(ModelParams(c_b=0.5), "JC")
-        assert not rep["abelian"]
-        assert rep["sigma3_coefficient"] == pytest.approx(2.0)
-        assert np.abs(rep["su2_part"] - 2.0 * models.SIGMA3).max() <= 1e-14
-
-    def test_quaternionic_field_is_abelian(self):
-        rep = nonabelian_field_check(ModelParams(c_b=0.5, r=(0.36, 0.48, 0.8)), "Q")
-        assert rep["abelian"]
-        assert rep["commutator_norm"] <= 1e-14
-
-    def test_zero_coupling_trivial(self):
-        rep = nonabelian_field_check(ModelParams(c_b=0.0), "JC")
-        # gamma structure unchanged; the field strength scales with c_b^2
-        # outside this helper, so only the pattern is reported
-        assert rep["sigma3_coefficient"] == pytest.approx(2.0)

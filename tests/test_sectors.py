@@ -772,6 +772,16 @@ def dense_quaternionic_block(s, params):
 
 
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
+def test_record_gammas_fix_the_nonabelian_field(params):
+    # the field's su(2) part -i [gamma_1, gamma_2]: 2 sigma_3 for the spin-orbit
+    # record, none for the quaternionic one, whose gammas commute
+    g1, g2 = sectors.JC.gammas(params)
+    assert np.abs(-1j * (g1 @ g2 - g2 @ g1) - 2.0 * sectors.SIGMA3).max() <= 1e-15
+    g1, g2 = sectors.QUATERNIONIC.gammas(params)
+    assert np.abs(g1 @ g2 - g2 @ g1).max() <= 1e-14
+
+
+@pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
 def test_rotation_diagonalizes_record_lowering(params):
     # W and mu as the rotated solver forms them; M from the quaternionic record
     lam, W = np.linalg.eigh(params.r[1] * sectors.SIGMA1 + params.r[2] * sectors.SIGMA3)

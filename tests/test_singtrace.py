@@ -11,11 +11,9 @@ from landautrace.singtrace import (
     dixmier_graded,
     dixmier_via_gamma_fit,
     dixmier_via_zeta_residue,
-    finite_rank_sequence,
     gamma_schedule,
     gamma_sequence,
     graded_diagonal,
-    macaev_norm_probe,
     measurability_diagnostic,
     q_level_sequence,
     q_resolvent_sequence,
@@ -28,7 +26,7 @@ from landautrace.specfun import hurwitz_zeta
 
 class TestSigmaPartial:
     def test_finite_rank_saturates(self):
-        seq = finite_rank_sequence(4, padding=20)
+        seq = SingularSequence.from_values(np.ones(4))
         assert sigma_partial(seq, 4) == pytest.approx(4.0)
         assert sigma_partial(seq, 15) == pytest.approx(4.0)
 
@@ -51,16 +49,16 @@ class TestSigmaPartial:
     def test_exact_sigma_matches_generic_path(self):
         xi, j = 0.5, 2
         fast = q_level_sequence(xi, j)
-        slow = SingularSequence.from_shells(
+        slow = SingularSequence(
             lambda k: 1.0 / (k + j + 2.0 + 2.0 * xi), lambda k: np.ones_like(k)
         )
         for n in (10, 1000, 65536):
             assert fast.sigma(n) == pytest.approx(slow.sigma(n), rel=1e-12)
 
-    def test_exceeding_finite_length(self):
-        seq = finite_rank_sequence(3)
-        with pytest.raises(ValueError):
-            sigma_partial(seq, 4)
+    def test_zero_tail_past_the_rank(self):
+        seq = SingularSequence.from_values(np.ones(3))
+        assert sigma_partial(seq, 4) == 3.0
+        assert seq.mu(np.array([2, 3, 1000])).tolist() == [1.0, 0.0, 0.0]
 
     def test_merged_sum_inequalities(self):
         # sigma_N(T1) + sigma_N(T2) >= sigma_N(T1 + T2) >= sigma_N(merged)
@@ -82,7 +80,7 @@ class TestSigmaPartial:
 
 class TestGammaSequence:
     def test_finite_rank_tends_to_zero(self):
-        seq = finite_rank_sequence(5, padding=2 ** 16)
+        seq = SingularSequence.from_values(np.ones(5))
         gs = gamma_sequence(seq, [2 ** k for k in (4, 8, 12, 16)])
         vals = [g for _, g in gs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -100,7 +98,7 @@ class TestGammaSequence:
             assert g2 / g1 <= 1.0 + 2.0 / np.log(n)
 
     def test_schedule_validation(self):
-        seq = finite_rank_sequence(2, padding=100)
+        seq = SingularSequence.from_values(np.ones(2))
         with pytest.raises(ValueError):
             gamma_sequence(seq, [16, 8])
         with pytest.raises(ValueError):
@@ -138,12 +136,12 @@ class TestCesaro:
     @pytest.mark.parametrize("lam, lam0", [(1e3, 3.0), (1e5, 3.0), (5e4, 5.0), (10.5, 3.2), (3.9, 3.2)])
     def test_node_grid_matches_per_segment_form_bit_for_bit(self, lam, lam0):
         for seq in (q_level_sequence(0.0, 1),
-                    SingularSequence.from_shells(lambda j: 2.0 ** (-j.astype(float)),
-                                                 lambda j: np.ones_like(j))):
+                    SingularSequence(lambda j: 2.0 ** (-j.astype(float)),
+                                     lambda j: np.ones_like(j))):
             assert cesaro_tau(seq, lam, lam0).hex() == per_segment_cesaro(seq, lam, lam0).hex()
 
     def test_matches_brute_force_harmonic(self):
-        seq = SingularSequence.from_shells(
+        seq = SingularSequence(
             lambda j: 1.0 / (j + 1.0), lambda j: np.ones_like(j)
         )
         lam, lam0 = 2000.0, 3.0
@@ -151,14 +149,14 @@ class TestCesaro:
         assert cesaro_tau(seq, lam, lam0) == pytest.approx(ref, rel=1e-5)
 
     def test_harmonic_profile_near_one(self):
-        seq = SingularSequence.from_shells(
+        seq = SingularSequence(
             lambda j: 1.0 / (j + 1.0), lambda j: np.ones_like(j)
         )
         for lam in (1e3, 1e5, 1e6):
             assert abs(cesaro_tau(seq, lam, 3.0) - 1.0) < 0.05
 
     def test_trace_class_decays_like_loglog_over_log(self):
-        seq = SingularSequence.from_shells(
+        seq = SingularSequence(
             lambda j: 2.0 ** (-j.astype(float)), lambda j: np.ones_like(j)
         )
         lam0 = 3.0
@@ -200,14 +198,13 @@ class TestGammaFit:
         assert est.value == pytest.approx(0.5, abs=1e-3)
 
     def test_finite_rank_gives_zero(self):
-        est = dixmier_via_gamma_fit(finite_rank_sequence(5, padding=2 ** 14))
+        est = dixmier_via_gamma_fit(SingularSequence.from_values(np.ones(5)))
         assert est.value == pytest.approx(0.0, abs=1e-3)
 
     def test_from_matrix_projection(self):
         basis = build_basis(8)
         p = landau_projection(basis, 1)
         seq = SingularSequence.from_matrix(p)
-        assert seq.total_count == basis.dim
         rank = basis.nmax  # states (1, m), m <= nmax - 1
         assert sigma_partial(seq, basis.dim) == pytest.approx(rank)
         assert sigma_partial(seq, rank) == pytest.approx(rank)  # saturated
@@ -385,29 +382,9 @@ class TestMeasurability:
         assert rep.prediction == pytest.approx(1.0, abs=0.05)
 
     def test_geometric_is_trace_class(self):
-        seq = SingularSequence.from_shells(
+        seq = SingularSequence(
             lambda j: 2.0 ** (-j.astype(float)), lambda j: np.ones_like(j)
         )
         rep = measurability_diagnostic(seq, n_shells=256)
         assert rep.trace_class
         assert rep.prediction == 0.0
-
-
-class TestMacaevProbe:
-    def test_q_resolvent_is_in_two_plus(self):
-        sup, growing = macaev_norm_probe(q_resolvent_sequence(0.0), p=2.0)
-        assert np.isfinite(sup)
-        assert not growing
-
-    def test_level_sequence_falls_outside_two_plus_zero(self):
-        # N^-1/2 sigma_N of a log-divergent sequence decays: bounded
-        sup, growing = macaev_norm_probe(q_level_sequence(0.0, 0), p=2.0)
-        assert not growing
-
-    def test_supercritical_growth_flagged(self):
-        # mu_n ~ n^(-1/8) lies outside the 4+ class: N^(-3/4) sigma_N ~ N^(1/8)
-        seq = SingularSequence.from_shells(
-            lambda j: (j + 1.0) ** (-0.125), lambda j: np.ones_like(j)
-        )
-        sup, growing = macaev_norm_probe(seq, p=4.0)
-        assert growing

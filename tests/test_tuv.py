@@ -4,12 +4,11 @@ import pytest
 from landautrace import kernels, specfun
 from landautrace.cli import _TUV_COMBINATIONS
 from landautrace.fock import ModelParams, build_basis, landau_projection
-from landautrace.kernels import QuadratureConvergenceError, Region, landau_kernel
+from landautrace.kernels import QuadratureConvergenceError, Region, integrate_kernel_diagonal, landau_kernel
 from landautrace.tuv import (
     FolnerFamily,
     LandauCombination,
     compare_tuv_dixmier,
-    idos,
     restricted_trace,
     tuv_limit,
 )
@@ -97,7 +96,7 @@ class TestRestrictedTrace:
         params = ModelParams()
         basis = build_basis(36)
         region = Region.square(4.0)
-        via_matrix = restricted_trace(landau_projection(basis, 1), region, params)
+        via_matrix = integrate_kernel_diagonal(landau_projection(basis, 1), region, params).real
         via_kernel = restricted_trace(LandauCombination([0.0, 1.0]), region, params)
         assert via_matrix == pytest.approx(via_kernel, abs=1e-6)
 
@@ -111,7 +110,7 @@ class TestRestrictedTrace:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_unresolved_refinement_raises(self, monkeypatch):
-        # both kinds of operator share the refinement rule and its error
+        # an integrand the refined rule does not resolve raises
         monkeypatch.setattr(LandauCombination, "kernel_diagonal",
                             lambda self, points, params: np.cos(40.0 * points[:, 0]))
         with pytest.raises(QuadratureConvergenceError):
@@ -188,19 +187,3 @@ class TestBridge:
         coeffs = (0.5, -0.25, 0.125, -0.0625)
         lhs = [compare_tuv_dixmier(coeffs, xi=xi)["lhs"] for xi in (0.0, 0.5, 1.0)]
         assert max(lhs) - min(lhs) <= 1e-6
-
-
-class TestIdos:
-    def test_below_ground_level(self):
-        assert idos(0.4, ModelParams()) == 0.0
-
-    def test_first_step(self):
-        assert idos(1.0, ModelParams()) == pytest.approx(1.0 / (2 * np.pi))
-
-    def test_five_levels(self):
-        # E_j = j + 1/2 <= 5 for j <= 4, five levels in total
-        assert idos(5.0, ModelParams()) == pytest.approx(5.0 / (2 * np.pi))
-
-    def test_scaling(self):
-        p = ModelParams(ell_B=2.0, eps_B=3.0)
-        assert idos(3.0, p) == pytest.approx(1.0 / (2 * np.pi * 4.0))
