@@ -447,6 +447,15 @@ def test_separable_sum_matches_pointwise_oracle(j, x):
     assert abs(val - fine) <= 1e-12 * abs(fine)
 
 
+@pytest.mark.parametrize("x", [(0.0, 0.0), (0.3, -0.7)])
+def test_literal_ground_level_is_the_conjugate_separable_sum(x):
+    # at j = 0 the literal integrand is the conjugate of the re-derived one
+    order, cutoff = 20, 5.0
+    val = verify_integral_identity(0, cutoff=cutoff, tol=10.0, x=x, order=order)
+    fine = identity_pointwise(0, 1.25 * cutoff, order + order // 2, "literal", x)
+    assert abs(np.conj(val) - fine) <= 1e-12 * abs(fine)
+
+
 def test_literal_excited_level_misses_target():
     """The literal weight L_1(|u|) does not give pi^2/(2i) (oracle only)."""
     val = identity_pointwise(1, 7.0, 32, variant="literal")

@@ -388,3 +388,29 @@ class TestMeasurability:
         rep = measurability_diagnostic(seq, n_shells=256)
         assert rep.trace_class
         assert rep.prediction == 0.0
+
+
+def macaev_profile(seq, p, schedule=tuple(2 ** k for k in range(10, 21, 2))):
+    """N^((1-p)/p) sigma_N on a schedule: bounded exactly on the (p+)-class."""
+    return np.array([n ** ((1.0 - p) / p) * seq.sigma(n) for n in schedule])
+
+
+class TestMacaevProbe:
+    def test_q_resolvent_is_in_two_plus(self):
+        # values 1/(l+2) with multiplicity l+1: sigma_N ~ sqrt(2N) from below
+        prof = macaev_profile(q_resolvent_sequence(0.0), p=2.0)
+        assert np.all(np.diff(prof) > 0) and np.all(prof < np.sqrt(2.0))
+        assert prof[-1] == pytest.approx(np.sqrt(2.0), rel=1e-2)
+
+    def test_level_sequence_falls_outside_two_plus_zero(self):
+        # N^-1/2 sigma_N of a log-divergent sequence decays: bounded
+        prof = macaev_profile(q_level_sequence(0.0, 0), p=2.0)
+        assert np.all(np.diff(prof) < 0) and prof[-1] < 0.02
+
+    def test_supercritical_growth_flagged(self):
+        # mu_n ~ n^(-1/8) lies outside the 4+ class: N^(-3/4) sigma_N ~ N^(1/8)
+        seq = SingularSequence(
+            lambda j: (j + 1.0) ** (-0.125), lambda j: np.ones_like(j)
+        )
+        prof = macaev_profile(seq, p=4.0)
+        assert prof[-1] / prof[-2] == pytest.approx(4.0 ** 0.125, rel=1e-2)

@@ -5,6 +5,7 @@ from landautrace import kernels, specfun
 from landautrace.cli import _TUV_COMBINATIONS
 from landautrace.fock import ModelParams, build_basis, landau_projection
 from landautrace.kernels import QuadratureConvergenceError, Region, integrate_kernel_diagonal, landau_kernel
+from landautrace.models import landau_levels
 from landautrace.tuv import (
     FolnerFamily,
     LandauCombination,
@@ -187,3 +188,33 @@ class TestBridge:
         coeffs = (0.5, -0.25, 0.125, -0.0625)
         lhs = [compare_tuv_dixmier(coeffs, xi=xi)["lhs"] for xi in (0.0, 0.5, 1.0)]
         assert max(lhs) - min(lhs) <= 1e-6
+
+
+def fermi_density(E, params):
+    """Trace per unit area of the Fermi projection onto the levels E_j <= E."""
+    levels = landau_levels(params, 6).eigenvalues
+    return tuv_limit(LandauCombination((levels <= E).astype(float)), params=params)
+
+
+class TestIdos:
+    """The integrated density of states is the level count below E per unit area."""
+
+    def test_below_ground_level(self):
+        assert fermi_density(0.4, ModelParams()).value == 0.0
+
+    def test_first_step(self):
+        est = fermi_density(1.0, ModelParams())
+        assert est.converged
+        assert est.value == pytest.approx(1.0 / (2 * np.pi), abs=1e-8)
+
+    def test_five_levels(self):
+        # E_j = j + 1/2 <= 5 for j <= 4, five levels in total
+        est = fermi_density(5.0, ModelParams())
+        assert est.converged
+        assert est.value == pytest.approx(5.0 / (2 * np.pi), abs=1e-8)
+
+    def test_scaling(self):
+        p = ModelParams(ell_B=2.0, eps_B=3.0)
+        est = fermi_density(3.0, p)
+        assert est.converged
+        assert est.value == pytest.approx(1.0 / (2 * np.pi * 4.0), abs=1e-8)
