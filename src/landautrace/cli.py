@@ -274,10 +274,7 @@ def _finite_or_null(value):
 
 def _write_json(path, payload):
     """Strict JSON: a NaN or infinite float, say an uncertified estimate, is written as null."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # only a payload holding a non-finite float pays for the second pass
-        text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

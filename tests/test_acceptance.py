@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from test_kernels import identity_pointwise
+from identity_oracle import identity_pointwise
 from landautrace import sectors
 from landautrace.fock import (
     ModelParams,
