@@ -285,7 +285,7 @@ def verify_integral_identity(j, cutoff=6.0, tol=1e-4, x=(0.0, 0.0), order=64):
     literal form usually quoted, f e^{+i f} with weight L_j(|u|), gives
     the complex conjugate at j = 0 and misses pi^2/(2i) at j = 1; it does
     not separate, so only the point-by-point oracle in
-    ``tests/test_kernels.py`` evaluates it.
+    ``tests/identity_oracle.py`` evaluates it.
 
     The integral is the tensor Gauss-Legendre sum over |y_i|, |z_i| <=
     cutoff (component-wise, boxes centered at the origin), contracted
