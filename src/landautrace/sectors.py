@@ -13,21 +13,25 @@ Shell bookkeeping: the state (n1, b) sits in shell l = n1 + b of the
 harmonic regulator, so sector results accumulate into shells at offset b.
 
 Projections leave this module in one format, a list of sector stacks
-(b0, n0, V) with P = (+)_b V_b V_b^dagger. V has shape (B, L spin, r): V[i]
-holds the levels n1 = n0..n0 + L - 1 (spin fastest) of the sector
-b = b0 + i, with orthonormal columns. Rows past a sector's top level
-Nmax - b are zero, and a+ is masked there. A stack holds the window of
-levels where its columns live, so a level projection is one stack over all
-its sectors, one level wider than its support on each side
+(sectors, n0, V) with P = (+)_b V V^dagger over the b of ``sectors``, a
+range. Every projection here factorizes as P_1 x 1 over the second mode,
+so one column block is the projection in each sector that holds it clear
+of that sector's top: V has shape (L spin, r) and holds the levels
+n1 = n0..n0 + L - 1 (spin fastest) with orthonormal columns, the same in
+every sector of the stack. Rows past a sector's top level Nmax - b fall
+on shells past Nmax and are dropped, and a+ is masked past the top of
+the stack's last sector, which is exact in the sectors below it because
+V vanishes from that level on. A level projection is two stacks on a
+window one level wider than its support on each side: the sectors
+b < Nmax - j, then b = Nmax - j, whose top is level j itself
 (:func:`landau_stacks`, :func:`jc_stacks`). The quaternionic Fermi
 projection is one stack per solve of the eigensolver, its columns up to
-one level past their last nonzero one (:func:`fermi_stacks`): a shared
-stack for the run of sectors from b = 0 that one solve serves, where V
-is one array broadcast over them, and a stack of B = 1 for every other
-sector. Two loops over stacks consume them for all three models,
-:func:`shell_sums` and :func:`symmetry_residual`, which compute a shared
-stack's rows once and every other sector's on their own; no other module
-reads the rows.
+one level past their last nonzero one (:func:`fermi_stacks`): the run of
+sectors from b = 0 that one solve serves, and one sector for every other
+solve. Two loops over stacks consume them for all three models,
+:func:`shell_sums` and :func:`symmetry_residual`, which compute each
+stack's rows once and spread only the shell weights over its sectors; no
+other module reads the rows.
 
 Each spin-1/2 model is one :class:`SpinHalfModel` record (:data:`JC`,
 :data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2) and its spin
@@ -95,10 +99,10 @@ Curvature in factored form (:func:`_curvature`): every projection here
 is P = V V^dagger with orthonormal columns V of low rank r per sector (one
 for a level, two per Landau level below the Fermi energy for the
 quaternionic model), so R = i P [d1 P, d2 P] = V K V^dagger with an
-r x r core K from row shifts of V, batched over the sectors of a stack.
+r x r core K from row shifts of V, once for all the sectors of a stack.
 The truncated ladders carry the edge row of a- a+ - a+ a- (-(s-1), not 1)
-exactly, and diag(R) costs O(L r^2) per sector instead of the O(s^3) of
-dense products.
+exactly, and diag(R) costs O(L r^2) per stack instead of the O(s^3) of
+dense products per sector.
 
 The Landau curvature identities are checked per sector too
 (:func:`landau_identity_residuals`): all their nonzero entries sit on the
@@ -211,22 +215,11 @@ def lowering_block(size):
     return m
 
 
-def _shells(stack, spin):
-    """Shell l = n1 + b of every level of a stack (b0, n0, V), shape (B, L)."""
-    b0, n0, V = stack
-    return np.arange(n0, n0 + V.shape[1] // spin) + np.arange(b0, b0 + len(V))[:, None]
-
-
-def _adjoint(Z):
-    """Conjugate transposes of a stack of matrices."""
-    return Z.conj().swapaxes(1, 2)
-
-
 def _curvature(nmax, stack, spin):
-    """r x r cores K, shape (B, r, r), of the curvature density R = i P [d1 P, d2 P] = V K V^dagger.
+    """r x r core K of the curvature density R = i P [d1 P, d2 P] = V K V^dagger in a stack's sectors.
 
-    ``stack`` is one sector stack (b0, n0, V) (module docstring); per sector
-    V holds orthonormal columns (spin fastest) with P = V V^dagger; ell_B = 1,
+    ``stack`` is one sector stack (sectors, n0, V) (module docstring): V
+    holds orthonormal columns (spin fastest) with P = V V^dagger; ell_B = 1,
     the magnetic length cancels against the 1/ell^2 of the Chern formula.
     The ladder-side derivations are d1 = -(1/sqrt2)([a+,P] - [a-,P]) and
     d2 = (i/sqrt2)([a+,P] + [a-,P]), so [d1 P, d2 P] = -i [[a+,P],[a-,P]]
@@ -237,99 +230,89 @@ def _curvature(nmax, stack, spin):
 
     and P = V V^dagger with (V^dagger a+ V)^dagger = V^dagger a- V gives
     K = V^dagger (a- a+ - a+ a-) V + [V^dagger a+ V, V^dagger a- V].
-    The ladders act on the window: a+ into a shell past Nmax (a level past
-    the sector's top) is masked, and the levels just outside the window are
-    left out, which is exact when V vanishes on the window's outer levels
-    or the window reaches level 0 and the sector's top.
+    The ladders act on the window: a+ into a level past the top of the
+    stack's last sector is masked, and the levels just outside the window
+    are left out, which is exact when V vanishes on the window's outer
+    levels or the window reaches level 0 and the sector's top.
     """
-    _b0, n0, V = stack
-    shells = _shells(stack, spin)
-    level = np.arange(n0 + 1, n0 + shells.shape[1])
-    root = np.repeat(np.where(shells[:, 1:] <= nmax, np.sqrt(level), 0.0), spin, axis=1)[..., None]
+    bs, n0, V = stack
+    level = np.arange(n0 + 1, n0 + len(V) // spin)
+    root = np.repeat(np.where(level + bs[-1] <= nmax, np.sqrt(level), 0.0), spin)[:, None]
     up = np.zeros_like(V)  # a+ V
-    up[:, spin:] = root * V[:, :-spin]
+    up[spin:] = root * V[:-spin]
     down = np.zeros_like(V)  # a- V
-    down[:, :-spin] = root * V[:, spin:]
-    raise_core = _adjoint(V) @ up  # V^dagger a+ V; its adjoint is V^dagger a- V
+    down[:-spin] = root * V[spin:]
+    raise_core = V.conj().T @ up  # V^dagger a+ V; its adjoint is V^dagger a- V
     return (
-        _adjoint(up) @ up - _adjoint(down) @ down
-        + raise_core @ _adjoint(raise_core) - _adjoint(raise_core) @ raise_core
+        up.conj().T @ up - down.conj().T @ down
+        + raise_core @ raise_core.conj().T - raise_core.conj().T @ raise_core
     )
 
 
-def landau_stacks(nmax, j):
-    """Sector stacks of the level-j projection, the unit vector at n1 = j per sector.
+def _level_stacks(nmax, j, n0, V):
+    """The stacks of the column block V of a level j: the sectors b < Nmax - j, then b = Nmax - j.
 
-    One stack over the levels max(j - 1, 0)..j + 1 of the sectors
-    b = 0..Nmax - j, the sectors that hold level j.
+    The top of sector Nmax - j is level j, so a+ out of it is masked there
+    alone. No sector holds a level past Nmax.
+    """
+    runs = (range(nmax - j), range(nmax - j, nmax + 1 - j)) if j <= nmax else ()
+    return [(bs, n0, V) for bs in runs if bs]
+
+
+def landau_stacks(nmax, j):
+    """Sector stacks of the level-j projection, the unit vector at n1 = j in each sector b = 0..Nmax - j.
+
+    Its window is the levels max(j - 1, 0)..j + 1.
     """
     n0 = max(j - 1, 0)
-    V = np.zeros((max(nmax + 1 - j, 0), j + 2 - n0, 1), dtype=complex)
-    V[:, j - n0] = 1.0
-    return [(0, n0, V)]
-
-
-def _distinct_rows(V):
-    """The sectors of a stack's V whose rows need computing: its first when all share them.
-
-    A shared stack is a broadcast view (stride 0 over the sectors) of one
-    V that stays clear of every sector's top, so its curvature core, its
-    diagonals and its twisted rows are those of its first sector; they
-    differ between its sectors only by the weights of their shells and, in
-    U conj(V), by the unit factor i^b, which cancels in
-    (U conj(V)) (U conj(V))^dagger.
-    """
-    return V[:1] if V.strides[0] == 0 else V
+    V = np.zeros((j + 2 - n0, 1), dtype=complex)
+    V[j - n0] = 1.0
+    return _level_stacks(nmax, j, n0, V)
 
 
 def shell_sums(nmax, stacks, spin, xi):
-    """Shell sums of (Q^-1 P, i/ell^2 Q^-1 R) for the sector stacks (b0, n0, V) of P.
+    """Shell sums of (Q^-1 P, i/ell^2 Q^-1 R) for the sector stacks (sectors, n0, V) of P.
 
-    Each row is weighted by 1/(l + 2 + 2 xi), l = n1 + b, before the spin
-    components of its shell are summed; shells take their sectors in
-    ascending b. Rows past a sector's top fall on shells past Nmax and are
-    dropped. A shared stack's rows are computed once (:func:`_distinct_rows`).
+    The rank and curvature diagonals of a stack are computed once; each
+    sector weights them by 1/(l + 2 + 2 xi), l = n1 + b, before the spin
+    components of its shell are summed. Shells take their sectors in
+    ascending b, and rows past a sector's top fall on shells past Nmax and
+    are dropped.
     """
     rank = np.zeros(nmax + 1)
     chern = np.zeros(nmax + 1)
     for stack in stacks:
-        b0, n0, V = stack
-        if not V.shape[2]:
+        bs, n0, V = stack
+        if not V.shape[1]:
             continue
-        shells = _shells(stack, spin)
+        shells = np.arange(n0, n0 + len(V) // spin) + np.arange(bs.start, bs.stop)[:, None]  # (B, L)
         weights = 1.0 / (np.repeat(shells, spin, axis=1) + 2.0 + 2.0 * xi)
-        V = _distinct_rows(V)
-        K = _curvature(nmax, (b0, n0, V), spin)
-        for sums, diag in ((rank, np.einsum("bkp,bkp->bk", V, V.conj())),
-                           (chern, np.einsum("bkp,bpq,bkq->bk", V, K, V.conj()))):
+        K = _curvature(nmax, stack, spin)
+        for sums, diag in ((rank, np.einsum("kp,kp->k", V, V.conj())),
+                           (chern, np.einsum("kp,pq,kq->k", V, K, V.conj()))):
             per_shell = (diag.real * weights).reshape(shells.shape + (spin,)).sum(axis=2)
             sums += np.bincount(shells.ravel(), per_shell.ravel(), minlength=nmax + 1)[:nmax + 1]
     return rank, chern
 
 
-def _twist(stack, twist):
-    """U conj(Z) on the rows of a stack (b0, n0, Z): U = diag(i^(n1 + b)) x twist, entries exact."""
-    Z = stack[2]
-    shells = _shells(stack, len(twist))
-    return np.einsum(
-        "xn,ab,xnbr->xnar", _i_power(shells), twist, Z.conj().reshape(*shells.shape, len(twist), -1)
-    ).reshape(Z.shape)
-
-
 def symmetry_residual(stacks, twist):
-    """max |U conj(P) U^dagger - P| for the sector stacks (b0, n0, V) of P.
+    """max |U conj(P) U^dagger - P| for the sector stacks (sectors, n0, V) of P, U = diag(i^(n1 + b)) x twist.
 
-    Per sector U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger, and both
-    sides vanish off the rows where V or U conj(V) is nonzero in some sector
-    of the stack. A shared stack's rows are computed once (:func:`_distinct_rows`).
+    Per sector U conj(P) U^dagger = (U conj(V)) (U conj(V))^dagger. The
+    sectors of a stack differ in U conj(V) by the unit factor i^b alone,
+    which cancels, so its rows are computed once, in its first sector; the
+    entries of U are exact. Both sides vanish off the rows where V or
+    U conj(V) is nonzero.
     """
+    spin = len(twist)
     worst = 0.0
-    for b0, n0, V in stacks:
-        V = _distinct_rows(V)
-        UV = _twist((b0, n0, V), twist)
-        rows = (V != 0).any(axis=(0, 2)) | (UV != 0).any(axis=(0, 2))
-        UV, V = UV[:, rows], V[:, rows]
-        worst = max(worst, float(np.abs(UV @ _adjoint(UV) - V @ _adjoint(V)).max(initial=0.0)))
+    for bs, n0, V in stacks:
+        phase = _i_power(np.arange(n0, n0 + len(V) // spin) + bs.start)
+        UV = np.einsum("n,ab,nbr->nar", phase, twist,
+                       V.conj().reshape(len(phase), spin, V.shape[1])).reshape(V.shape)
+        rows = (V != 0).any(axis=1) | (UV != 0).any(axis=1)
+        UV, V = UV[rows], V[rows]
+        worst = max(worst, float(np.abs(UV @ UV.conj().T - V @ V.conj().T).max(initial=0.0)))
     return worst
 
 
@@ -394,15 +377,14 @@ def landau_identity_residuals(nmax, j, ell_B):
 def jc_stacks(nmax, j, theta):
     """Sector stacks of the spin-orbit pair projection P_j^theta, j >= 1.
 
-    Its column in every sector holding it is sin(theta) on (j - 1, up) and
-    i cos(theta) on (j, down): one stack over the levels max(j - 2, 0)..j + 1
-    of the sectors b = 0..Nmax - j.
+    Its column in every sector b = 0..Nmax - j is sin(theta) on (j - 1, up)
+    and i cos(theta) on (j, down), on the window of levels max(j - 2, 0)..j + 1.
     """
     n0 = max(j - 2, 0)
-    V = np.zeros((max(nmax + 1 - j, 0), 2 * (j + 2 - n0), 1), dtype=complex)
-    V[:, 2 * (j - 1 - n0)] = np.sin(theta)
-    V[:, 2 * (j - n0) + 1] = 1j * np.cos(theta)
-    return [(0, n0, V)]
+    V = np.zeros((2 * (j + 2 - n0), 1), dtype=complex)
+    V[2 * (j - 1 - n0)] = np.sin(theta)
+    V[2 * (j - n0) + 1] = 1j * np.cos(theta)
+    return _level_stacks(nmax, j, n0, V)
 
 
 def jc_shell_sums(nmax, j, theta, xi):
@@ -418,13 +400,12 @@ def jc_shell_sums(nmax, j, theta, xi):
         raise ValueError("pair levels start at j = 1")
     stacks = jc_stacks(nmax, j, theta)
     rank, chern = shell_sums(nmax, stacks, 2, xi)
-    _, n0, V = stacks[0]
-    if not len(V):
+    if not stacks:
         return rank, chern, 0.0
     level = np.array([j - 1, j])
-    V = V[:1]  # the b = 0 sector
-    rows = (V[0] @ _curvature(nmax, (0, n0, V), 2)[0]).reshape(-1, 2, 1)[level - n0]
-    Rspin = np.einsum("iar,jar->ij", rows, V[0].conj().reshape(-1, 2, 1)[level - n0]) / 1j
+    _, n0, V = stacks[0]  # its sectors start at b = 0
+    rows = (V @ _curvature(nmax, stacks[0], 2)).reshape(-1, 2, 1)[level - n0]
+    Rspin = np.einsum("iar,jar->ij", rows, V.conj().reshape(-1, 2, 1)[level - n0]) / 1j
     target = np.diag([-1j * np.sin(theta) ** 2, -1j * np.cos(theta) ** 2])
     inner = level <= nmax - LEVEL_MARGIN
     closed_resid = np.abs(Rspin - target)[np.ix_(inner, inner)].max(initial=0.0)
@@ -469,6 +450,8 @@ def _tridiagonal_eigh(lib, d, e, count=None):
     reduction and back-transformation). With a ``count`` under the size,
     only the lowest ``count`` pairs are solved, by dstevr with range 'I'
     (bisection and inverse iteration), at O(s count) instead of O(s^2).
+    A dstevr that finds fewer pairs, as on overflowing bands, raises
+    LinAlgError as a failed solve does.
     """
     s = len(d)
     w = np.array(d, dtype=np.float64)
@@ -490,6 +473,8 @@ def _tridiagonal_eigh(lib, d, e, count=None):
         name = "dstevr"
     if info:
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({name} info {info})")
+    if count is not None and len(w) < min(count, s):
+        raise np.linalg.LinAlgError(f"{name} found {len(w)} of {count} eigenpairs")
     return w, v
 
 
@@ -683,23 +668,22 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
 
 
 def fermi_stacks(sectors):
-    """One stack (b0, 0, V) per solve of :func:`quaternionic_sector_eigensystem` at an energy.
+    """One stack (sectors, 0, V) per solve of :func:`quaternionic_sector_eigensystem` at an energy.
 
-    V is cut one level past its last nonzero level: the solver sets the
-    entries of magnitude <= machine epsilon to zero, which the columns
-    reach well below the sector's top, and the zero level left on top
-    keeps the window exact for :func:`_curvature`. A V without a nonzero
-    row is kept whole. A solve that serves a run of sectors b0..b0 + B - 1
-    becomes one shared stack, V broadcast over the B sectors
-    (:func:`_distinct_rows`): the cut V stays clear of every one of their
-    tops, so no truncation enters it.
+    V is the solve's columns cut one level past their last nonzero level:
+    the solver sets the entries of magnitude <= machine epsilon to zero,
+    which the columns reach well below the sector's top, and the zero level
+    left on top keeps the window exact for :func:`_curvature`. A V without
+    a nonzero row is kept whole. A solve that serves a run of sectors holds
+    its cut V clear of every one of their tops (:func:`_shared_run`), so it
+    is their one stack.
     """
     stacks = []
     for bs, _w, V, _flags in sectors:
         rows = np.flatnonzero((V != 0).any(axis=1))
         if len(rows):
             V = V[:2 * (rows[-1] // 2 + 2)]
-        stacks.append((bs.start, 0, np.broadcast_to(V, (len(bs),) + V.shape)))
+        stacks.append((bs, 0, V))
     return stacks
 
 

@@ -273,10 +273,12 @@ def dixmier_via_gamma_fit(seq, tolerance=1e-3, schedule=GAMMA_SCHEDULE):
     five schedule points, so it never passes through every point. The
     residual combines the fit deviation (in gamma units) with the spread
     against a refit on the upper half of the schedule; non-convergence is
-    reported through the flag, never raised.
+    reported through the flag, never raised. Counts past the int64 range
+    are left out of the schedule; with fewer than five left (the Landau
+    schedules from xi of about 2^51) the estimate is an unconverged NaN.
     """
     # snap to multiplicity-block boundaries (shell-subsequence evaluation)
-    schedule = sorted({seq.boundary_at_least(n) for n in schedule})
+    schedule = sorted({seq.boundary_at_least(n) for n in schedule if n <= np.iinfo(np.int64).max})
     if len(schedule) < 5:
         return DixmierEstimate(np.nan, "gamma_fit", [], False, np.inf)
     N = np.array(schedule, dtype=float)

@@ -17,10 +17,11 @@ realization of the same derivations is validated independently in
 
 The invariants and the curvature-identity check conserve the second
 mode number n2 and run sector by sector in :mod:`landautrace.sectors`:
-the curvature shell sums in factored form, batched over the sectors of
-each stack at O(L r^2) per sector for a window of L levels, and the
-Landau curvature identities on one window of at most 3 x 3, whatever
-Nmax. Projections come from there as sector stacks (b0, n0, V), which this
+the curvature shell sums in factored form, the core once per stack at
+O(L r^2) for a window of L levels and only the shell weights per sector,
+and the Landau curvature identities on one window of at most 3 x 3,
+whatever Nmax. Projections come from there as sector stacks
+(sectors, n0, V), one column block V for a range of sectors, which this
 module passes on without reading their rows: to ``sectors.shell_sums``
 and to ``sectors.symmetry_residual`` with the spin twist of each symmetry
 (``sectors.THETA_TWIST`` for Theta, the model record's twist for Xi and

@@ -45,11 +45,11 @@ def per_sector_commutator_residuals(nmax):
     root = np.sqrt(np.arange(1, nmax + 1, dtype=float))
     c, ci = 1 / np.sqrt(2), 1 / (1j * np.sqrt(2))
 
-    def mode(c_raise, c_lower):
-        return c_raise * root, c_lower * root
+    def bands(mode):
+        return mode[0] * root, mode[1] * root
 
-    lowering, raising = mode(0.0, 1.0), mode(1.0, 0.0)
-    k1, k2, g1, g2 = mode(c, c), mode(ci, -ci), mode(-c, -c), mode(-ci, ci)
+    lowering, raising = (0.0, 1.0), (1.0, 0.0)  # coefficients of (a+, a-)
+    k1, k2, g1, g2 = (c, c), (ci, -ci), (-c, -c), (-ci, ci)
     names = ("[a-,a+] - 1", "[b-,b+] - 1", "[K1,K2] + i", "[G1,G2] + i",
              "[K1,G1]", "[K2,G2]", "Theta K1 Theta^-1 + K2", "Theta K2 Theta^-1 + K1")
     worst = dict.fromkeys(names, 0.0)
@@ -68,11 +68,12 @@ def per_sector_commutator_residuals(nmax):
         rows = nmax - b
         commutator("[a-,a+] - 1", lowering, raising, rows, 1.0)
         commutator("[K1,K2] + i", k1, k2, rows, -1j)
-        for name, x, g in (("[K1,G1]", k1, g1), ("[K2,G2]", k2, g2)):
+        for name, x, g in (("[K1,G1]", bands(k1), bands(g1)), ("[K2,G2]", bands(k2), bands(g2))):
             record(name, *(band[:rows - 1] * g[i][b] - g[i][b] * band[:rows - 1]
                            for band in x for i in (0, 1)))
         phase = sectors._i_power(np.arange(rows + 1) + b)
-        for name, x, y in (("Theta K1 Theta^-1 + K2", k1, k2), ("Theta K2 Theta^-1 + K1", k2, k1)):
+        for name, x, y in (("Theta K1 Theta^-1 + K2", bands(k1), bands(k2)),
+                           ("Theta K2 Theta^-1 + K1", bands(k2), bands(k1))):
             sub = phase[1:] * x[0][:rows].conj() * phase[:-1].conj()
             sup = phase[:-1] * x[1][:rows].conj() * phase[1:].conj()
             record(name, sub + y[0][:rows], sup + y[1][:rows])
@@ -504,6 +505,25 @@ class TestInvariants:
         report = read_strict_json(tmp_path / "invariants.json")[0]
         assert report["identity_residuals"] == {"commutator_identity": None, "curvature_identity": None}
 
+    def test_gamma_fit_past_the_int64_range_is_unconverged(self, tmp_path, monkeypatch):
+        # the schedule of the offset 2 + 2e150 passes 2^63: the gamma route is an
+        # unconverged NaN, written as null, the rank is not certified, exit 3
+        monkeypatch.setenv("LANDAU_PARAMS__XI", "1e150")
+        assert main(["--nmax", "14", "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
+        rank = read_strict_json(tmp_path / "invariants.json")[0]["rank"]
+        (fit,) = rank["cross_checks"]
+        assert fit["method"] == "gamma_fit" and fit["value"] is None and not fit["converged"]
+        assert not rank["certified"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_quaternionic_bands_exit_3(self, tmp_path, monkeypatch, capsys):
+        # at eps_B = 1.7e308 the bands overflow and dstevr finds no eigenpair
+        monkeypatch.setenv("LANDAU_MODEL", "quaternionic")
+        monkeypatch.setenv("LANDAU_FERMI_ENERGY", "1")
+        monkeypatch.setenv("LANDAU_PARAMS__EPS_B", "1.7e308")
+        assert main(["--nmax", "14", "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
+        assert "non-convergence" in capsys.readouterr().err
+
     def test_landau_level_400_certifies(self, tmp_path, monkeypatch):
         # the gamma fit's schedule starts past the level's offset, the graded fit at its density
         monkeypatch.setenv("LANDAU_LEVELS", "400")
@@ -584,24 +604,28 @@ class TestVerify:
 
     @pytest.mark.parametrize("nmax", range(2, 25))
     def test_commutators_match_dense_oracle(self, nmax):
-        # ladder, cross and Theta entries are single products or exact sums on
-        # both routes; the [K1,K2] and [G1,G2] diagonals are two-term sums of
-        # squares up to nmax/2, which zgemm rounds with or without FMA by the
-        # entry's place in its blocking, the band route without
+        # cross and Theta entries are single products or exact sums on both
+        # routes. The ladder, [K1,K2] and [G1,G2] diagonals are sums of squares
+        # up to nmax: the dense route rounds them with sqrt(n)^2, the band route
+        # takes the exact squares, so its residual is the rounding of the
+        # coefficients alone, 0 or one eps, and never above the dense one
         sector = _commutator_residuals(nmax)
         dense = dense_commutator_residuals(nmax, fock.ModelParams())
         assert sector.keys() == dense.keys()
+        eps = np.finfo(float).eps
+        exact = {"[a-,a+] - 1": 0.0, "[b-,b+] - 1": 0.0, "[K1,K2] + i": eps, "[G1,G2] + i": eps}
         for name, residual in sector.items():
-            if name in ("[K1,K2] + i", "[G1,G2] + i"):
-                assert abs(residual - dense[name]) <= 16 * np.finfo(float).eps, name
+            if name in exact:
+                assert residual == exact[name] <= dense[name] <= 4 * nmax * eps, name
             else:
                 assert residual == dense[name], name
 
-    def test_commutators_at_the_old_cap_equal_the_dense_check(self, tmp_path):
+    def test_commutators_at_the_old_cap_are_within_the_dense_check(self, tmp_path):
         rc = main(["--check", "commutators", "--nmax", "24", "--out", str(tmp_path), "verify"])
         assert rc == EXIT_OK
         residual = float(read_csv(tmp_path / "verify.csv")[1][1])
-        assert residual == dense_commutator_residual(24, fock.ModelParams()) == 7.105427357601002e-15
+        assert residual == np.finfo(float).eps
+        assert dense_commutator_residual(24, fock.ModelParams()) == 7.105427357601002e-15
 
     def test_commutators_at_large_truncation(self, tmp_path):
         # the dense check stopped at Nmax 24; the bands take every sector
@@ -609,6 +633,23 @@ class TestVerify:
             rc = main(["--check", "commutators", "--nmax", nmax, "--out", str(tmp_path), "verify"])
             assert rc == EXIT_OK
             assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-12
+
+    @pytest.mark.parametrize("nmax", [2115, 5000])
+    def test_commutators_pass_where_square_roots_rounded_over_the_tolerance(self, tmp_path, nmax):
+        # products sqrt(n) sqrt(n) took the [K1,K2] diagonal over 1e-12 from
+        # Nmax 2115 on; the exact squares keep it at one eps, the tolerance stays
+        rc = main(["--check", "commutators", "--nmax", str(nmax), "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        _, residual, tol, status = read_csv(tmp_path / "verify.csv")[1]
+        assert float(residual) == np.finfo(float).eps and float(tol) == 1e-12 and status == "pass"
+
+    def test_flipped_k2_coefficient_fails_the_commutators(self, tmp_path, monkeypatch):
+        # K2 with its a- coefficient flipped commutes with K1: [K1,K2] + i is i
+        raising, lowering = cli._COMMUTATOR_MODES["K2"]
+        monkeypatch.setitem(cli._COMMUTATOR_MODES, "K2", (raising, -lowering))
+        rc = main(["--check", "commutators", "--nmax", "5000", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_ASSERT
+        assert read_csv(tmp_path / "verify.csv")[1][3] == "FAIL"
 
     @pytest.mark.parametrize("nmax", [*range(2, 61), 120, 300, 700, 2114, 2115])
     def test_commutators_on_sector_zero_equal_every_sector(self, nmax):

@@ -476,11 +476,11 @@ def same_bytes(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-@pytest.mark.parametrize("nmax", [12, 13, 40, 140, 300])
-def test_stacks_match_the_sector_loop_bit_for_bit(nmax):
+def check_level_stacks(nmax):
     # j = 0, 1 clip the window at n0 = 0, j = Nmax - 3 puts it near the top
-    # sectors, and every stack holds sectors whose top cuts the window
-    for j in (0, 1, 2, nmax - 3):
+    # sectors, at j = Nmax - 1 the shared run is one sector and at j = Nmax
+    # only the top sector, whose top cuts the window, is left
+    for j in (0, 1, 2, nmax - 3, nmax - 1, nmax):
         for xi in (0.0, 0.5, 1.0):
             new = sectors.landau_shell_sums(nmax, j, xi)
             old = loop_shell_sums(nmax, landau_columns(nmax, j), 1, xi)
@@ -499,18 +499,43 @@ def test_stacks_match_the_sector_loop_bit_for_bit(nmax):
                               loop_symmetry_residual(jc_columns(nmax, j, theta), sectors.JC.twist))
 
 
+@pytest.mark.parametrize("nmax", [12, 13, 40, 140, 300])
+def test_stacks_match_the_sector_loop_bit_for_bit(nmax):
+    check_level_stacks(nmax)
+
+
+def test_one_stack_over_every_sector_fails_the_sector_loop_check(monkeypatch):
+    # a mutant that keeps the top sector b = Nmax - j in the shared stack masks
+    # a+ out of level j + 1 in every sector, and the check above catches it
+    monkeypatch.setattr(sectors, "_level_stacks",
+                        lambda nmax, j, n0, V: [(range(nmax + 1 - j), n0, V)] if j <= nmax else [])
+    with pytest.raises(AssertionError):
+        check_level_stacks(40)
+
+
+@pytest.mark.parametrize("nmax", [12, 40])
+def test_a_level_past_nmax_has_no_stack(nmax):
+    # no sector holds level Nmax + 1: no stack, and zero sums as the loop gives
+    assert sectors.landau_stacks(nmax, nmax + 1) == []
+    assert sectors.jc_stacks(nmax, nmax + 1, 0.3) == []
+    for new in (sectors.landau_shell_sums(nmax, nmax + 1, XI),
+                sectors.jc_shell_sums(nmax, nmax + 1, 0.3, XI)):
+        assert all(map(same_bytes, new[:2], loop_shell_sums(nmax, [], 1, XI)))
+
+
 @pytest.mark.parametrize("spin", [1, 2])
 @pytest.mark.parametrize("nmax", [12, 40])
-def test_padded_stack_matches_the_sector_loop_bit_for_bit(nmax, spin):
-    # rank-2 columns on every row of every sector, zero past each top: each
-    # shell sums many sectors, in ascending b as the loop does
+def test_one_sector_stacks_match_the_sector_loop_bit_for_bit(nmax, spin):
+    # a list of one-sector stacks, rank-2 columns on every row of each
+    # sector, zero past its top: each shell sums many sectors, in ascending b
+    # as the loop does
     rng = np.random.default_rng(nmax + spin)
     V = np.zeros((nmax + 1, spin * (nmax + 1), 2), dtype=complex)
     for b in range(nmax + 1):
         n = spin * (nmax + 1 - b)
         V[b, :n] = random_columns(rng, n, min(2, n))
     columns = [(b, V[b, :spin * (nmax + 1 - b)]) for b in range(nmax + 1)]
-    new = sectors.shell_sums(nmax, [(0, 0, V)], spin, XI)
+    new = sectors.shell_sums(nmax, [(range(b, b + 1), 0, V[b]) for b in range(nmax + 1)], spin, XI)
     assert all(map(same_bytes, new, loop_shell_sums(nmax, columns, spin, XI)))
 
 
@@ -531,18 +556,18 @@ def test_fermi_stacks_match_the_sector_loop_bit_for_bit(energy):
 def test_trimmed_fermi_stacks_match_whole_columns_bit_for_bit(nmax, energy):
     # the columns are cut after their last nonzero level and one zero level;
     # a sector with no column (r = 0: eps_B 1.3 puts its one level above E = 1)
-    # keeps V whole; a shared stack holds the same cut V in each of its sectors
+    # keeps V whole; the stack of a run of sectors holds one cut V for all of them
     trimmed = empty = 0
     for params in QUAT_CASES:
         secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
-        whole = [(b, 0, V[None]) for b, _, V, _ in per_sector(nmax, secs)]
+        whole = [(range(b, b + 1), 0, V) for b, _, V, _ in per_sector(nmax, secs)]
         stacks = sectors.fermi_stacks(secs)
-        sector_rows = [(b0 + i, V[i]) for b0, _, V in stacks for i in range(len(V))]
-        assert [b for b, _ in sector_rows] == [b for b, _, _ in whole]
+        sector_rows = [(b, V) for bs, _, V in stacks for b in bs]
+        assert [b for b, _ in sector_rows] == [bs.start for bs, _, _ in whole]
         for (_, V), (_, _, W) in zip(sector_rows, whole):
-            assert len(V) % 2 == 0 and same_bytes(V, W[0, :len(V)]) and not W[:, len(V):].any()
-            trimmed += len(V) < W.shape[1]
-            empty += W.shape[2] == 0 and V.shape == W.shape[1:]
+            assert len(V) % 2 == 0 and same_bytes(V, W[:len(V)]) and not W[len(V):].any()
+            trimmed += len(V) < len(W)
+            empty += W.shape[1] == 0 and V.shape == W.shape
         assert all(map(same_bytes, sectors.shell_sums(nmax, stacks, 2, params.xi),
                        sectors.shell_sums(nmax, whole, 2, params.xi)))
         twist = sectors.QUATERNIONIC.twist
@@ -553,7 +578,7 @@ def test_trimmed_fermi_stacks_match_whole_columns_bit_for_bit(nmax, energy):
 
 
 def test_curvature_calls_do_not_grow_with_nmax(monkeypatch):
-    # the level projections go through one stack, not one call per sector
+    # a level projection is two stacks whatever Nmax, not one call per sector
     calls = []
     curvature = sectors._curvature
     monkeypatch.setattr(sectors, "_curvature", lambda *args: calls.append(1) or curvature(*args))
@@ -591,7 +616,7 @@ def test_factored_curvature_matches_dense(spin, rank, s):
     V = random_columns(rng, s * spin, rank)
     assert np.abs(V[-spin:]).max() > 1e-3  # weight on the truncation edge j = s - 1
     R = dense_curvature(V @ V.conj().T, *dense_ladders(s, spin))
-    K = sectors._curvature(s - 1, (0, 0, V[None]), spin)[0]
+    K = sectors._curvature(s - 1, (range(1), 0, V), spin)
     assert np.abs(V @ K @ V.conj().T - R).max() <= 1e-12
     diag = np.einsum("kp,pq,kq->k", V, K, V.conj())
     assert np.abs(diag - np.diag(R)).max() <= 1e-12
@@ -604,7 +629,7 @@ def test_edge_row_of_ladder_commutator(spin):
     V = np.zeros((s * spin, 1), dtype=complex)
     V[-1, 0] = 1.0
     R = dense_curvature(V @ V.conj().T, *dense_ladders(s, spin))
-    K = sectors._curvature(s - 1, (0, 0, V[None]), spin)[0]
+    K = sectors._curvature(s - 1, (range(1), 0, V), spin)
     assert K[0, 0] == pytest.approx(-(s - 1), abs=1e-12)
     assert np.abs(V @ K @ V.conj().T - R).max() <= 1e-12
 
@@ -678,7 +703,7 @@ def test_jc_symmetry_residual_matches_dense():
     V = np.zeros((NMAX - 1, 2 * (NMAX + 1), 1), dtype=complex)  # sectors b = 0..NMAX - 2
     for b in range(len(V)):
         V[b, :2 * (NMAX + 1 - b), 0] = vectors[NMAX + 1 - b]
-    res = sectors.symmetry_residual([(0, 0, V)], sectors.JC.twist)
+    res = sectors.symmetry_residual([(range(b, b + 1), 0, V[b]) for b in range(len(V))], sectors.JC.twist)
     ref = dense_jc_symmetry_residual(NMAX, 2, vectors.get)
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)
@@ -741,14 +766,14 @@ def test_symmetry_residual_matches_dense(name):
         # zero rows: the supports of V and U conj(V) differ (sigma2 swaps the spins)
         V[rng.random(n) < 0.5] = 0.0
         columns.append((b, V))
-    res = sectors.symmetry_residual([(b, 0, V[None]) for b, V in columns], twist)
+    res = sectors.symmetry_residual([(range(b, b + 1), 0, V) for b, V in columns], twist)
     assert res > 1e-1
     assert res == pytest.approx(dense_symmetry_residual(columns, twist), rel=1e-12)
     # one spin component alone breaks Xi', which moves it to the other spin
     e = np.zeros((2 * spin, 1), dtype=complex)
     e[0] = 1.0
     expected = 1.0 if name == "Xi-prime" else 0.0
-    assert sectors.symmetry_residual([(3, 0, e[None])], twist) == expected
+    assert sectors.symmetry_residual([(range(3, 4), 0, e)], twist) == expected
 
 
 def _unit(v):
@@ -929,7 +954,7 @@ def test_fermi_stacks_keep_under_half_the_sector_rows(params):
     # inverse iteration leaves tiny entries up to each sector's top; set to zero,
     # they no longer hold the trim there
     secs, _, _ = sectors.quaternionic_sector_eigensystem(140, params, 2.0)
-    kept = sum(len(V) * V.shape[1] for _, _, V in sectors.fermi_stacks(secs))
+    kept = sum(len(bs) * len(V) for bs, _, V in sectors.fermi_stacks(secs))
     assert kept < sum(V.shape[0] for _, _, V, _ in per_sector(140, secs)) / 2
 
 
