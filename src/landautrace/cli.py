@@ -488,7 +488,7 @@ def _check_curvature(config, tol):
     """Worst residual of the curvature identities (a) and (b), j = 0..5."""
     nmax = max(12, config.nmax)
     worst = 0.0
-    for j in range(0, min(6, nmax - 3)):
+    for j in range(6):
         res = topo.verify_curvature_identity(j, nmax, config.params)
         worst = max(worst, res["commutator_identity"], res["curvature_identity"])
     return worst

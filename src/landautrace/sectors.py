@@ -26,12 +26,13 @@ window one level wider than its support on each side: the sectors
 b < Nmax - j, then b = Nmax - j, whose top is level j itself
 (:func:`landau_stacks`, :func:`jc_stacks`). The quaternionic Fermi
 projection is one stack per solve of the eigensolver, its columns up to
-one level past their last nonzero one (:func:`fermi_stacks`): the run of
-sectors from b = 0 that one solve serves, and one sector for every other
-solve. Two loops over stacks consume them for all three models,
-:func:`shell_sums` and :func:`symmetry_residual`, which compute each
-stack's rows once and spread only the shell weights over its sectors; no
-other module reads the rows.
+one level past their last nonzero one
+(:func:`quaternionic_sector_eigensystem`): the run of sectors from b = 0
+that one solve serves, and one sector for every other solve. Two loops
+over stacks consume them for all three models, :func:`shell_sums` and
+:func:`symmetry_residual`, which compute each stack's rows once and
+spread only the shell weights over its sectors; no other module reads
+the rows.
 
 Each spin-1/2 model is one :class:`SpinHalfModel` record (:data:`JC`,
 :data:`QUATERNIONIC`): its gauge matrices (gamma_1, gamma_2) and its spin
@@ -137,7 +138,6 @@ __all__ = [
     "jc_sector_eigensystem",
     "quaternionic_sector_eigensystem",
     "quaternionic_shell_sums",
-    "fermi_stacks",
 ]
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -536,6 +536,12 @@ def _sorted_levels(secs):
     return ev[order], fl[order]
 
 
+def _last_level(v, spin):
+    """The last level of the columns v, ``spin`` rows each, that holds a nonzero entry; None without one."""
+    rows = np.flatnonzero(v.any(axis=1))
+    return rows[-1] // spin if len(rows) else None
+
+
 def _shared_run(nmax, spin, below, v, flags):
     """How many sectors, from b = 0 on, take the b = 0 window: eigenvectors v and their interior flags.
 
@@ -553,13 +559,13 @@ def _shared_run(nmax, spin, below, v, flags):
     """
     if not flags.all():
         return 1
-    t = -(-(np.flatnonzero(v.any(axis=1))[-1] + 1) // spin)
+    t = _last_level(v, spin) + 1
     counts = below[spin - 1::spin]  # by sector size s = 1..Nmax + 1
     smallest = max(int(np.searchsorted(counts, counts[-1])) + 1, t + EDGE_SHELLS)
     return max(nmax + 2 - smallest, 1)
 
 
-def _sector_eigensystem(nmax, d, e, energy=None, columns=None):
+def _sector_eigensystem(nmax, d, e, energy=None):
     """Per-sector eigendecomposition of the real tridiagonal b = 0 block with diagonal d, subdiagonal e.
 
     The block is spin fastest, and sector b takes its leading part
@@ -571,16 +577,20 @@ def _sector_eigensystem(nmax, d, e, energy=None, columns=None):
     bands (:func:`_sturm_counts`) counts every sector's eigenvalues below
     it, and a solve takes only those pairs and the next. The b = 0 window
     serves every sector that holds it to rounding (:func:`_shared_run`);
-    the other sectors are solved on their own. ``columns(u)`` maps the
-    kept eigenvectors u of a solve, those with eigenvalue <= energy and
-    their entries of magnitude <= machine epsilon set to zero. (Inverse
-    iteration leaves entries near 1e-49 where the whole solve gives exact
-    zeros; :func:`fermi_stacks` trims at the last nonzero level.) The
-    interior pairs next to the energy are those of the whole solve, so the
-    gap test on them is unchanged. Returns a list of (sectors, eigenvalues,
-    kept eigenvectors or None, interior flags), one per solve, in
-    ascending b, with ``sectors`` the range of b that share it, and the
-    globally sorted (eigenvalues, interior flags).
+    the other sectors are solved on their own. A solve keeps its
+    eigenvectors with eigenvalue <= energy, their entries of magnitude
+    <= machine epsilon set to zero, cut one level past their last nonzero
+    level. (Inverse iteration leaves entries near 1e-49 where the whole
+    solve gives exact zeros.) The zeros reach well below the sector's top,
+    so the cut keeps few rows, and the zero level left on top keeps the
+    window exact for :func:`_curvature`, which takes a+ out of the last
+    nonzero level. Columns without a nonzero row are kept whole. A solve
+    that serves a run of sectors holds its cut columns clear of every one
+    of their tops. The interior pairs next to the energy are those of the
+    whole solve, so the gap test on them is unchanged. Returns a list of
+    (sectors, eigenvalues, kept eigenvectors or None, interior flags), one
+    per solve, in ascending b, with ``sectors`` the range of b that share
+    it, and the globally sorted (eigenvalues, interior flags).
     """
     spin = len(d) // (nmax + 1)
     lib = _numpy_openblas()
@@ -595,7 +605,10 @@ def _sector_eigensystem(nmax, d, e, energy=None, columns=None):
             w, v, flags = _solve_sector(lib, d[:k], e[:k - 1], spin, energy, below[k - 1])
             v[np.abs(v) <= np.finfo(float).eps] = 0.0
             run = _shared_run(nmax, spin, below, v, flags) if b == 0 else 1
-            kept = columns(v[:, w <= energy])
+            kept = v[:, w <= energy]
+            last = _last_level(kept, spin)
+            if last is not None:
+                kept = kept[:spin * (last + 2)]
         secs.append((range(b, b + run), w, kept, flags))
         b += run
     return (secs,) + _sorted_levels(secs)
@@ -643,11 +656,13 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     With one, a solve returns only its window of eigenvalues, up to its
     first interior one above the energy, and one solve serves the run of
     sectors from b = 0 that hold its window (:func:`_sector_eigensystem`).
-    Its eigenvectors with eigenvalue <= energy are mapped back to the
-    spin-fastest basis, v[n, a] = e^{i n arg mu_k} u_n W[a, k] for both
-    channels k, with the rows of its first sector. Returns a list of
-    (sectors, eigenvalues, those columns or None, interior flags), one per
-    solve, and the globally sorted (eigenvalues, interior flags).
+    Its kept columns, those with eigenvalue <= energy cut one level past
+    their last nonzero level, are mapped back to the spin-fastest basis,
+    v[n, a] = e^{i n arg mu_k} u_n W[a, k] for both channels k, with the
+    rows of its first sector; the map is elementwise, so the cut rows stay
+    zero. Returns the Fermi projection as sector stacks (sectors, 0, V),
+    one per solve (none without an energy), and the globally sorted
+    (eigenvalues, interior flags).
     """
     lam, W = np.linalg.eigh(params.r[1] * SIGMA1 + params.r[2] * SIGMA3)
     mu = np.exp(1j * np.pi / 4) * params.r[0] + np.exp(-1j * np.pi / 4) * lam  # W^dagger M W = diag(mu)
@@ -657,36 +672,12 @@ def quaternionic_sector_eigensystem(nmax, params, energy=None):
     d = params.eps_B * (n + 0.5 + shift ** 2)
     e = params.eps_B * shift * np.sqrt(n[1:])
     phases = np.exp(1j * np.outer(n, np.angle(mu)))
-
-    def columns(u):
-        s = len(u)
-        return np.einsum("nk,nc,ak->nakc", phases[:s], u, W).reshape(2 * s, -1)
-
-    secs, evs, flags = _sector_eigensystem(nmax, d, e, energy, columns)
-    secs = [(bs, np.repeat(w, 2), V, np.repeat(fl, 2)) for bs, w, V, fl in secs]
-    return secs, np.repeat(evs, 2), np.repeat(flags, 2)
-
-
-def fermi_stacks(sectors):
-    """One stack (sectors, 0, V) per solve of :func:`quaternionic_sector_eigensystem` at an energy.
-
-    V is the solve's columns cut one level past their last nonzero level:
-    the solver sets the entries of magnitude <= machine epsilon to zero,
-    which the columns reach well below the sector's top, and the zero level
-    left on top keeps the window exact for :func:`_curvature`. A V without
-    a nonzero row is kept whole. A solve that serves a run of sectors holds
-    its cut V clear of every one of their tops (:func:`_shared_run`), so it
-    is their one stack.
-    """
-    stacks = []
-    for bs, _w, V, _flags in sectors:
-        rows = np.flatnonzero((V != 0).any(axis=1))
-        if len(rows):
-            V = V[:2 * (rows[-1] // 2 + 2)]
-        stacks.append((bs, 0, V))
-    return stacks
+    secs, evs, flags = _sector_eigensystem(nmax, d, e, energy)
+    stacks = [(bs, 0, np.einsum("nk,nc,ak->nakc", phases[:len(u)], u, W).reshape(2 * len(u), -1))
+              for bs, _, u, _ in secs if u is not None]
+    return stacks, np.repeat(evs, 2), np.repeat(flags, 2)
 
 
 def quaternionic_shell_sums(nmax, params, stacks):
-    """Rank and Chern shell sums of the Fermi projection, from its :func:`fermi_stacks`."""
+    """Rank and Chern shell sums of the Fermi projection from its stacks, as the eigensystem hands them out."""
     return shell_sums(nmax, stacks, 2, params.xi)

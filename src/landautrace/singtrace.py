@@ -272,25 +272,23 @@ def dixmier_via_gamma_fit(seq, tolerance=1e-3, schedule=GAMMA_SCHEDULE):
     psi(N + a) - psi(a) (DLMF 5.11.2). The four-column fit needs at least
     five schedule points, so it never passes through every point. The
     residual combines the fit deviation (in gamma units) with the spread
-    against a refit on the upper half of the schedule; non-convergence is
-    reported through the flag, never raised. Counts past the int64 range
-    are left out of the schedule; with fewer than five left (the Landau
-    schedules from xi of about 2^51) the estimate is an unconverged NaN.
+    against a refit on the upper half of the schedule, which needs five
+    points of its own; non-convergence is reported through the flag, never
+    raised. Counts past the int64 range are left out of the schedule; with
+    fewer than ten left (the Landau schedules from xi of about 2^46) the
+    estimate is an unconverged NaN.
     """
     # snap to multiplicity-block boundaries (shell-subsequence evaluation)
     schedule = sorted({seq.boundary_at_least(n) for n in schedule if n <= np.iinfo(np.int64).max})
-    if len(schedule) < 5:
+    if len(schedule) < 10:
         return DixmierEstimate(np.nan, "gamma_fit", [], False, np.inf)
     N = np.array(schedule, dtype=float)
     sig = seq.sigma(np.array(schedule))
     samples = [(int(n), float(s) / np.log(n)) for n, s in zip(N, sig)]
     value, dev = _sigma_slope(N, sig)
     half = len(N) // 2
-    if len(N) - half >= 5:
-        value_hi, _ = _sigma_slope(N[half:], sig[half:])
-        residual = max(dev, abs(value - value_hi))
-    else:
-        residual = dev
+    value_hi, _ = _sigma_slope(N[half:], sig[half:])
+    residual = max(dev, abs(value - value_hi))
     return DixmierEstimate(value, "gamma_fit", samples, residual <= tolerance, residual)
 
 

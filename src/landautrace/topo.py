@@ -111,9 +111,14 @@ def _certify(routes):
 
 
 def _report(rank_routes, chern_routes, twist, sym_res, residuals, parity=False):
-    """Certify both route tuples, label the twist ("none" over SYMMETRY_TOL), check parity if asked."""
+    """Certify both route tuples, label the twist ("none" over SYMMETRY_TOL), check parity if asked.
+
+    A non-finite identity residual, as from overflowing commutators, leaves
+    the Chern number uncertified.
+    """
     rank_rounded, rank_ok = _certify(rank_routes)
     chern_rounded, chern_ok = _certify(chern_routes)
+    chern_ok = chern_ok and bool(np.isfinite(list(residuals.values())).all())
     label = sectors.symmetry_label(twist) if sym_res <= SYMMETRY_TOL else "none"
     parity_ok = not parity or (rank_ok and chern_ok and rank_rounded % 2 == chern_rounded % 2 == 0)
     return TopologicalReport(
@@ -217,11 +222,10 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
     """
     if gap_threshold is None:
         gap_threshold = GAP_FRACTION * params.eps_B
-    secs, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+    stacks, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
     gaps = _gaps_from_levels(evs[flags], gap_threshold)
     if not any(g.contains(energy) for g in gaps):
         raise NoGapError(f"no certified gap around E = {energy}")
-    stacks = sectors.fermi_stacks(secs)
     rank_sums, chern_sums = sectors.quaternionic_shell_sums(nmax, params, stacks)
     rank_est = dixmier_from_shell_sums(rank_sums, params.xi)
     chern_est = dixmier_from_shell_sums(chern_sums, params.xi)
@@ -232,7 +236,7 @@ def invariants_quaternionic(energy, nmax, params, gap_threshold=None):
 def _quaternionic_symmetry_residual(stacks):
     """Residual of Xi' P_E Xi'^{-1} = P_E, sector by sector, with the quaternionic record's twist.
 
-    ``stacks`` are the :func:`sectors.fermi_stacks` of P_E.
+    ``stacks`` are the sector stacks of P_E from ``sectors.quaternionic_sector_eigensystem``.
     """
     return sectors.symmetry_residual(stacks, sectors.QUATERNIONIC.twist)
 

@@ -370,8 +370,8 @@ class TestSpectrum:
         solve = sectors.quaternionic_sector_eigensystem
 
         def shifted(*args, **kwargs):
-            secs, evs, flags = solve(*args, **kwargs)
-            return secs, evs + 1e-3, flags
+            stacks, evs, flags = solve(*args, **kwargs)
+            return stacks, evs + 1e-3, flags
 
         monkeypatch.setattr(sectors, "quaternionic_sector_eigensystem", shifted)
         rc = main(["--model", "quaternionic", "--nmax", "16", "--out", str(tmp_path), "spectrum"])
@@ -498,17 +498,23 @@ class TestInvariants:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_identity_residuals_are_strict_json(self, tmp_path, monkeypatch):
-        # at ell_B = 1e154 the level-3 commutators overflow: NaN residuals, written as null
+        # at ell_B = 1e154 the level-3 commutators overflow: NaN residuals, written as
+        # null, leave the Chern number uncertified (it was once certified with exit 0)
         monkeypatch.setenv("LANDAU_LEVELS", "3")
         monkeypatch.setenv("LANDAU_PARAMS__ELL_B", "1e154")
-        main(["--nmax", "14", "--out", str(tmp_path), "invariants"])
+        assert main(["--nmax", "14", "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
         report = read_strict_json(tmp_path / "invariants.json")[0]
         assert report["identity_residuals"] == {"commutator_identity": None, "curvature_identity": None}
+        assert report["chern"]["rounded"] == 1 and not report["chern"]["certified"]
+        assert report["rank"]["certified"]
 
-    def test_gamma_fit_past_the_int64_range_is_unconverged(self, tmp_path, monkeypatch):
-        # the schedule of the offset 2 + 2e150 passes 2^63: the gamma route is an
-        # unconverged NaN, written as null, the rank is not certified, exit 3
-        monkeypatch.setenv("LANDAU_PARAMS__XI", "1e150")
+    @pytest.mark.parametrize("xi", ["1e150", "1e15"])
+    def test_gamma_fit_past_the_int64_range_is_unconverged(self, tmp_path, monkeypatch, xi):
+        # the schedule of the offset 2 + 2 xi passes 2^63, at 1e150 from its first count
+        # and at 1e15 after 6 of them, too few for the fit and its upper-half refit
+        # (once 1.00309 +- 1.0e-5, converged): the gamma route is an unconverged NaN,
+        # written as null, the rank is not certified, exit 3
+        monkeypatch.setenv("LANDAU_PARAMS__XI", xi)
         assert main(["--nmax", "14", "--out", str(tmp_path), "invariants"]) == EXIT_NOCONV
         rank = read_strict_json(tmp_path / "invariants.json")[0]["rank"]
         (fit,) = rank["cross_checks"]

@@ -142,6 +142,8 @@ def test_every_input_ends_in_a_documented_status(run):
     ("verify", {"nmax": 13, "params.ell_b": 1e154, "check": "tuv_bridge"}, EXIT_ASSERT),
     # c_b^2 itself is finite, and the pair angles are formed from c_b sqrt(8 j)
     ("invariants", {"model": "jaynes_cummings", "nmax": 40, "params.c_b": 1e154}, EXIT_OK),
+    # the level-3 commutators overflow: NaN identity residuals leave the Chern number uncertified
+    ("invariants", {"nmax": 14, "levels": 3, "params.ell_b": 1e154}, EXIT_NOCONV),
 ])
 def test_overflow_inside_the_engines(command, keys, status):
     # inputs whose derived scales pass ModelParams but overflow further in

@@ -80,16 +80,17 @@ def test_jc_interior_count(nmax):
     assert flags.sum() == (nmax - 1) ** 2
 
 
-def serial_sector_eigensystem(nmax, block, energy=None, columns=None, share=True):
+def serial_sector_eigensystem(nmax, block, energy=None, share=True, cut=True):
     """The serial loop over the sectors, the block of each built on its own by ``block(s)``.
 
     Without an energy each block goes to ``eigh``. With one, each block's
     bands go to the windowed routine with a Sturm count of that block alone,
-    and its columns with eigenvalue <= energy, entries up to machine epsilon
-    set to zero, to ``columns``. With ``share``, a sector takes the b = 0
-    window instead where the sharing rule allows it: every pair of that
-    window interior, the same Sturm count, and s >= t + EDGE_SHELLS with t
-    the levels through the window's last nonzero entry.
+    and it keeps its columns with eigenvalue <= energy, entries up to machine
+    epsilon set to zero, with ``cut`` cut one level past their last nonzero
+    level. With ``share``, a sector takes the b = 0 window instead where the
+    sharing rule allows it: every pair of that window interior, the same
+    Sturm count, and s >= t + EDGE_SHELLS with t the levels through the
+    window's last nonzero entry.
     """
     secs = []
     for b in range(nmax + 1):
@@ -112,7 +113,10 @@ def serial_sector_eigensystem(nmax, block, energy=None, columns=None, share=True
             else:
                 w, v, flags = sectors._solve_sector(sectors._numpy_openblas(), d, e, spin, energy, below)
                 v[np.abs(v) <= np.finfo(float).eps] = 0.0
-            kept = columns(v[:, w <= energy])
+            kept = v[:, w <= energy]
+            rows = np.flatnonzero(kept.any(axis=1))
+            if cut and len(rows):
+                kept = kept[:spin * (rows[-1] // spin + 2)]
         secs.append((b, w, kept, flags))
     ev = np.concatenate([w for _, w, _, _ in secs])
     fl = np.concatenate([flags for _, _, _, flags in secs])
@@ -120,14 +124,9 @@ def serial_sector_eigensystem(nmax, block, energy=None, columns=None, share=True
     return secs, ev[order], fl[order]
 
 
-def per_sector(nmax, secs):
-    """The (b, eigenvalues, columns, flags) of every sector: a shared solve repeated, its columns cut to size."""
-    out = []
-    for bs, w, V, fl in secs:
-        for b in bs:
-            cut = None if V is None else V[:len(V) // (nmax + 1 - bs.start) * (nmax + 1 - b)]
-            out.append((b, w, cut, fl))
-    return out
+def per_sector(entries):
+    """Solver records (sectors, w, V, flags) or stacks (sectors, n0, V), one entry (b, ...) per sector."""
+    return [(b, *rest) for bs, *rest in entries for b in bs]
 
 
 def band_matrix(d, e):
@@ -163,26 +162,31 @@ EIGENSYSTEMS = {
 
 
 def serial_run(name, nmax, params, monkeypatch):
-    """The eigensystem ``name`` with :func:`serial_sector_eigensystem` in place of the pooled solver."""
+    """The eigensystem ``name`` and its solver records, with :func:`serial_sector_eigensystem` as the solver."""
     run, block = EIGENSYSTEMS[name]
     if name == "landau":
-        return serial_sector_eigensystem(nmax, lambda s: block(s, params))[1:]
+        return serial_sector_eigensystem(nmax, lambda s: block(s, params))[1:], []
     calls = []
 
-    def serial(nmax, d, e, energy=None, columns=None):
-        calls.append(1)
-        return serial_sector_eigensystem(nmax, lambda s: block(s, params), energy, columns)
+    def serial(nmax, d, e, energy=None):
+        calls.append(serial_sector_eigensystem(nmax, lambda s: block(s, params), energy))
+        return calls[-1]
 
     with monkeypatch.context() as m:
         m.setattr(sectors, "_sector_eigensystem", serial)
         out = run(nmax, params)
-    assert calls == [1]
-    return out
+    (records, _, _), = calls
+    return out, records
 
 
-def expanded(nmax, out):
-    """An eigensystem's output with its solves listed per sector (:func:`per_sector`)."""
-    return (per_sector(nmax, out[0]),) + out[1:] if len(out) == 3 else out
+def pooled_run(name, nmax, params, monkeypatch):
+    """The eigensystem ``name`` and its solver records, stacks and records listed per sector."""
+    with monkeypatch.context() as m:
+        calls = spy_solver(m)
+        out = EIGENSYSTEMS[name][0](nmax, params)
+    if len(out) == 3:
+        out = (per_sector(out[0]),) + out[1:]
+    return out, [record for _, _, records in calls for record in per_sector(records)]
 
 
 def flat_bytes(out):
@@ -220,10 +224,9 @@ def test_pooled_eigensystems_match_the_serial_loop_bit_for_bit(nmax, name, blas_
     # blocks sliced from b = 0, with counts from one Sturm pass over its bands,
     # and solved with the BLAS on one thread, on three (or every usable CPU, where
     # fewer) and on its default count, against blocks built for each size on their own
-    run = EIGENSYSTEMS[name][0]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     with blas_on(blas_threads):
-        new = expanded(nmax, run(nmax, params))
+        new = pooled_run(name, nmax, params, monkeypatch)
     assert flat_bytes(new) == flat_bytes(serial_run(name, nmax, params, monkeypatch))
 
 
@@ -283,12 +286,11 @@ def test_sector_solve_error_propagates(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("name", ["landau", "jc", "quaternionic-E2"])
 def test_eigh_fallback_matches_the_serial_loop_bit_for_bit(name, monkeypatch):
     # without numpy's OpenBLAS the band matrices go to eigh, windows sliced from it
-    run = EIGENSYSTEMS[name][0]
     params = ModelParams(c_b=0.6, r=(0.6, 0.0, -0.8))
     monkeypatch.setattr(sectors, "_numpy_openblas", lambda: None)
     monkeypatch.setattr(sectors, "_tridiagonal_eigh", None)
     for nmax in (0, 13, 140):
-        new = expanded(nmax, run(nmax, params))
+        new = pooled_run(name, nmax, params, monkeypatch)
         assert flat_bytes(new) == flat_bytes(serial_run(name, nmax, params, monkeypatch))
 
 
@@ -308,8 +310,8 @@ def spy_solver(monkeypatch):
     calls = []
     solver = sectors._sector_eigensystem
 
-    def spy(nmax, d, e, energy=None, columns=None):
-        out = solver(nmax, d, e, energy, columns)
+    def spy(nmax, d, e, energy=None):
+        out = solver(nmax, d, e, energy)
         calls.append((d, e, out[0]))
         return out
 
@@ -540,29 +542,39 @@ def test_one_sector_stacks_match_the_sector_loop_bit_for_bit(nmax, spin):
 
 
 @pytest.mark.parametrize("energy", [1.0, 2.0])
-def test_fermi_stacks_match_the_sector_loop_bit_for_bit(energy):
+def test_quaternionic_stacks_match_the_sector_loop_bit_for_bit(energy):
     for params in QUAT_CASES:
-        secs, _, _ = sectors.quaternionic_sector_eigensystem(40, params, energy)
-        columns = [(b, V) for b, _, V, _ in per_sector(40, secs)]
-        stacks = sectors.fermi_stacks(secs)
+        stacks, _, _ = sectors.quaternionic_sector_eigensystem(40, params, energy)
+        columns = [(b, V) for b, _, V in per_sector(stacks)]
         new = sectors.quaternionic_shell_sums(40, params, stacks)
         assert all(map(same_bytes, new, loop_shell_sums(40, columns, 2, params.xi)))
         assert same_bytes(topo._quaternionic_symmetry_residual(stacks),
                           loop_symmetry_residual(columns, sectors.QUATERNIONIC.twist))
 
 
+def whole_columns(nmax, params, energy, monkeypatch):
+    """One-sector stacks of the Fermi projection with uncut columns, from the serial loop with sharing."""
+    def serial(nmax, d, e, energy=None):
+        return serial_sector_eigensystem(nmax, lambda s: quaternionic_tridiagonal(s, params), energy,
+                                         cut=False)
+
+    with monkeypatch.context() as m:
+        m.setattr(sectors, "_sector_eigensystem", serial)
+        stacks = sectors.quaternionic_sector_eigensystem(nmax, params, energy)[0]
+    return [(range(b, b + 1), n0, V) for b, n0, V in stacks]
+
+
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 @pytest.mark.parametrize("nmax", [40, 140])
-def test_trimmed_fermi_stacks_match_whole_columns_bit_for_bit(nmax, energy):
+def test_cut_columns_match_whole_columns_bit_for_bit(nmax, energy, monkeypatch):
     # the columns are cut after their last nonzero level and one zero level;
     # a sector with no column (r = 0: eps_B 1.3 puts its one level above E = 1)
     # keeps V whole; the stack of a run of sectors holds one cut V for all of them
     trimmed = empty = 0
     for params in QUAT_CASES:
-        secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
-        whole = [(range(b, b + 1), 0, V) for b, _, V, _ in per_sector(nmax, secs)]
-        stacks = sectors.fermi_stacks(secs)
-        sector_rows = [(b, V) for bs, _, V in stacks for b in bs]
+        stacks, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+        whole = whole_columns(nmax, params, energy, monkeypatch)
+        sector_rows = [(b, V) for b, _, V in per_sector(stacks)]
         assert [b for b, _ in sector_rows] == [bs.start for bs, _, _ in whole]
         for (_, V), (_, _, W) in zip(sector_rows, whole):
             assert len(V) % 2 == 0 and same_bytes(V, W[:len(V)]) and not W[len(V):].any()
@@ -830,24 +842,36 @@ def dense_quaternionic_sectors(nmax, params):
 
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
 @pytest.mark.parametrize("nmax", [6, 20, 40])
-def test_quaternionic_rotated_sectors_match_dense_blocks(nmax, params):
-    secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
+def test_quaternionic_rotated_sectors_match_dense_blocks(nmax, params, monkeypatch):
+    # the solver's records hold each eigenvalue once, for both channels
+    calls = spy_solver(monkeypatch)
+    stacks, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
+    (_, _, secs), = calls
     dense = dense_quaternionic_sectors(nmax, params)
-    assert len(secs) == len(dense)
+    assert stacks == [] and len(secs) == len(dense)
     for (bs, w, V, flags), (db, dw, _, dflags) in zip(secs, dense):
         assert bs == range(db, db + 1) and V is None  # no energy: every sector solved, no eigenvectors kept
-        np.testing.assert_allclose(w, dw, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(flags, dflags)
+        np.testing.assert_allclose(np.repeat(w, 2), dw, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(np.repeat(flags, 2), dflags)
 
 
 def whole_sector_eigensystem(nmax, params, energy, monkeypatch):
-    """The quaternionic eigensystem at an energy with every sector solved whole.
+    """The quaternionic eigensystem at an energy with every sector solved whole, and its solver records.
 
     A Sturm count of every eigenvalue makes each window the whole sector.
     """
     with monkeypatch.context() as m:
         m.setattr(sectors, "_sturm_counts", lambda d, e, energy: np.arange(1, len(d) + 1))
-        return sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+        return solver_records(nmax, params, energy, m)
+
+
+def on_rows(V, rows):
+    """Cut columns V on a whole sector of ``rows`` rows, zero-padded; the rows past it must be zero.
+
+    A stack keeps columns without a nonzero row whole, at the size of its first sector.
+    """
+    assert not V[rows:].any()
+    return np.pad(V[:rows], ((0, rows - min(len(V), rows)), (0, 0)))
 
 
 def has_gap(energy, evs, flags, params):
@@ -864,27 +888,36 @@ def test_windowed_solve_matches_the_whole_solve(nmax, params, monkeypatch):
     # same Fermi projection in every sector, shared solves included
     _, evs, _ = sectors.quaternionic_sector_eigensystem(nmax, params)
     for energy in (0.0, float(evs[len(evs) // 8]), 1.0, 2.0, 3.0):
-        secs, evs_w, flags_w = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
-        whole, evs_f, flags_f = whole_sector_eigensystem(nmax, params, energy, monkeypatch)
+        (stacks, evs_w, flags_w), secs = solver_records(nmax, params, energy, monkeypatch)
+        (whole, evs_f, flags_f), secs_f = whole_sector_eigensystem(nmax, params, energy, monkeypatch)
         assert has_gap(energy, evs_w, flags_w, params) == has_gap(energy, evs_f, flags_f, params)
-        for (b, w, V, fl), (bf, wf, Vf, flf) in zip(per_sector(nmax, secs), per_sector(nmax, whole),
-                                                    strict=True):
+        for (b, w, _, fl), (bf, wf, _, flf) in zip(per_sector(secs), per_sector(secs_f), strict=True):
             assert b == bf and len(w) <= len(wf)
             np.testing.assert_array_equal(fl, flf[:len(w)])
             assert np.abs(w - wf[:len(w)]).max() <= 1e-13 * params.eps_B
-            assert V.shape == Vf.shape
+        for (b, _, V), (bf, _, Vf) in zip(per_sector(stacks), per_sector(whole), strict=True):
+            rows = 2 * (nmax + 1 - b)
+            assert b == bf and V.shape[1] == Vf.shape[1]
+            V, Vf = on_rows(V, rows), on_rows(Vf, rows)
             assert np.abs(V @ V.conj().T - Vf @ Vf.conj().T).max(initial=0.0) <= 1e-12
 
 
-def own_solves(nmax, params, energy, monkeypatch):
-    """Each quaternionic sector at the energy solved on its own, as (b, eigenvalues, columns, flags)."""
-    def serial(nmax, d, e, energy=None, columns=None):
-        return serial_sector_eigensystem(nmax, lambda s: quaternionic_tridiagonal(s, params), energy,
-                                         columns, share=False)
+def solver_records(nmax, params, energy, monkeypatch):
+    """The quaternionic eigensystem at the energy and its solver records (sectors, w, u, flags), per solve.
 
+    The records are single-channel: real columns u and eigenvalues w once each.
+    """
     with monkeypatch.context() as m:
-        m.setattr(sectors, "_sector_eigensystem", serial)
-        return sectors.quaternionic_sector_eigensystem(nmax, params, energy)[0]
+        calls = spy_solver(m)
+        out = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+    (_, _, records), = calls
+    return out, records
+
+
+def own_solves(nmax, params, energy):
+    """Each quaternionic sector at the energy solved on its own, as records (b, w, whole columns u, flags)."""
+    return serial_sector_eigensystem(nmax, lambda s: quaternionic_tridiagonal(s, params), energy,
+                                     share=False, cut=False)[0]
 
 
 def check_shared_sectors(nmax, params, monkeypatch):
@@ -899,22 +932,23 @@ def check_shared_sectors(nmax, params, monkeypatch):
     shared = 0
     _, evs, _ = sectors.quaternionic_sector_eigensystem(min(nmax, 40), params)
     for energy in (0.0, float(evs[len(evs) // 8]), 1.0, 2.0, 3.0):
-        secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
-        if len(secs[0][0]) == 1:
+        _, secs = solver_records(nmax, params, energy, monkeypatch)
+        run, w, u, _ = secs[0]
+        if len(run) == 1:
             continue  # the shared run starts at b = 0: here every sector is solved on its own
-        own = own_solves(nmax, params, energy, monkeypatch)
-        run, w, V, _ = secs[0]
+        own = own_solves(nmax, params, energy)
         for b in run[1:]:
             s = nmax + 1 - b
-            _, w_own, V_own, fl_own = own[b]
+            _, w_own, u_own, fl_own = own[b]
             assert (w < energy).sum() == (w_own < energy).sum(), (b, energy)
             assert len(w) <= len(w_own) and fl_own[:len(w)].all()
             assert np.abs(w - w_own[:len(w)]).max() <= 1e-13 * params.eps_B, (b, energy)
-            cut = V[:2 * s]
-            rows = (cut != 0).any(axis=1) | (V_own != 0).any(axis=1)
-            P, P_own = cut[rows] @ cut[rows].conj().T, V_own[rows] @ V_own[rows].conj().T
-            assert cut.shape == V_own.shape and np.abs(P - P_own).max(initial=0.0) <= 1e-12
-            edge = np.abs(cut[2 * max(s - sectors.EDGE_SHELLS, 0):]) ** 2
+            assert u.shape[1] == u_own.shape[1], (b, energy)
+            cut = on_rows(u, s)
+            rows = (cut != 0).any(axis=1) | (u_own != 0).any(axis=1)
+            P, P_own = cut[rows] @ cut[rows].T, u_own[rows] @ u_own[rows].T
+            assert np.abs(P - P_own).max(initial=0.0) <= 1e-12
+            edge = np.abs(cut[max(s - sectors.EDGE_SHELLS, 0):]) ** 2
             assert edge.sum(axis=0).max(initial=0.0) < sectors.INTERIOR_MASS, (b, energy)
             shared += 1
     return shared
@@ -950,33 +984,34 @@ def test_fermi_projection_solves_few_sectors(params, monkeypatch):
 
 
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
-def test_fermi_stacks_keep_under_half_the_sector_rows(params):
+def test_cut_columns_keep_under_half_the_sector_rows(params):
     # inverse iteration leaves tiny entries up to each sector's top; set to zero,
-    # they no longer hold the trim there
-    secs, _, _ = sectors.quaternionic_sector_eigensystem(140, params, 2.0)
-    kept = sum(len(bs) * len(V) for bs, _, V in sectors.fermi_stacks(secs))
-    assert kept < sum(V.shape[0] for _, _, V, _ in per_sector(140, secs)) / 2
+    # they no longer hold the cut there
+    stacks, _, _ = sectors.quaternionic_sector_eigensystem(140, params, 2.0)
+    kept = sum(len(bs) * len(V) for bs, _, V in stacks)
+    assert kept < sum(2 * (141 - b) for b in range(141)) / 2
 
 
 def rotated_and_dense_columns(energy):
     """Fermi-projection columns of both paths, for every case at Nmax 6, 20 and 40."""
     for params in QUAT_CASES:
         for nmax in (6, 20, 40):
-            secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
+            stacks, _, _ = sectors.quaternionic_sector_eigensystem(nmax, params, energy)
             dense = dense_quaternionic_sectors(nmax, params)
             columns = [(b, v[:, w <= energy]) for b, w, v, _ in dense]
-            for (_, _, V, _), (_, dV) in zip(per_sector(nmax, secs), columns, strict=True):
-                assert V.shape == dV.shape
+            for (_, _, V), (_, dV) in zip(per_sector(stacks), columns, strict=True):
+                assert V.shape[1] == dV.shape[1]
+                V = on_rows(V, len(dV))
                 P = V @ V.conj().T
                 assert np.abs(P - dV @ dV.conj().T).max() <= 1e-12
                 assert np.abs(P @ P - P).max() <= 1e-12
-            yield nmax, params, secs, columns
+            yield nmax, params, stacks, columns
 
 
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 def test_quaternionic_shell_sums_match_dense(energy):
-    for nmax, params, secs, columns in rotated_and_dense_columns(energy):
-        rank, chern = sectors.quaternionic_shell_sums(nmax, params, sectors.fermi_stacks(secs))
+    for nmax, params, stacks, columns in rotated_and_dense_columns(energy):
+        rank, chern = sectors.quaternionic_shell_sums(nmax, params, stacks)
         ref_rank, ref_chern = dense_shell_sums(nmax, columns, 2, params.xi)
         np.testing.assert_allclose(rank, ref_rank, rtol=0, atol=1e-12)
         np.testing.assert_allclose(chern, ref_chern, rtol=0, atol=1e-12)
@@ -984,17 +1019,17 @@ def test_quaternionic_shell_sums_match_dense(energy):
 
 @pytest.mark.parametrize("energy", [1.0, 2.0])
 def test_quaternionic_symmetry_residual_matches_dense(energy):
-    for _, _, secs, columns in rotated_and_dense_columns(energy):
-        res = topo._quaternionic_symmetry_residual(sectors.fermi_stacks(secs))
+    for _, _, stacks, columns in rotated_and_dense_columns(energy):
+        res = topo._quaternionic_symmetry_residual(stacks)
         assert res == pytest.approx(dense_quaternionic_symmetry_residual(columns), abs=1e-13)
         assert res <= topo.SYMMETRY_TOL
     # random orthonormal columns break the symmetry; both forms must still agree
     rng = np.random.default_rng(int(energy))
-    secs, _, _ = sectors.quaternionic_sector_eigensystem(NMAX, QUAT_CASES[0], energy)
-    broken = [(range(b, b + 1), w, random_columns(rng, V.shape[0], V.shape[1]), fl)
-              for b, w, V, fl in per_sector(NMAX, secs)]
-    res = topo._quaternionic_symmetry_residual(sectors.fermi_stacks(broken))
-    ref = dense_quaternionic_symmetry_residual([(bs.start, V) for bs, _, V, _ in broken])
+    stacks, _, _ = sectors.quaternionic_sector_eigensystem(NMAX, QUAT_CASES[0], energy)
+    broken = [(range(b, b + 1), 0, random_columns(rng, 2 * (NMAX + 1 - b), V.shape[1]))
+              for b, _, V in per_sector(stacks)]
+    res = topo._quaternionic_symmetry_residual(broken)
+    ref = dense_quaternionic_symmetry_residual([(bs.start, V) for bs, _, V in broken])
     assert res > 1e-1
     assert res == pytest.approx(ref, rel=1e-12)
 
@@ -1038,11 +1073,11 @@ def test_twist_residual_agrees_with_projection_residual():
     # projection at E = 2, where r1 = 0 makes sigma_1 a symmetry too
     nmax = 40
     p = ModelParams(xi=XI, c_b=0.5, r=(0.6, 0.0, -0.8))
-    secs, _, _ = sectors.quaternionic_sector_eigensystem(nmax, p, 2.0)
+    fermi, _, _ = sectors.quaternionic_sector_eigensystem(nmax, p, 2.0)
     for model, stacks, twists in (
         (sectors.JC, sectors.jc_stacks(nmax, 2, jc_angles(2, p.c_b)[0]),
          [(sectors.JC.twist, True), (np.diag([1, -1j]), False)]),
-        (sectors.QUATERNIONIC, sectors.fermi_stacks(secs),
+        (sectors.QUATERNIONIC, fermi,
          [(sectors.SIGMA2, True), (sectors.SIGMA1, True), (sectors.SIGMA3, False),
           (np.diag([1, 1j]), False)]),
     ):
@@ -1054,14 +1089,20 @@ def test_twist_residual_agrees_with_projection_residual():
 
 @pytest.mark.parametrize("params", QUAT_CASES, ids=QUAT_IDS)
 @pytest.mark.parametrize("nmax", [6, 20, 40])
-def test_quaternionic_closed_form(nmax, params):
-    # Landau x C^2 up to a gauge: interior levels eps_B (n + 1/2), each an even
-    # number of times per sector. An interior vector leaves under INTERIOR_MASS
-    # on the edge shells, which moves its eigenvalue by less than that many eps_B.
-    secs, _, flags = sectors.quaternionic_sector_eigensystem(nmax, params)
+def test_quaternionic_closed_form(nmax, params, monkeypatch):
+    # Landau x C^2 up to a gauge: interior levels eps_B (n + 1/2), n = 0, 1, ...,
+    # each once in the one channel a solve holds and twice in the spectrum. An
+    # interior vector leaves under INTERIOR_MASS on the edge shells, which moves
+    # its eigenvalue by less than that many eps_B.
+    calls = spy_solver(monkeypatch)
+    _, evs, flags = sectors.quaternionic_sector_eigensystem(nmax, params)
+    (_, _, secs), = calls
     assert flags.any() or nmax == 6
+    assert len(secs) == nmax + 1
     for _, w, _, interior in secs:
         level = w[interior] / params.eps_B - 0.5
         n = np.rint(level)
         assert np.abs(level - n).max(initial=0.0) <= sectors.INTERIOR_MASS
-        assert (np.unique(n, return_counts=True)[1] % 2 == 0).all()
+        assert n.tolist() == list(range(len(n)))
+    interior = evs[flags] / params.eps_B - 0.5
+    assert (np.unique(np.rint(interior), return_counts=True)[1] % 2 == 0).all()

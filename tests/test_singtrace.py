@@ -236,12 +236,22 @@ class TestGammaFit:
 
     def test_nonconvergence_flag_not_exception(self):
         # sorted uniform draws: sigma_N grows like N, which L + c/log N cannot fit;
-        # the schedule stays inside the 2^12 values, before the zero tail
+        # the schedule stays inside the 2^12 values, before the zero tail, with the
+        # ten counts a fit and its refit need, so the fit itself fails
         rng = np.random.default_rng(1)
         vals = np.sort(rng.uniform(0, 1, size=2 ** 12))[::-1]
-        schedule = [2 ** k for k in range(4, 12)]
+        schedule = [2 ** k for k in range(2, 12)]
         est = dixmier_via_gamma_fit(SingularSequence.from_values(vals), tolerance=1e-9, schedule=schedule)
+        assert len(est.samples) == 10 and np.isfinite(est.value)
         assert est.converged is False
+
+    @pytest.mark.parametrize("points", [5, 9])
+    def test_too_few_counts_for_the_refit_are_unconverged(self, points):
+        # five counts fit the four columns, and the upper-half refit needs five more
+        seq = q_level_sequence(0.0, 0)
+        est = dixmier_via_gamma_fit(seq, schedule=GAMMA_SCHEDULE[:points])
+        assert np.isnan(est.value) and est.residual == np.inf and not est.converged
+        assert dixmier_via_gamma_fit(seq, schedule=GAMMA_SCHEDULE[:10]).converged
 
 
 class TestClosedFormTraces:
