@@ -356,36 +356,34 @@ def _hurwitz_direct(t, a):
     return np.sum((np.arange(terms) + a) ** -t) + tail
 
 
-def _check_zeta_closed_forms(config, tol):
+def _check_zeta_closed_forms(config):
     """Both closed forms against direct sums, with c = 2 + 2 xi.
 
     Tr (Q + 2 xi)^-s = sum_l (l + 1) (l + c)^-s = H(s - 1, c) - (c - 1) H(s, c),
     and Tr (Q + 2 xi)^-s P_j = H(s, j + c).
     """
-    worst = 0.0
+    out = []
     for xi in (0.0, 0.5, 1.0):
         c = 2.0 + 2.0 * xi
         for s in (2.5, 3.0, 4.0):
             ref = _hurwitz_direct(s - 1, c) - (c - 1) * _hurwitz_direct(s, c)
-            worst = max(worst, abs(trace_Q_power(s, xi) - ref) / abs(ref))
+            out.append(abs(trace_Q_power(s, xi) - ref) / abs(ref))
         for s in (1.5, 2.0, 3.0):
             for j in (0, 3, 7):
                 ref = _hurwitz_direct(s, j + c)
-                worst = max(worst, abs(trace_Q_power_proj(s, xi, j) - ref) / abs(ref))
-    return worst
+                out.append(abs(trace_Q_power_proj(s, xi, j) - ref) / abs(ref))
+    return out
 
 
-def _check_dixmier(config, tol):
-    worst = 0.0
+def _check_dixmier(config):
+    out = []
     for xi in (0.0, 0.5):
         for j in (0, 2, 5):
             est = dixmier_via_zeta_residue(lambda s: trace_Q_power_proj(s, xi, j))
-            worst = max(worst, abs(est.value - 1.0))
             fit = dixmier_via_gamma_fit(q_level_sequence(xi, j), schedule=gamma_schedule(j + 2 + 2 * xi))
-            worst = max(worst, abs(fit.value - est.value))
+            out += [abs(est.value - 1.0), abs(fit.value - est.value)]
     est = dixmier_via_zeta_residue(lambda s: trace_Q_power(2.0 * s, 0.0), tolerance=1e-6)
-    worst = max(worst, abs(est.value - 0.5))
-    return worst
+    return out + [abs(est.value - 0.5)]
 
 
 _C, _CI = 1 / np.sqrt(2), 1 / (1j * np.sqrt(2))
@@ -455,7 +453,7 @@ def _commutator_residuals(nmax):
     phase = sectors._i_power(np.arange(nmax + 1))
 
     def residual(*parts):
-        return max(0.0, *(float(np.abs(p).max(initial=0.0)) for p in parts))
+        return float(np.abs(np.concatenate(parts)).max(initial=0.0))
 
     def commutator(x, y, target):
         diag, *bands = _tridiagonal_commutator(x, y, nmax)
@@ -480,18 +478,18 @@ def _commutator_residuals(nmax):
     }
 
 
-def _check_commutators(config, tol):
-    return max(_commutator_residuals(config.nmax).values())
+def _check_commutators(config):
+    return list(_commutator_residuals(config.nmax).values())
 
 
-def _check_curvature(config, tol):
-    """Worst residual of the curvature identities (a) and (b), j = 0..5."""
-    nmax = max(12, config.nmax)
-    worst = 0.0
-    for j in range(6):
-        res = topo.verify_curvature_identity(j, nmax, config.params)
-        worst = max(worst, res["commutator_identity"], res["curvature_identity"])
-    return worst
+def _check_curvature(config):
+    """Residuals of the curvature identities (a) and (b), j = 0..5, over ell_B^2.
+
+    Both sides of either identity scale as ell_B^2: the quotient is free of it.
+    """
+    nmax, ell2 = max(12, config.nmax), config.params.ell_B ** 2
+    return [res / ell2 for j in range(6)
+            for res in topo.verify_curvature_identity(j, nmax, config.params).values()]
 
 
 #: two combinations drawn once, uniform on [-1, 1]^4 (numpy's default_rng(7)), kept
@@ -502,58 +500,57 @@ _TUV_COMBINATIONS = (
 )
 
 
-def _check_tuv_bridge(config, tol):
+def _check_tuv_bridge(config):
     """Density formula for two random combinations at xi = 0 and 1.
 
-    The zeta residue of each (xi, level) is computed once and shared by
-    both combinations. The trace per unit volume does not depend on xi and
-    is integrated once per combination, all levels of its kernel diagonal
-    from one pass; its samples are written once per (combination, xi).
+    Both densities are of order 1/(2 pi ell_B^2): their difference times
+    ell_B^2 is free of it. The zeta residue of each (xi, level) is computed
+    once and shared by both combinations. The trace per unit volume does
+    not depend on xi and is integrated once per combination, all levels of
+    its kernel diagonal from one pass; its samples are written once per
+    (combination, xi).
     """
     levels = max(len(coeffs) for coeffs in _TUV_COMBINATIONS)
     per_level = {xi: tuv.level_residues(xi, levels) for xi in (0.0, 1.0)}
-    worst = 0.0
-    rows = []
+    ell2 = config.params.ell_B ** 2
+    out, rows = [], []
     for coeffs in _TUV_COMBINATIONS:
         rhs = tuv.tuv_limit(tuv.LandauCombination(coeffs), params=config.params)
         for estimates in per_level.values():
             lhs, _, _ = tuv.dixmier_density(coeffs, estimates, config.params)
-            worst = max(worst, abs(lhs - rhs.value))
+            out.append(abs(lhs - rhs.value) * ell2)
             rows += [["squares", float(scale), float(raw), float(normalized)]
                      for scale, raw, normalized in rhs.samples]
     _write_csv(os.path.join(config.out_dir, "tuv_rows.csv"),
                ["family", "scale", "raw", "normalized"], rows)
-    return worst
+    return out
 
 
-def _check_integral_identity(config, tol):
-    value = verify_integral_identity(0, cutoff=6.0, tol=max(tol, 1e-4))
-    return abs(value - TARGET_IDENTITY)
+def _check_integral_identity(config):
+    """The four-fold identity, its quadrature tolerance ``tol`` floored at 1e-4."""
+    value = verify_integral_identity(0, cutoff=6.0, tol=max(config.tol or 0.0, 1e-4))
+    return [abs(value - TARGET_IDENTITY)]
 
 
-def _check_symmetries(config, tol):
-    """Worst twist residual of the spin-1/2 records, inf where a symmetry has the wrong class.
+def _check_symmetries(config):
+    """Twist residuals of the spin-1/2 records, inf where a symmetry has the wrong class.
 
     With the Theta rows of the commutators check, a zero twist residual
     proves a symmetry at every Nmax, eps_B and c_b; Landau's Theta needs its label only.
     """
-    worst = 0.0 if sectors.symmetry_label(sectors.THETA_TWIST) == "Real(+1)" else np.inf
+    out = [0.0 if sectors.symmetry_label(sectors.THETA_TWIST) == "Real(+1)" else np.inf]
     for model, expected in ((sectors.JC, "Real(+1)"), (sectors.QUATERNIONIC, "Quaternionic(-1)")):
         res = model.twist_residual(config.params)
         ok = res <= topo.SYMMETRY_TOL and sectors.symmetry_label(model.twist) == expected
-        worst = max(worst, res if ok else np.inf)
-    return worst
+        out.append(res if ok else np.inf)
+    return out
 
 
-def _check_kernels(config, tol):
+def _check_kernels(config):
     params = config.params
-    worst = 0.0
-    for j in (0, 2):
-        for pt in ((0.0, 0.0), (1.3, -0.4)):
-            x = np.array(pt)
-            val = landau_kernel(j, x, x, params)
-            worst = max(worst, abs(val - 1.0 / (2 * np.pi * params.ell_B ** 2)))
-    return worst
+    density = 1.0 / (2 * np.pi * params.ell_B ** 2)
+    return [abs(landau_kernel(j, x, x, params) - density)
+            for j in (0, 2) for x in (np.array([0.0, 0.0]), np.array([1.3, -0.4]))]
 
 
 CHECKS = (
@@ -569,14 +566,14 @@ CHECKS = (
 
 
 def cmd_verify(config):
+    """One row per check: the largest of its residuals, NaN (a failure) if any is NaN."""
     os.makedirs(config.out_dir, exist_ok=True)
     selected = [c for c in CHECKS if config.check in (None, c[0])]
-    rows = []
-    status = EXIT_OK
+    rows, status = [], EXIT_OK
     for name, fn, default_tol in selected:
         tol = config.tol if config.tol is not None else default_tol
         try:
-            residual = float(fn(config, tol))
+            residual = float(np.max(fn(config)))
             failure = EXIT_OK if residual <= tol else EXIT_ASSERT
         except QuadratureConvergenceError as exc:
             residual, failure = float("nan"), EXIT_NOCONV
@@ -584,11 +581,10 @@ def cmd_verify(config):
         except ArithmeticError as exc:  # a scale of the check overflows at these params
             residual, failure = float("nan"), EXIT_ASSERT
             print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        ok = failure == EXIT_OK
         status = max(status, failure)
-        rows.append([name, residual, tol, "pass" if ok else "FAIL"])
-        print(f"{name:<22s} residual={residual:.3e} tol={tol:.1e} "
-              f"{'pass' if ok else 'FAIL'}")
+        verdict = "pass" if failure == EXIT_OK else "FAIL"
+        rows.append([name, residual, tol, verdict])
+        print(f"{name:<22s} residual={residual:.3e} tol={tol:.1e} {verdict}")
     _write_csv(os.path.join(config.out_dir, "verify.csv"),
                ["check", "residual", "tolerance", "status"], rows)
     return status

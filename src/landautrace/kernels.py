@@ -77,7 +77,6 @@ def gauss_legendre(order):
 class QuadratureRule:
     points: np.ndarray   # (N, 2)
     weights: np.ndarray  # (N,)
-    order: int
 
 
 class Region:
@@ -117,7 +116,7 @@ class Region:
             X, Y = np.meshgrid(xs, xs, indexing="ij")
             W = np.outer(ws, ws)
             pts = np.column_stack([X.ravel(), Y.ravel()])
-            return QuadratureRule(pts, W.ravel(), order)
+            return QuadratureRule(pts, W.ravel())
         # disk: radial nodes on [0, R] with Jacobian r, uniform angles
         r = (x + 1.0) * (self.size / 2.0)
         wr = w * (self.size / 2.0) * r
@@ -127,7 +126,7 @@ class Region:
         R, T = np.meshgrid(r, theta, indexing="ij")
         W = np.outer(wr, wt)
         pts = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
-        return QuadratureRule(pts, W.ravel(), order)
+        return QuadratureRule(pts, W.ravel())
 
     def __repr__(self):
         return f"Region({self.shape}, size={self.size})"

@@ -580,6 +580,47 @@ class TestVerify:
         rows = read_csv(tmp_path / "verify.csv")
         assert rows[1][3] == "FAIL"
 
+    @pytest.mark.parametrize("residuals, shown", [
+        ([np.nan, 0.0], "nan"), ([0.0, np.nan], "nan"), ([0.0, np.inf], "inf"),
+    ])
+    def test_a_non_finite_residual_fails_the_row(self, tmp_path, monkeypatch, residuals, shown):
+        # Python's max(0.0, nan) is 0.0: a fold that drops a NaN passes the row
+        checks = tuple((name, lambda config: residuals, tol) if name == "kernels" else (name, fn, tol)
+                       for name, fn, tol in cli.CHECKS)
+        monkeypatch.setattr(cli, "CHECKS", checks)
+        rc = main(["--check", "kernels", "--nmax", "4", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_ASSERT
+        name, residual, _, status = read_csv(tmp_path / "verify.csv")[1]
+        assert (name, residual, status) == ("kernels", shown, "FAIL")
+
+    @pytest.mark.parametrize("ell_b", ["1e-8", "1", "1000"])
+    def test_curvature_passes_at_every_magnetic_length(self, tmp_path, monkeypatch, ell_b):
+        # both sides scale as ell_B^2; an absolute residual failed from rounding at ell_B = 1000
+        monkeypatch.setenv("LANDAU_PARAMS__ELL_B", ell_b)
+        rc = main(["--check", "curvature", "--nmax", "14", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-14
+
+    @pytest.mark.parametrize("ell_b", ["1e-8", "1", "1000"])
+    def test_quoted_lower_coefficient_fails_the_curvature_check(self, tmp_path, monkeypatch, ell_b):
+        # identity (a) with j - 1 on P_{j-1} is off by ell_B^2 on level j - 1, which an
+        # absolute residual passed at ell_B = 1e-8 (1e-16 against the tolerance 1e-10)
+        def quoted(nmax, j, ell_B):
+            level, comm = sectors._landau_curvature_window(j, ell_B)
+            interior = level <= nmax - sectors.LEVEL_MARGIN
+            inner = np.ix_(interior, interior)
+            P = np.diag((level == j).astype(complex))
+            wrong = np.diag(1.0 * (level == j) + (j - 1.0) * (level == j - 1)
+                            - (j + 1.0) * (level == j + 1))
+            return (float(np.abs(comm + 1j * ell_B ** 2 * wrong)[inner].max()),
+                    float(np.abs(P @ comm + 1j * ell_B ** 2 * P)[inner].max()))
+
+        monkeypatch.setattr(sectors, "landau_identity_residuals", quoted)
+        monkeypatch.setenv("LANDAU_PARAMS__ELL_B", ell_b)
+        rc = main(["--check", "curvature", "--nmax", "14", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_ASSERT
+        assert float(read_csv(tmp_path / "verify.csv")[1][1]) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("nmax", [0, 1])
     def test_tiny_nmax_rejected(self, tmp_path, capsys, nmax):
         for check in ("commutators", "symmetries"):

@@ -140,6 +140,10 @@ def test_every_input_ends_in_a_documented_status(run):
     ("invariants", {"model": "jaynes_cummings", "nmax": 13, "params.c_b": 1e154}, EXIT_OK),
     # the areas of the Folner regions overflow: the check fails
     ("verify", {"nmax": 13, "params.ell_b": 1e154, "check": "tuv_bridge"}, EXIT_ASSERT),
+    # the densities are of order 1e15 here; times ell_B^2 their difference is rounding
+    ("verify", {"nmax": 13, "params.ell_b": 1e-8, "check": "tuv_bridge"}, EXIT_OK),
+    # the commutators overflow to NaN, and the NaN residuals fail the row
+    ("verify", {"nmax": 14, "params.ell_b": 1e154, "check": "curvature"}, EXIT_ASSERT),
     # c_b^2 itself is finite, and the pair angles are formed from c_b sqrt(8 j)
     ("invariants", {"model": "jaynes_cummings", "nmax": 40, "params.c_b": 1e154}, EXIT_OK),
     # the level-3 commutators overflow: NaN identity residuals leave the Chern number uncertified
