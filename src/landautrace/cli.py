@@ -13,10 +13,10 @@ Exit status: 0 ok, 2 config error, 3 non-convergence (including a missing
 spectral gap and an eigensolver that gives up), 4 assertion failure
 (including a check that overflows).
 
-No command builds a dense matrix: ``verify --check commutators`` works on
-the bands of the n2 sector blocks at the requested nmax, and ``verify
---check symmetries`` on each spin-1/2 model's 2 x 2 spin twist and gauge
-matrices.
+No command builds a dense matrix: ``verify --check commutators`` reads
+the relations off the coefficients of the operators on the ladders, and
+``verify --check symmetries`` off each spin-1/2 model's 2 x 2 spin twist
+and gauge matrices.
 """
 
 import argparse
@@ -174,8 +174,8 @@ class RunConfig:
         if command == "invariants":
             self._check_invariants(where)
         if command == "verify":
-            # the commutator check compares ladder commutators on the interior one
-            # shell in (the margin-1 interior), which must hold more than shell 0
+            # [a-, a+] = 1 holds on the interior one shell in (the margin-1 interior);
+            # at nmax 1 that is the vacuum alone, where a- vanishes and only a- a+ is tested
             if self.nmax < 2:
                 raise ConfigError(f"{where('nmax')}: verify needs nmax >= 2, got {self.nmax}")
             names = [c[0] for c in CHECKS]
@@ -183,8 +183,8 @@ class RunConfig:
                 raise ConfigError(f"{where('check')}: unknown check {self.check!r} (pick from {names})")
 
     def _check_invariants(self, where):
-        """The graded fit needs 12 + GRADED_MARGIN shells, levels an interior."""
-        min_nmax = 12 + singtrace.GRADED_MARGIN - 1  # shells 0..nmax
+        """The graded fit needs ``GRADED_MIN_SHELLS`` shells, levels an interior."""
+        min_nmax = singtrace.GRADED_MIN_SHELLS - 1  # shells 0..nmax
         if self.nmax < min_nmax:
             raise ConfigError(f"{where('nmax')}: invariants need nmax >= {min_nmax}, got {self.nmax}")
         if self.model == "quaternionic":
@@ -388,92 +388,41 @@ def _check_dixmier(config):
 
 _C, _CI = 1 / np.sqrt(2), 1 / (1j * np.sqrt(2))
 #: first-mode coefficients (of a+, of a-) of the operators the commutators check compares:
-#: the ladders, K_1 = (a+ + a-)/sqrt2, K_2 = -i (a+ - a-)/sqrt2 and G_i = -K_i
-_COMMUTATOR_MODES = {"a-": (0.0, 1.0), "a+": (1.0, 0.0), "K1": (_C, _C), "K2": (_CI, -_CI),
-                     "G1": (-_C, -_C), "G2": (-_CI, _CI)}
-
-
-def _bands(mode, n):
-    """(sub, sup) bands c+ sqrt(k), c- sqrt(k), k = 1..n, of c+ a+ + c- a- for mode = (c+, c-)."""
-    root = np.sqrt(np.arange(1, n + 1, dtype=float))
-    return mode[0] * root, mode[1] * root
-
-
-def _tridiagonal_commutator(x, y, rows):
-    """Diagonal and second bands of [X, Y] on its leading rows x rows block.
-
-    X = x[0] a+ + x[1] a- and Y = y[0] a+ + y[1] a- act on one truncated
-    mode of more than ``rows`` levels, so every entry of the block is a sum
-    of products of two band entries (:func:`_bands`). The two factors of a
-    diagonal product share their sqrt(k), so the product is c c' k with the
-    squared ladder entry k exact: row n is x[1] y[0] (n + 1) + x[0] y[1] n
-    less the same with X and Y swapped, and as floating-point
-    multiplication commutes, that is (x[1] y[0] - x[0] y[1]) ((n + 1) - n),
-    whose rounding does not grow with n.
-    """
-    square = np.arange(rows + 1, dtype=float)  # the squared ladder entries 0..rows
-    diag = (x[1] * y[0] - x[0] * y[1]) * (square[1:] - square[:-1])
-    top = max(rows - 2, 0)
-
-    def second(p, q):  # n -> n + 1 -> n + 2 and n + 2 -> n + 1 -> n
-        (p_sub, p_sup), (q_sub, q_sup) = _bands(p, top + 1), _bands(q, top + 1)
-        return p_sup[:top] * q_sup[1:], p_sub[1:] * q_sub[:top]
-
-    return [diag] + [a - b for a, b in zip(second(x, y), second(y, x))]
+#: the ladders, K_1 = (a+ + a-)/sqrt2 and K_2 = -i (a+ - a-)/sqrt2
+_COMMUTATOR_MODES = {"a-": (0.0, 1.0), "a+": (1.0, 0.0), "K1": (_C, _C), "K2": (_CI, -_CI)}
 
 
 def _commutator_residuals(nmax):
-    """Residual of each canonical commutator and of Theta, on the bands of sector b = 0.
+    """Residual of each canonical commutator and of Theta, from the operators' coefficients.
 
-    Sector b (n2 = b) holds n1 = 0..nmax - b. The first mode acts in it by
-    the leading block of one tridiagonal matrix with (sub, sup) bands
-    c+ sqrt(n), c- sqrt(n), n = 1, 2, ..., for c+ a+ + c- a-; the second
-    mode maps it to sector b - 1 by the same bands along the sector index.
-    No block is formed: every entry compared is a sum of products of two
-    band entries, on the margin-1 interior, the first nmax - b rows of b;
-    on the diagonal they are exact squares times the coefficients
-    (:func:`_tridiagonal_commutator`), so no residual grows with nmax.
+    An operator of one mode is X = x+ a+ + x- a-, so [X, Y] = (x- y+ - x+ y-) [a-, a+]
+    with [a-, a+] = 1 on the margin-1 interior: each commutator row is one coefficient
+    difference against its target, the same at every nmax. Theta, the phase i^n with
+    complex conjugation, takes X to conj(x+) r a+ + conj(x-) conj(r) a- with r the
+    ratio i^(n+1) / i^n of neighbouring phases, taken over n = 0..nmax from
+    ``sectors._i_power``, the phases of ``sectors.symmetry_residual``: a broken phase
+    cycle fails the Theta rows.
 
-    Second-mode commutators run along the sector index. Every other row
-    is evaluated on sector 0 alone, which holds its largest residual over
-    all sectors. First-mode commutators of sector b compare a prefix of
-    sector 0's entries. Theta, the phase i^(n1 + b) with complex
-    conjugation, enters by the ratio of neighbouring phases, the exact
-    unit i in every sector. Each entry of [K, G] between sectors b and
-    b + 1 is one band entry of K times their coupling in either order;
-    floating-point multiplication commutes, so it is 0 for every coupling.
-
-    Two pairs of rows coincide bit for bit, so each is evaluated once. The
-    second mode's ladders have the first mode's bands, so [b-,b+] - 1 is
-    [a-,a+] - 1. G_i = -K_i exactly (negation does not round), and every
-    compared entry is a sum of products of two band entries, whose signs
-    cancel, so [G1,G2] + i is [K1,K2] + i.
+    The second mode's ladders and G_i = -K_i have the first mode's coefficients up to
+    a sign that each product cancels exactly, so their rows are the first mode's.
+    The rows [K_i, G_i] are left out: on coefficients they compare products that
+    floating-point multiplication makes equal; the dense oracle of the tests checks
+    them on matrices.
     """
-    lowering, raising, k1, k2, g1, g2 = map(_COMMUTATOR_MODES.get, ("a-", "a+", "K1", "K2", "G1", "G2"))
+    lowering, raising, k1, k2 = map(_COMMUTATOR_MODES.get, ("a-", "a+", "K1", "K2"))
     phase = sectors._i_power(np.arange(nmax + 1))
-
-    def residual(*parts):
-        return float(np.abs(np.concatenate(parts)).max(initial=0.0))
+    ratio = phase[1:] * phase[:-1].conj()
 
     def commutator(x, y, target):
-        diag, *bands = _tridiagonal_commutator(x, y, nmax)
-        return residual(diag - target, *bands)
-
-    def cross(x, g):  # [X, G] between sectors 0 and 1
-        x, g = _bands(x, nmax), _bands(g, nmax)
-        return residual(*(band[:-1] * g[i][0] - g[i][0] * band[:-1] for band in x for i in (0, 1)))
+        return float(abs(x[1] * y[0] - x[0] * y[1] - target))
 
     def theta(x, y):  # Theta X Theta^-1 + Y
-        x, y = _bands(x, nmax), _bands(y, nmax)
-        sub = phase[1:] * x[0].conj() * phase[:-1].conj()
-        sup = phase[:-1] * x[1].conj() * phase[1:].conj()
-        return residual(sub + y[0], sup + y[1])
+        return float(np.abs(np.concatenate([ratio * np.conj(x[0]) + y[0],
+                                            ratio.conj() * np.conj(x[1]) + y[1]])).max())
 
     ladder, k = commutator(lowering, raising, 1.0), commutator(k1, k2, -1j)
     return {
-        "[a-,a+] - 1": ladder, "[b-,b+] - 1": ladder,
-        "[K1,K2] + i": k, "[G1,G2] + i": k,
-        "[K1,G1]": cross(k1, g1), "[K2,G2]": cross(k2, g2),
+        "[a-,a+] - 1": ladder, "[b-,b+] - 1": ladder, "[K1,K2] + i": k, "[G1,G2] + i": k,
         "Theta K1 Theta^-1 + K2": theta(k1, k2), "Theta K2 Theta^-1 + K1": theta(k2, k1),
     }
 
@@ -546,11 +495,26 @@ def _check_symmetries(config):
     return out
 
 
+#: off-diagonal point pairs (x, y) of the kernels check, in units of ell_B
+_KERNEL_PAIRS = (((0.0, 0.0), (1.3, -0.4)), ((1.3, -0.4), (-0.5, 0.8)))
+
+
 def _check_kernels(config):
-    params = config.params
-    density = 1.0 / (2 * np.pi * params.ell_B ** 2)
-    return [abs(landau_kernel(j, x, x, params) - density)
-            for j in (0, 2) for x in (np.array([0.0, 0.0]), np.array([1.3, -0.4]))]
+    """Levels 0 and 2 of the kernel at off-diagonal pairs against the closed form, times ell_B^2.
+
+    With x = ell_B u and y = ell_B v, 2 pi ell_B^2 Pi_j(x, y) is
+    exp(-t/2 - i u^v / 2) L_j(t), t = |u - v|^2 / 2, with L_0 = 1 and
+    L_2(t) = 1 - 2t + t^2/2: free of ell_B.
+    """
+    ell = config.params.ell_B
+    out = []
+    for (u1, u2), (v1, v2) in _KERNEL_PAIRS:
+        t = ((u1 - v1) ** 2 + (u2 - v2) ** 2) / 2
+        ref = np.exp(-t / 2 - 0.5j * (u1 * v2 - u2 * v1)) / (2 * np.pi)
+        x, y = ell * np.array((u1, u2)), ell * np.array((v1, v2))
+        for j, laguerre in ((0, 1.0), (2, 1 - 2 * t + t * t / 2)):
+            out.append(abs(landau_kernel(j, x, y, config.params) * ell ** 2 - ref * laguerre))
+    return out
 
 
 CHECKS = (

@@ -20,7 +20,7 @@ Mode conventions (hbar = 1):
 Matrices are stored dense, and products cost O(dim^3) (dim ~ 2e3 at
 Nmax 60). No command builds them: the commands run sector by sector in
 :mod:`landautrace.sectors`, and ``verify --check commutators`` on the
-bands of the sector blocks. The dense matrices, :class:`AntiUnitaryRep`
+operators' ladder coefficients. The dense matrices, :class:`AntiUnitaryRep`
 and :func:`flip_and_conjugation` among them, serve the test oracles.
 """
 

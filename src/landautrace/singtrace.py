@@ -53,6 +53,12 @@ GRADED_MARGIN = 2
 #: fewest shells a graded fit takes; fewer leave the estimate unconverged
 GRADED_MIN_WINDOW = 6
 
+#: fewest shell sums a graded estimate accepts, the edge shells included
+GRADED_MIN_SHELLS = 12 + GRADED_MARGIN
+
+#: exponents k of the samples s = 1 + 2^-k of a zeta-residue estimate
+ZETA_RESIDUE_EXPONENTS = range(3, 13)
+
 #: certification tolerance of the graded estimator, the same for every model
 GRADED_TOL = 5e-2
 
@@ -310,18 +316,18 @@ def trace_Q_power_proj(s, xi, j):
     return hurwitz_zeta(s, j + 2.0 * (1.0 + xi))
 
 
-def dixmier_via_zeta_residue(zeta_fn, tolerance=1e-8, k_range=range(3, 13)):
+def dixmier_via_zeta_residue(zeta_fn, tolerance=1e-8):
     """Estimate lim_{s->1+} (s-1) zeta_fn(s) by Richardson extrapolation.
 
-    Samples s = 1 + 2^-k and eliminates the power corrections of the
-    analytic function eps -> eps * zeta(1 + eps) on the halving grid.
+    Samples s = 1 + 2^-k, k in ``ZETA_RESIDUE_EXPONENTS``, and eliminates
+    the power corrections of the analytic function eps -> eps * zeta(1 + eps)
+    on the halving grid.
     The residual is the last tableau step, floored by the tableau's own
     rounding bound: the same recursion run on machine eps * |f| with
     absolute weights (the last step alone can come out exactly 0).
     Divergence is flagged, not raised.
     """
-    ks = list(k_range)
-    eps = np.array([2.0 ** (-k) for k in ks])
+    eps = np.array([2.0 ** (-k) for k in ZETA_RESIDUE_EXPONENTS])
     f = np.array([e * zeta_fn(1.0 + e) for e in eps])
     samples = [(1.0 + e, float(v)) for e, v in zip(eps, f)]
     # Neville tableau on the halving grid, with its rounding bound alongside
@@ -375,12 +381,15 @@ def dixmier_from_shell_sums(shell_sums, xi):
     with residual inf. The residual is the fit's max deviation plus a
     rounding floor, divided by the H span of the window, plus the spread
     against the same fit on the window's upper half; it is never exactly
-    0. Converged means residual <= ``GRADED_TOL``.
+    0. The floor is keep eps max|cum|, with keep the number of shells
+    summed: the rounding of a cumulated sum grows with the number of its
+    terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, sec. 4.2). Converged means residual <= ``GRADED_TOL``.
     """
     shell_sums = np.asarray(shell_sums, dtype=float)
     n_shells = len(shell_sums)
-    if n_shells < 12 + GRADED_MARGIN:
-        raise ValueError(f"need at least {12 + GRADED_MARGIN} shells, got {n_shells}")
+    if n_shells < GRADED_MIN_SHELLS:
+        raise ValueError(f"need at least {GRADED_MIN_SHELLS} shells, got {n_shells}")
     keep = n_shells - GRADED_MARGIN
     start = max(keep // 2, int(np.argmax(shell_sums != 0)))  # argmax: the first nonzero shell, 0 if none
     if keep - start < GRADED_MIN_WINDOW:
@@ -389,7 +398,7 @@ def dixmier_from_shell_sums(shell_sums, xi):
     H = np.cumsum(1.0 / (np.arange(keep) + 2.0 + 2.0 * xi))[start:]
     value, dev = _harmonic_slope(H, cum)
     upper, _ = _harmonic_slope(H[len(H) // 2:], cum[len(H) // 2:])
-    floor = np.finfo(float).eps * max(1.0, float(np.abs(cum).max()))
+    floor = keep * np.finfo(float).eps * max(1.0, float(np.abs(cum).max()))
     residual = float((dev + floor) / (H[-1] - H[0]) + abs(value - upper))
     samples = list(zip(H, cum))
     return DixmierEstimate(value, "graded_diagonal", samples, residual <= GRADED_TOL, residual)
@@ -398,7 +407,7 @@ def dixmier_from_shell_sums(shell_sums, xi):
 def dixmier_graded(M, xi):
     """Dixmier trace of (Q + 2 xi)^{-1} M from the graded diagonal of M.
 
-    Exactly linear in M by construction. Requires 12 + GRADED_MARGIN
+    Exactly linear in M by construction. Requires ``GRADED_MIN_SHELLS``
     shells; the outer ``GRADED_MARGIN`` shells are dropped because ladder
     products of order <= 2 corrupt them at the truncation edge.
     """

@@ -1,8 +1,10 @@
 """Dense oracle of ``verify --check commutators``: the identities on OperatorMatrix products.
 
-The check itself works on the bands of the n2 sector blocks
-(``cli._commutator_residuals``); this is its former dense body, with one
-residual per identity under the same names.
+The check itself reads the relations off the operators' ladder
+coefficients (``cli._commutator_residuals``); this is its former dense
+body, with one residual per identity under the same names. It also holds
+[K1,G1] and [K2,G2], which the check leaves out: on coefficients they
+compare products that floating-point multiplication makes equal.
 """
 
 import numpy as np

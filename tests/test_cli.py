@@ -19,7 +19,6 @@ from landautrace.cli import (
     EXIT_OK,
     ConfigError,
     _commutator_residuals,
-    _tridiagonal_commutator,
     main,
     parse_config_text,
 )
@@ -38,46 +37,6 @@ def read_strict_json(path):
 
     with open(path, encoding="utf-8") as fh:
         return json.load(fh, parse_constant=reject)
-
-
-def per_sector_commutator_residuals(nmax):
-    """The commutators check as a loop over every n2 sector b with interior rows."""
-    root = np.sqrt(np.arange(1, nmax + 1, dtype=float))
-    c, ci = 1 / np.sqrt(2), 1 / (1j * np.sqrt(2))
-
-    def bands(mode):
-        return mode[0] * root, mode[1] * root
-
-    lowering, raising = (0.0, 1.0), (1.0, 0.0)  # coefficients of (a+, a-)
-    k1, k2, g1, g2 = (c, c), (ci, -ci), (-c, -c), (-ci, ci)
-    names = ("[a-,a+] - 1", "[b-,b+] - 1", "[K1,K2] + i", "[G1,G2] + i",
-             "[K1,G1]", "[K2,G2]", "Theta K1 Theta^-1 + K2", "Theta K2 Theta^-1 + K1")
-    worst = dict.fromkeys(names, 0.0)
-
-    def record(name, *parts):
-        worst[name] = max(worst[name], *(float(np.abs(p).max(initial=0.0)) for p in parts))
-
-    def commutator(name, x, y, rows, target):
-        diag, *bands = _tridiagonal_commutator(x, y, rows)
-        record(name, diag - target, *bands)
-
-    # second mode: along the sector index, over every sector with interior rows
-    commutator("[b-,b+] - 1", lowering, raising, nmax, 1.0)
-    commutator("[G1,G2] + i", g1, g2, nmax, -1j)
-    for b in range(nmax):
-        rows = nmax - b
-        commutator("[a-,a+] - 1", lowering, raising, rows, 1.0)
-        commutator("[K1,K2] + i", k1, k2, rows, -1j)
-        for name, x, g in (("[K1,G1]", bands(k1), bands(g1)), ("[K2,G2]", bands(k2), bands(g2))):
-            record(name, *(band[:rows - 1] * g[i][b] - g[i][b] * band[:rows - 1]
-                           for band in x for i in (0, 1)))
-        phase = sectors._i_power(np.arange(rows + 1) + b)
-        for name, x, y in (("Theta K1 Theta^-1 + K2", bands(k1), bands(k2)),
-                           ("Theta K2 Theta^-1 + K1", bands(k2), bands(k1))):
-            sub = phase[1:] * x[0][:rows].conj() * phase[:-1].conj()
-            sup = phase[:-1] * x[1][:rows].conj() * phase[1:].conj()
-            record(name, sub + y[0][:rows], sup + y[1][:rows])
-    return worst
 
 
 class TestConfigParsing:
@@ -651,14 +610,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("nmax", range(2, 25))
     def test_commutators_match_dense_oracle(self, nmax):
-        # cross and Theta entries are single products or exact sums on both
-        # routes. The ladder, [K1,K2] and [G1,G2] diagonals are sums of squares
-        # up to nmax: the dense route rounds them with sqrt(n)^2, the band route
-        # takes the exact squares, so its residual is the rounding of the
-        # coefficients alone, 0 or one eps, and never above the dense one
+        # Theta entries are single products on both routes. The ladder, [K1,K2]
+        # and [G1,G2] diagonals are sums of squares up to nmax: the dense route
+        # rounds them with sqrt(n)^2, the coefficients carry the rounding of the
+        # coefficients alone, 0 or one eps, never above the dense one. The check
+        # has no [K_i,G_i] rows, which cannot fail in floating point; on dense
+        # matrices they are 0
         sector = _commutator_residuals(nmax)
         dense = dense_commutator_residuals(nmax, fock.ModelParams())
-        assert sector.keys() == dense.keys()
+        assert dense.keys() - sector.keys() == {"[K1,G1]", "[K2,G2]"}
+        assert dense["[K1,G1]"] == dense["[K2,G2]"] == 0.0
         eps = np.finfo(float).eps
         exact = {"[a-,a+] - 1": 0.0, "[b-,b+] - 1": 0.0, "[K1,K2] + i": eps, "[G1,G2] + i": eps}
         for name, residual in sector.items():
@@ -674,22 +635,6 @@ class TestVerify:
         assert residual == np.finfo(float).eps
         assert dense_commutator_residual(24, fock.ModelParams()) == 7.105427357601002e-15
 
-    def test_commutators_at_large_truncation(self, tmp_path):
-        # the dense check stopped at Nmax 24; the bands take every sector
-        for nmax in ("300", "2000"):
-            rc = main(["--check", "commutators", "--nmax", nmax, "--out", str(tmp_path), "verify"])
-            assert rc == EXIT_OK
-            assert float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-12
-
-    @pytest.mark.parametrize("nmax", [2115, 5000])
-    def test_commutators_pass_where_square_roots_rounded_over_the_tolerance(self, tmp_path, nmax):
-        # products sqrt(n) sqrt(n) took the [K1,K2] diagonal over 1e-12 from
-        # Nmax 2115 on; the exact squares keep it at one eps, the tolerance stays
-        rc = main(["--check", "commutators", "--nmax", str(nmax), "--out", str(tmp_path), "verify"])
-        assert rc == EXIT_OK
-        _, residual, tol, status = read_csv(tmp_path / "verify.csv")[1]
-        assert float(residual) == np.finfo(float).eps and float(tol) == 1e-12 and status == "pass"
-
     def test_flipped_k2_coefficient_fails_the_commutators(self, tmp_path, monkeypatch):
         # K2 with its a- coefficient flipped commutes with K1: [K1,K2] + i is i
         raising, lowering = cli._COMMUTATOR_MODES["K2"]
@@ -698,28 +643,36 @@ class TestVerify:
         assert rc == EXIT_ASSERT
         assert read_csv(tmp_path / "verify.csv")[1][3] == "FAIL"
 
-    @pytest.mark.parametrize("nmax", [*range(2, 61), 120, 300, 700, 2114, 2115])
-    def test_commutators_on_sector_zero_equal_every_sector(self, nmax):
-        # sector 0 holds each row's largest residual over all sectors, bit for bit
-        new = _commutator_residuals(nmax)
-        old = per_sector_commutator_residuals(nmax)
-        assert list(new) == list(old)
-        assert {k: v.hex() for k, v in new.items()} == {k: v.hex() for k, v in old.items()}
+    @pytest.mark.parametrize("nmax", [*range(2, 61), 120, 300, 700, 2000, 2114, 2115, 5000])
+    def test_commutators_row_is_one_eps_at_every_truncation(self, tmp_path, nmax):
+        # the [K1,K2] coefficient difference against -i, whatever nmax. The dense
+        # check stopped at Nmax 24, and products sqrt(n) sqrt(n) took the [K1,K2]
+        # diagonal over 1e-12 from Nmax 2115 on; the tolerance stays
+        rc = main(["--check", "commutators", "--nmax", str(nmax), "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_OK
+        assert read_csv(tmp_path / "verify.csv")[1] == [
+            "commutators", "2.2204460492503131e-16", "9.9999999999999998e-13", "pass"]  # 2^-52, 1e-12
 
-    def test_commutators_cost_does_not_grow_with_sectors(self, monkeypatch):
-        calls = []
+    def test_broken_phase_cycle_fails_the_commutators(self, tmp_path, monkeypatch):
+        # i^n through 1, i, -1, i: the ratio of neighbouring phases is -i from n = 2 on
+        monkeypatch.setattr(sectors, "_i_power", lambda n: np.array([1, 1j, -1, 1j])[np.asarray(n) % 4])
+        rc = main(["--check", "commutators", "--nmax", "40", "--out", str(tmp_path), "verify"])
+        assert rc == EXIT_ASSERT
+        _, residual, _, status = read_csv(tmp_path / "verify.csv")[1]
+        assert float(residual) == pytest.approx(np.sqrt(2)) and status == "FAIL"
 
-        def counted(*args):
-            calls.append(args)
-            return _tridiagonal_commutator(*args)
-
-        monkeypatch.setattr(cli, "_tridiagonal_commutator", counted)
-        counts = []
-        for nmax in (10, 1000):
-            calls.clear()
-            _commutator_residuals(nmax)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+    @pytest.mark.parametrize("ell_b", ["1e-3", "1", "7"])
+    def test_kernels_match_the_closed_form_off_the_diagonal(self, tmp_path, monkeypatch, ell_b):
+        monkeypatch.setenv("LANDAU_PARAMS__ELL_B", ell_b)
+        argv = ["--check", "kernels", "--nmax", "13", "--out", str(tmp_path), "verify"]
+        assert main(argv) == EXIT_OK
+        assert 0.0 < float(read_csv(tmp_path / "verify.csv")[1][1]) <= 1e-16
+        # the conjugate realization of the kernel: on the diagonal, where the check
+        # once read it, its phase is exactly 1 and the two agree
+        kernel = cli.landau_kernel
+        monkeypatch.setattr(cli, "landau_kernel", lambda *args: np.conj(kernel(*args)))
+        assert main(argv) == EXIT_ASSERT
+        assert float(read_csv(tmp_path / "verify.csv")[1][1]) > 0.01
 
     def test_tuv_bridge_computes_each_zeta_residue_once(self, tmp_path, monkeypatch):
         # two xi times four levels, shared by both combinations

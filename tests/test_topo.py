@@ -22,7 +22,13 @@ from landautrace.models import (
     quaternionic_hamiltonian,
     quaternionic_trs,
 )
-from landautrace.singtrace import DixmierEstimate, dixmier_graded
+from landautrace.singtrace import (
+    GRADED_MARGIN,
+    GRADED_MIN_WINDOW,
+    DixmierEstimate,
+    dixmier_from_shell_sums,
+    dixmier_graded,
+)
 from landautrace.topo import (
     LEVEL_MARGIN,
     SYMMETRY_TOL,
@@ -317,6 +323,18 @@ class TestHarmonicColumnFit:
         for est in estimates:
             assert abs(est.value - 1.0) <= 1e-12
             assert 0.0 < est.residual <= 1e-12 and est.converged
+
+    @pytest.mark.parametrize("nmax", [140, 300, 1000])
+    def test_every_landau_level_with_a_full_window_certifies(self, nmax):
+        # a rounding floor of eps max|cum|, below the rounding of the cumulated sum
+        # itself, refused 73 exact levels at Nmax 300 (j = 160: 0.999999999999977
+        # against a residual of 5.2e-15). Only the top levels, whose density starts
+        # past the shortest window, stay unconverged
+        last = nmax + 1 - GRADED_MARGIN - GRADED_MIN_WINDOW  # shells 0..nmax
+        for j in range(nmax - LEVEL_MARGIN + 1):
+            for sums in sectors.landau_shell_sums(nmax, j, 0.0):
+                est = dixmier_from_shell_sums(sums, 0.0)
+                assert _certify((est,)) == ((1, True) if j <= last else (None, False)), j
 
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     def test_dense_diagonal_is_exact(self, xi):
